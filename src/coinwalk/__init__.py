@@ -41,20 +41,17 @@ from .walk import (
     step,
 )
 from .spectral import (
-    SpectralData,
     build_U_of_k,
-    eigensystem,
     gamma,
     hamiltonian,
     s_inverse_closed_form,
     unitary_S,
 )
-from .continuous import ContinuousRun, evolve_continuous, propagator, schrodinger_residual
+from .continuous import ContinuousRun, evolve_continuous, schrodinger_residual
 from .limitlaw import (
     LimitLaw,
     StationaryPoints,
     asymmetry_coefficient,
-    cdf_and_moments,
     density,
     density_localized,
     g_function,
@@ -89,19 +86,16 @@ __all__ = [
     "MomentumGrid",
     "PauliFlow",
     "PauliObservable",
-    "SpectralData",
     "StationaryPoints",
     "ValidationError",
     "WalkRun",
     "WaveFunction",
     "asymmetry_coefficient",
     "build_U_of_k",
-    "cdf_and_moments",
     "conjugate_evolve",
     "cross_generator",
     "density",
     "density_localized",
-    "eigensystem",
     "empirical_scaled_law",
     "evolve",
     "evolve_continuous",
@@ -124,7 +118,6 @@ __all__ = [
     "point_mass_law",
     "position_distribution",
     "positivity_check",
-    "propagator",
     "random_coin",
     "s_inverse_closed_form",
     "schrodinger_residual",

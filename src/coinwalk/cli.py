@@ -43,7 +43,6 @@ from .core import (
     normalize_phase,
     position_distribution,
 )
-from .verify import run_verification
 
 __all__ = ["RunConfig", "PRESETS", "main", "parse_config", "serialize_config"]
 
@@ -338,9 +337,9 @@ def _distribution_rows(psi: WaveFunction):
 def cmd_walk(config: RunConfig, out_dir: Path) -> list[Path]:
     coin = config.coin()
     psi0 = config.initial_state()
-    run = walk.WalkRun(coin, psi0, config.steps, store_trajectory=config.trajectory)
+    run = walk.WalkRun(coin, psi0, config.steps)
     written = []
-    if run.store_trajectory:
+    if config.trajectory:
         rows = []
         final = psi0
         for i, psi in walk.iter_evolution(run):
@@ -478,6 +477,9 @@ def cmd_semigroup(config: RunConfig, out_dir: Path) -> list[Path]:
 
 
 def cmd_verify(config: RunConfig, out_dir: Path) -> tuple[list[Path], bool]:
+    # verify builds its figure states from PRESETS, so it imports this module
+    from .verify import run_verification
+
     results = run_verification(seed=config.seed, quick=config.quick)
     for r in results:
         status = "PASS" if r.passed else "FAIL"

@@ -35,7 +35,6 @@ from .core import (
 __all__ = [
     "ContinuousRun",
     "evolve_continuous",
-    "propagator",
     "schrodinger_residual",
     "snapshots",
 ]
@@ -43,17 +42,6 @@ __all__ = [
 # The continuous-time light cone is not sharp; pad the reconstruction window
 # by this many sites beyond ceil(t) so trimmed tails stay below threshold.
 _SUPPORT_PAD = 8
-
-
-def propagator(k: float, t: float, coin: Coin) -> np.ndarray:
-    """The 2x2 unitary ``exp(i t H(k))`` at one momentum.
-
-    Equals ``cos(t*gamma) I + i sin(t*gamma) (h . sigma)`` with ``gamma`` and
-    the unit axis ``h`` taken at ``k - theta1``; at ``t = 1`` this is
-    ``U(k)``, and ``t = n`` reproduces ``U(k)^n``.  Degenerate coins yield the
-    exact diagonal-phase propagator.
-    """
-    return spectral.propagator_bank(float(k), float(t), coin)
 
 
 def evolve_continuous(

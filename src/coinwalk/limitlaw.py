@@ -52,7 +52,6 @@ __all__ = [
     "StationaryAmplitudes",
     "StationaryPoints",
     "asymmetry_coefficient",
-    "cdf_and_moments",
     "density",
     "density_localized",
     "g_function",
@@ -472,8 +471,3 @@ def weak_limit_law(coin: Coin, psi0: WaveFunction) -> LimitLaw:
         a, b = psi0.amplitudes[0]
         beta = asymmetry_coefficient(coin, a, b)
     return LimitLaw("density", coin, psi0_hat=momentum_state(psi0), beta=beta)
-
-
-def cdf_and_moments(law: LimitLaw) -> tuple[Callable, float, float]:
-    """The law's distribution function plus its first two moments."""
-    return law.cdf, law.mean(), law.moment(2)

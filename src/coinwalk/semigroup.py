@@ -158,7 +158,6 @@ class PauliFlow:
     t: float
     rotation: np.ndarray  # 3x3 real orthogonal, acts on coefficient vectors
     generator: np.ndarray  # the antisymmetric cross generator
-    eigenbasis: np.ndarray  # columns: eigenvectors for (0, +2i*gamma, -2i*gamma)
     axis: np.ndarray
     gamma: float
 
@@ -190,13 +189,11 @@ def pauli_flow(k: float, t: float, coin: Coin) -> PauliFlow:
     g, h = spectral.dispersion(float(k), coin)
     G = cross_generator(float(k), coin)
     rotation = _coefficient_rotations(float(k), float(t), coin)
-    _, W = rotation_via_eigenbasis(G, float(t))
     return PauliFlow(
         k=float(k),
         t=float(t),
         rotation=rotation,
         generator=G,
-        eigenbasis=W,
         axis=h,
         gamma=float(g),
     )

@@ -22,19 +22,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import PAULI, Coin, DegenerateCoinError, DomainError, ValidationError
+from .core import PAULI, Coin, DegenerateCoinError, DomainError
 
 __all__ = [
-    "SpectralData",
     "StationaryInverses",
     "build_U_of_k",
     "dispersion",
-    "eigensystem",
     "eigenvector_matrix",
     "gamma",
     "hamiltonian",
@@ -127,7 +124,7 @@ def unitary_S(k, coin: Coin) -> np.ndarray:
     return out
 
 
-def pauli_axis(kappa, coin: Coin, h2_denominator: str = "sin") -> np.ndarray:
+def pauli_axis(kappa, coin: Coin) -> np.ndarray:
     """Unit Pauli vector ``h(kappa)`` of the generator, at its own argument.
 
     With ``rho = |l1|/|l2|`` and ``phi = kappa + theta1 - theta2``:
@@ -136,23 +133,18 @@ def pauli_axis(kappa, coin: Coin, h2_denominator: str = "sin") -> np.ndarray:
         h2 =  cos(phi) / sqrt(1 + rho^2 sin^2 kappa)
         h3 = -rho sin(kappa) / sqrt(1 + rho^2 sin^2 kappa)
 
-    so that ``h1^2 + h2^2 + h3^2 = 1`` identically.  ``h2_denominator="cos"``
-    substitutes ``cos`` for ``sin`` inside h2's normaliser; that variant
-    breaks the unit-norm identity and exists only for fault injection in the
-    verification suite.  Broadcasts: shape S input yields shape ``S + (3,)``.
+    so that ``h1^2 + h2^2 + h3^2 = 1`` identically.  Broadcasts: shape S
+    input yields shape ``S + (3,)``.
     """
     _require_spectral(coin)
-    if h2_denominator not in ("sin", "cos"):
-        raise ValidationError("h2_denominator must be 'sin' or 'cos'")
     kap = np.asarray(kappa, dtype=np.float64)
     rho = coin.abs_l1 / coin.abs_l2
     phi = kap + coin.theta1 - coin.theta2
-    den_sin = np.sqrt(1.0 + (rho * np.sin(kap)) ** 2)
-    den_h2 = den_sin if h2_denominator == "sin" else np.sqrt(1.0 + (rho * np.cos(kap)) ** 2)
+    den = np.sqrt(1.0 + (rho * np.sin(kap)) ** 2)
     out = np.empty(kap.shape + (3,), dtype=np.float64)
-    out[..., 0] = -np.sin(phi) / den_sin
-    out[..., 1] = np.cos(phi) / den_h2
-    out[..., 2] = -rho * np.sin(kap) / den_sin
+    out[..., 0] = -np.sin(phi) / den
+    out[..., 1] = np.cos(phi) / den
+    out[..., 2] = -rho * np.sin(kap) / den
     return out
 
 
@@ -205,45 +197,6 @@ def propagator_bank(k, t: float, coin: Coin) -> np.ndarray:
     out[..., 0, 1] = rot * (h[..., 0] - 1j * h[..., 1])
     out[..., 1, 0] = rot * (h[..., 0] + 1j * h[..., 1])
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralData:
-    """Everything the diagonalisation of ``U(k)`` yields at one momentum."""
-
-    k: float
-    gamma: float
-    lambda_plus: complex
-    lambda_minus: complex
-    S_raw: np.ndarray
-    S_unitary: np.ndarray
-    H: np.ndarray
-    axis: np.ndarray
-
-
-def eigensystem(k: float, coin: Coin) -> SpectralData:
-    """Diagonalise ``U(k)``: eigenvalues, both eigenvector matrices, and the generator.
-
-    ``S_raw`` holds the unnormalised eigenvectors, ``S_unitary`` the
-    normalised ones (both evaluated at ``k - theta1`` so they diagonalise
-    ``U(k)`` directly):
-
-        U(k) = S diag(exp(+i*gamma), exp(-i*gamma)) S^{-1}.
-    """
-    _require_spectral(coin)
-    kap = float(k) - coin.theta1
-    g = gamma(kap, coin)
-    H, h, _ = hamiltonian(float(k), coin)
-    return SpectralData(
-        k=float(k),
-        gamma=g,
-        lambda_plus=cmath.exp(1j * g),
-        lambda_minus=cmath.exp(-1j * g),
-        S_raw=eigenvector_matrix(kap, coin),
-        S_unitary=unitary_S(kap, coin),
-        H=H,
-        axis=h,
-    )
 
 
 class StationaryInverses(NamedTuple):

@@ -67,7 +67,6 @@ class WalkRun:
     coin: Coin
     psi0: WaveFunction
     n: int
-    store_trajectory: bool = False
 
     def __post_init__(self) -> None:
         if int(self.n) < 0:

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -20,14 +18,3 @@ def origin_right():
 def seeded_coins(count, seed=0, min_mix=0.05):
     rng = np.random.default_rng(seed)
     return [random_coin(rng, min_mix=min_mix) for _ in range(count)]
-
-
-def figure_state(which):
-    s = 1.0 / math.sqrt(2.0)
-    states = {
-        "fig3.1": lambda: WaveFunction.qubit(0.0, 1.0, site=10),
-        "fig3.2": lambda: WaveFunction.qubit(1.0, 0.0, site=-10),
-        "fig3.3": lambda: WaveFunction.from_sites([(10, (0.0, s)), (-10, (s, 0.0))]),
-        "fig3.4": lambda: WaveFunction.qubit(s, s, site=0),
-    }
-    return states[which]()

@@ -1,316 +1,159 @@
-"""Acceptance suite: the package's exit criteria at their pinned tolerances.
+"""Acceptance suite: the package's exit criteria are ``coinwalk verify`` checks.
 
-Each test prints one ``ACCEPTANCE <n> PASS|FAIL`` line (visible with
-``pytest -s`` or in captured output).  Derived thresholds pinned by the first
-oracle run live in ``tests/data/oracle_values.json``.
+Each criterion test runs, in full mode at seed 0, the registry checks that
+serve that criterion, within the criterion's wall-time limit, and prints one
+``ACCEPTANCE <n> PASS|FAIL`` line (visible with ``pytest -s``).  Criteria 3
+and 9 also compare the checks' measurements with thresholds pinned by the
+first oracle run in ``tests/data/oracle_values.json``.  The checks that serve
+no criterion run in full mode in :func:`test_check_without_criterion`.
 """
 
 import json
-import math
 import time
 from pathlib import Path
 
-import numpy as np
+import pytest
 
-from coinwalk import (
-    MomentumGrid,
-    WalkRun,
-    WaveFunction,
-    cross_generator,
-    empirical_scaled_law,
-    evolve,
-    evolve_continuous,
-    fourier_evolve,
-    hadamard_switched,
-    heisenberg_evolve,
-    ks_distance,
-    momentum_state,
-    pauli_flow,
-    position_distribution,
-    random_coin,
-    step,
-    weak_limit_law,
-)
-from coinwalk import conjugate_evolve, density, density_localized
-from coinwalk.semigroup import DirectIntegralObservable, random_hermitian_observable
-from coinwalk.spectral import build_U_of_k, dispersion
-from coinwalk.walk import sup_norm_difference
-
-from conftest import figure_state
+from coinwalk.verify import CHECKS
 
 ORACLE = json.loads(
     (Path(__file__).resolve().parent / "data" / "oracle_values.json").read_text()
 )
 
-S2 = 1.0 / math.sqrt(2.0)
+# the check names and order that `coinwalk verify` prints
+VERIFY_NAMES = [
+    "coin_row_relations",
+    "coin_phase_invariance",
+    "fourier_round_trip",
+    "pauli_round_trip",
+    "norm_conservation",
+    "discrete_oracle_equivalence",
+    "light_cone_and_parity",
+    "superposition_not_mixture",
+    "spectral_identities",
+    "s_inverse_closed_form",
+    "fault_wrong_axis_normaliser",
+    "fault_undersized_grid",
+    "integer_time_consistency",
+    "continuous_group_law",
+    "continuous_norm_drift",
+    "schrodinger_residual",
+    "lm_two_route_agreement",
+    "localized_closed_form",
+    "density_mass",
+    "point_mass_laws",
+    "ks_convergence",
+    "beta0_symmetry",
+    "flow_vs_conjugation",
+    "identity_fixed_point",
+    "semigroup_law",
+    "cross_generator",
+    "rotation_properties",
+    "positivity_and_spectrum",
+]
+
+# criterion -> (title, wall-time limit in seconds or None)
+CRITERIA = {
+    1: ("discrete oracle equivalence", 10.0),
+    2: ("integer-time consistency", 30.0),
+    3: ("limit-law convergence", 120.0),
+    4: ("localized closed form", 5.0),
+    5: ("degenerate point-mass laws", 5.0),
+    6: ("generator correctness", 2.0),
+    7: ("semigroup characterisation", 5.0),
+    8: ("normalization", None),
+    9: ("superposition is not mixture", 60.0),
+}
 
 
-def report(number, name, passed, detail):
-    print(f"ACCEPTANCE {number:>2} {'PASS' if passed else 'FAIL'} {name}: {detail}")
-    assert passed, f"criterion {number} ({name}): {detail}"
+def ks_oracle_drift(results):
+    (ks,) = results
+    drift = [
+        abs(value - ORACLE["ks"][label][n])
+        for label, row in ks.values.items()
+        for n, value in row.items()
+    ]
+    passed = len(drift) == 12 and max(drift) < 1e-9 and ks.tolerance == ORACLE["ks_bound"]
+    return passed, f"drift of {len(drift)} KS values from recorded oracle {max(drift):.1e}"
+
+
+def superposition_thresholds(results):
+    (gaps,) = results
+    pinned = ORACLE["superposition"]
+    keys = ("fig33_vs_mixture", "fig33_vs_fig34")
+    passed = gaps.values["n"] == pinned["n"] and all(
+        gaps.values[key] > pinned[key + "_threshold"] for key in keys
+    )
+    thresholds = ", ".join(f"{key} > {pinned[key + '_threshold']:.4f}" for key in keys)
+    return passed, f"pinned thresholds {thresholds}"
+
+
+ORACLE_COMPARISONS = {3: ks_oracle_drift, 9: superposition_thresholds}
+
+
+def accept(number):
+    title, limit = CRITERIA[number]
+    start = time.perf_counter()
+    results = [check.run() for check in CHECKS if check.criterion == number]
+    elapsed = time.perf_counter() - start
+    passed = all(r.passed for r in results) and (limit is None or elapsed < limit)
+    details = [f"{r.name} {r.residual:.3e} (tol {r.tolerance:.1e}) {r.detail}" for r in results]
+    if number in ORACLE_COMPARISONS:
+        oracle_passed, oracle_detail = ORACLE_COMPARISONS[number](results)
+        passed = passed and oracle_passed
+        details.append(oracle_detail)
+    limit_text = "no limit" if limit is None else f"limit {limit:g}s"
+    detail = f"{'; '.join(details)}; {elapsed:.1f}s ({limit_text})"
+    print(f"ACCEPTANCE {number:>2} {'PASS' if passed else 'FAIL'} {title}: {detail}")
+    assert passed, f"criterion {number} ({title}): {detail}"
 
 
 def test_criterion_1_discrete_oracle_equivalence():
-    start = time.perf_counter()
-    rng = np.random.default_rng(0)
-    coins = [hadamard_switched()] + [random_coin(rng) for _ in range(10)]
-    psi0 = WaveFunction.qubit(0.0, 1.0)
-    worst = 0.0
-    for coin in coins:
-        direct = evolve(WalkRun(coin, psi0, 200))
-        spectral_route = fourier_evolve(psi0, coin, 200)
-        worst = max(worst, sup_norm_difference(direct, spectral_route))
-    elapsed = time.perf_counter() - start
-    report(
-        1,
-        "discrete oracle equivalence",
-        worst < 1e-9 and elapsed < 10.0,
-        f"sitewise sup {worst:.3e} (tol 1e-9) over 11 coins at n=200, {elapsed:.1f}s",
-    )
+    accept(1)
 
 
 def test_criterion_2_integer_time_consistency():
-    start = time.perf_counter()
-    coin = hadamard_switched()
-    worst = 0.0
-    for psi0 in (WaveFunction.qubit(0.0, 1.0), figure_state("fig3.3")):
-        for n in (1, 10, 100):
-            cont = evolve_continuous(psi0, float(n), coin)
-            disc = evolve(WalkRun(coin, psi0, n))
-            worst = max(worst, sup_norm_difference(cont, disc))
-    elapsed = time.perf_counter() - start
-    report(
-        2,
-        "integer-time consistency",
-        worst < 1e-9 and elapsed < 30.0,
-        f"sup {worst:.3e} (tol 1e-9) at t=n in {{1,10,100}}, {elapsed:.1f}s",
-    )
+    accept(2)
 
 
 def test_criterion_3_limit_law_convergence():
-    start = time.perf_counter()
-    coin = hadamard_switched()
-    bound = ORACLE["ks_bound"]
-    qubits = {"1,0": (1.0, 0.0), "0,1": (0.0, 1.0), "s,is": (S2, 1j * S2)}
-    all_monotone = True
-    worst_final = 0.0
-    recorded_gap = 0.0
-    for label, (a, b) in qubits.items():
-        psi0 = WaveFunction.qubit(a, b)
-        law = weak_limit_law(coin, psi0)
-        values = []
-        for n in (250, 500, 1000, 2000):
-            d = ks_distance(empirical_scaled_law(WalkRun(coin, psi0, n)), law)
-            values.append(d)
-            recorded_gap = max(recorded_gap, abs(d - ORACLE["ks"][label][str(n)]))
-        all_monotone &= all(u > v for u, v in zip(values, values[1:]))
-        worst_final = max(worst_final, values[-1])
-    elapsed = time.perf_counter() - start
-    report(
-        3,
-        "limit-law convergence",
-        all_monotone and worst_final < bound and recorded_gap < 1e-9 and elapsed < 120.0,
-        f"monotone={all_monotone}, KS(2000)={worst_final:.4f} (bound {bound}), "
-        f"drift from recorded oracle {recorded_gap:.1e}, {elapsed:.1f}s",
-    )
+    accept(3)
 
 
 def test_criterion_4_localized_closed_form():
-    start = time.perf_counter()
-    rng = np.random.default_rng(1)
-    coins = [hadamard_switched()] + [random_coin(rng) for _ in range(4)]
-    qubits = [(1.0, 0.0), (0.0, 1.0), (S2, 1j * S2), (0.6, 0.8j), (S2, -S2)]
-    worst = 0.0
-    for coin in coins:
-        ys = np.linspace(-0.98, 0.98, 200) * coin.abs_l1
-        for a, b in qubits:
-            hat = momentum_state(WaveFunction.qubit(a, b))
-            gap = np.abs(density(ys, coin, hat) - density_localized(ys, coin, a, b)).max()
-            worst = max(worst, float(gap))
-    elapsed = time.perf_counter() - start
-    report(
-        4,
-        "localized closed form",
-        worst < 1e-10 and elapsed < 5.0,
-        f"max |general - closed| {worst:.3e} (tol 1e-10), 5 coins x 5 qubits x 200 y, {elapsed:.1f}s",
-    )
+    accept(4)
 
 
 def test_criterion_5_degenerate_laws():
-    start = time.perf_counter()
-    from coinwalk import normalize_phase, point_mass_law
-
-    ballistic = normalize_phase(np.eye(2))
-    psi0 = WaveFunction.from_sites(
-        [(-2, (math.sqrt(1 / 3), 0.0)), (5, (0.0, math.sqrt(2 / 3)))]
-    )
-    law = point_mass_law(ballistic, psi0)
-    atom_defect = max(
-        abs(law.atoms.atoms[0] + 1.0),
-        abs(law.atoms.atoms[1] - 1.0),
-        abs(law.atoms.weights[0] - 1 / 3),
-        abs(law.atoms.weights[1] - 2 / 3),
-    )
-    final = evolve(WalkRun(ballistic, psi0, 1000))
-    p = position_distribution(final)
-    sim_defect = abs(float(p[final.sites < 0].sum()) - 1 / 3)
-
-    flip = normalize_phase(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    law0 = point_mass_law(flip, WaveFunction.qubit(0.6, 0.8))
-    delta_defect = max(abs(law0.atoms.atoms[0]), abs(law0.atoms.weights[0] - 1.0))
-    final0 = evolve(WalkRun(flip, WaveFunction.qubit(0.6, 0.8), 1000))
-    support = final0.sites[position_distribution(final0) > 1e-30]
-    spread = float(np.abs(support).max()) / 1000.0 if support.size else 0.0
-
-    elapsed = time.perf_counter() - start
-    worst = max(atom_defect, sim_defect, delta_defect)
-    report(
-        5,
-        "degenerate point-mass laws",
-        worst < 1e-14 and spread <= 1.0 / 1000.0 and elapsed < 5.0,
-        f"atom/simulation defect {worst:.2e}, frozen-law spread {spread:.1e} <= 1/n, {elapsed:.1f}s",
-    )
+    accept(5)
 
 
 def test_criterion_6_generator_correctness():
-    start = time.perf_counter()
-    rng = np.random.default_rng(2)
-    coins = [hadamard_switched()] + [random_coin(rng) for _ in range(9)]
-    grid = MomentumGrid(1024)
-    worst_exp = 0.0
-    worst_unit = 0.0
-    worst_bound = 0.0
-    for coin in coins:
-        g, h = dispersion(grid.nodes, coin)
-        worst_unit = max(worst_unit, float(np.abs(np.linalg.norm(h, axis=-1) - 1.0).max()))
-        gh = g[:, None] * h
-        H = np.zeros((grid.size, 2, 2), dtype=complex)
-        H[:, 0, 0] = gh[:, 2]
-        H[:, 1, 1] = -gh[:, 2]
-        H[:, 0, 1] = gh[:, 0] - 1j * gh[:, 1]
-        H[:, 1, 0] = gh[:, 0] + 1j * gh[:, 1]
-        w, V = np.linalg.eigh(H)
-        exp_h = np.einsum("mij,mj,mkj->mik", V, np.exp(1j * w), V.conj())
-        U = np.stack([build_U_of_k(k, coin) for k in grid.nodes])
-        worst_exp = max(worst_exp, float(np.abs(exp_h - U).max()))
-        bound = math.pi - math.acos(coin.abs_l1)
-        worst_bound = max(worst_bound, float(np.abs(w).max()) - bound)
-    elapsed = time.perf_counter() - start
-    report(
-        6,
-        "generator correctness",
-        worst_exp < 1e-11 and worst_unit < 1e-12 and worst_bound < 1e-12 and elapsed < 2.0,
-        f"|expm(iH)-U| {worst_exp:.2e} (tol 1e-11), |h|-1 {worst_unit:.2e} (tol 1e-12), "
-        f"norm-bound excess {worst_bound:.2e}, 10 coins x 1024 nodes, {elapsed:.1f}s",
-    )
+    accept(6)
 
 
 def test_criterion_7_semigroup():
-    start = time.perf_counter()
-    coin = hadamard_switched()
-    grid = MomentumGrid(256)
-    rng = np.random.default_rng(3)
-    obs = random_hermitian_observable(grid, rng)
-    mats = obs.matrices()
-    worst_flow = 0.0
-    for t in (0.1, 1.0, 7.3):
-        evolved = heisenberg_evolve(obs, t, coin).matrices()
-        for i in range(grid.size):
-            direct = conjugate_evolve(grid.nodes[i], t, mats[i], coin)
-            worst_flow = max(worst_flow, float(np.abs(direct - evolved[i]).max()))
-
-    ident = DirectIntegralObservable.constant(grid, np.eye(2))
-    ident_defect = float(
-        np.abs(heisenberg_evolve(ident, 5.5, coin).coefficients - ident.coefficients).max()
-    )
-
-    worst_law = 0.0
-    worst_eigs = 0.0
-    for k in grid.nodes[::16]:
-        r_s = pauli_flow(k, 0.6, coin).rotation
-        r_t = pauli_flow(k, 1.9, coin).rotation
-        r_st = pauli_flow(k, 2.5, coin).rotation
-        worst_law = max(worst_law, float(np.abs(r_s @ r_t - r_st).max()))
-        g, _ = dispersion(k, coin)
-        eigs = np.sort(np.linalg.eigvals(cross_generator(k, coin)).imag)
-        worst_eigs = max(
-            worst_eigs, float(np.abs(eigs - np.array([-2 * g, 0.0, 2 * g])).max())
-        )
-    elapsed = time.perf_counter() - start
-    passed = (
-        worst_flow < 1e-11
-        and ident_defect == 0.0
-        and worst_law < 1e-11
-        and worst_eigs < 1e-11
-        and elapsed < 5.0
-    )
-    report(
-        7,
-        "semigroup characterisation",
-        passed,
-        f"flow-vs-conjugation {worst_flow:.2e}, V_t(I)=I defect {ident_defect:.1e}, "
-        f"composition {worst_law:.2e}, generator eigenvalues {worst_eigs:.2e} (all tol 1e-11), {elapsed:.1f}s",
-    )
+    accept(7)
 
 
 def test_criterion_8_normalization():
-    start = time.perf_counter()
-    rng = np.random.default_rng(4)
-    coin = hadamard_switched()
-    states = [
-        WaveFunction.qubit(1.0, 0.0),
-        WaveFunction.qubit(0.0, 1.0),
-        WaveFunction.qubit(S2, 1j * S2),
-        WaveFunction.from_sites([(-3, (0.5, 0.2j)), (2, (0.1, math.sqrt(0.7)))]),
-    ]
-    worst_mass = 0.0
-    for law_coin in (coin, random_coin(rng)):
-        for psi0 in states:
-            law = weak_limit_law(law_coin, psi0)
-            worst_mass = max(worst_mass, abs(law.mass() - 1.0))
-
-    worst_norm = 0.0
-    psi = WaveFunction.qubit(0.0, 1.0)
-    for _ in range(10_000):
-        psi = step(psi, coin)
-        worst_norm = max(worst_norm, abs(psi.norm() - 1.0))
-    elapsed = time.perf_counter() - start
-    report(
-        8,
-        "normalization",
-        worst_mass < 1e-6 and worst_norm < 1e-10,
-        f"density mass defect {worst_mass:.2e} (tol 1e-6), "
-        f"norm drift over 10^4 steps {worst_norm:.2e} (tol 1e-10), {elapsed:.1f}s",
-    )
+    accept(8)
 
 
 def test_criterion_9_superposition_gaps():
-    start = time.perf_counter()
-    coin = hadamard_switched()
-    n = ORACLE["superposition"]["n"]
-    finals = {
-        name: evolve(WalkRun(coin, figure_state(name), n))
-        for name in ("fig3.1", "fig3.2", "fig3.3", "fig3.4")
-    }
-    lo = min(f.x_min for f in finals.values())
-    hi = max(f.x_max for f in finals.values())
+    accept(9)
 
-    def dist(psi):
-        full = np.zeros(hi - lo + 1)
-        full[psi.x_min - lo : psi.x_max - lo + 1] = position_distribution(psi)
-        return full
 
-    mixture = 0.5 * (dist(finals["fig3.1"]) + dist(finals["fig3.2"]))
-    gap_mix = float(np.abs(dist(finals["fig3.3"]) - mixture).max())
-    gap_34 = float(np.abs(dist(finals["fig3.3"]) - dist(finals["fig3.4"])).max())
-    thr_mix = ORACLE["superposition"]["fig33_vs_mixture_threshold"]
-    thr_34 = ORACLE["superposition"]["fig33_vs_fig34_threshold"]
-    elapsed = time.perf_counter() - start
-    passed = gap_mix > max(thr_mix, 1e-3) and gap_34 > max(thr_34, 1e-3) and elapsed < 60.0
-    report(
-        9,
-        "superposition is not mixture",
-        passed,
-        f"|fig3.3-mean(3.1,3.2)|={gap_mix:.4f} > {thr_mix:.4f}, "
-        f"|fig3.3-fig3.4|={gap_34:.4f} > {thr_34:.4f}, n={n}, {elapsed:.1f}s",
-    )
+@pytest.mark.parametrize(
+    "check", [c for c in CHECKS if c.criterion is None], ids=lambda c: c.name
+)
+def test_check_without_criterion(check):
+    r = check.run()
+    assert r.passed, f"residual {r.residual:.3e}, tolerance {r.tolerance:.1e}, {r.detail}"
+
+
+def test_registry_integrity():
+    names = [c.name for c in CHECKS]
+    assert len(set(names)) == len(names)
+    assert names == VERIFY_NAMES
+    assert {c.criterion for c in CHECKS} == set(CRITERIA) | {None}

@@ -8,6 +8,7 @@ import pytest
 import coinwalk.cli as cli
 from coinwalk import ValidationError
 from coinwalk.cli import PRESETS, main, parse_config, serialize_config
+from coinwalk.verify import CHECKS
 
 
 def read_csv(path):
@@ -222,17 +223,16 @@ def test_verify_quick_passes(tmp_path, capsys):
     assert main(["verify", "--quick", "--out", str(tmp_path / "o")]) == 0
     report = json.loads((tmp_path / "o" / "verify_report.json").read_text())
     assert report["passed"]
-    assert len(report["checks"]) >= 25
+    assert [c["name"] for c in report["checks"]] == [c.name for c in CHECKS]
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
 
 
 def test_verify_failure_exit_code(tmp_path, monkeypatch):
-    from coinwalk.verify import CheckResult
+    from coinwalk import verify
 
-    monkeypatch.setattr(
-        cli, "run_verification", lambda seed, quick: [CheckResult("doom", False, 1.0, 0.0)]
-    )
+    doom = verify.CheckResult("doom", False, 1.0, 0.0)
+    monkeypatch.setattr(verify, "run_verification", lambda seed, quick: [doom])
     assert main(["verify", "--out", str(tmp_path / "o")]) == 2
 
 

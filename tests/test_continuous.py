@@ -15,42 +15,38 @@ from coinwalk import (
     evolve,
     evolve_continuous,
     normalize_phase,
-    propagator,
     schrodinger_residual,
 )
+from coinwalk.cli import PRESETS, parse_config
 from coinwalk.continuous import snapshots
+from coinwalk.spectral import propagator_bank
 from coinwalk.walk import sup_norm_difference
 
-from conftest import figure_state, seeded_coins
+from conftest import seeded_coins
+
+# the two-site interference state of the fig3.3 and fig3.5 presets
+INTERFERENCE = parse_config(PRESETS["fig3.3"]).initial_state()
 
 
 def test_propagator_limits(hadamard):
     for k in (-2.0, 0.0, 1.3):
-        assert np.allclose(propagator(k, 0.0, hadamard), np.eye(2), atol=1e-15)
+        assert np.allclose(propagator_bank(k, 0.0, hadamard), np.eye(2), atol=1e-15)
         U = build_U_of_k(k, hadamard)
-        assert np.abs(propagator(k, 1.0, hadamard) - U).max() < 1e-13
-        assert np.abs(propagator(k, 2.0, hadamard) - U @ U).max() < 1e-13
+        assert np.abs(propagator_bank(k, 1.0, hadamard) - U).max() < 1e-13
+        assert np.abs(propagator_bank(k, 2.0, hadamard) - U @ U).max() < 1e-13
 
 
 def test_propagator_unitary():
     for coin in seeded_coins(3, seed=14):
         for k in (-1.1, 0.4):
             for t in (0.3, 2.7, 15.9):
-                P = propagator(k, t, coin)
+                P = propagator_bank(k, t, coin)
                 assert np.abs(P @ P.conj().T - np.eye(2)).max() < 1e-12
 
 
 def test_zero_time_is_identity(hadamard):
-    psi0 = figure_state("fig3.3")
+    psi0 = INTERFERENCE
     assert sup_norm_difference(evolve_continuous(psi0, 0.0, hadamard), psi0) < 1e-12
-
-
-def test_integer_times_match_discrete_walk(hadamard):
-    psi0 = figure_state("fig3.3")
-    for n in (1, 10, 100):
-        cont = evolve_continuous(psi0, float(n), hadamard)
-        disc = evolve(WalkRun(hadamard, psi0, n))
-        assert sup_norm_difference(cont, disc) < 1e-9
 
 
 def test_integer_time_consistency_holds_to_n200(hadamard):
@@ -69,13 +65,13 @@ def test_group_law(hadamard):
 
 
 def test_norm_preserved(hadamard):
-    psi0 = figure_state("fig3.4")
+    psi0 = parse_config(PRESETS["fig3.4"]).initial_state()
     for t in (0.5, 33.25, 120.0):
         assert abs(evolve_continuous(psi0, t, hadamard).norm() - 1.0) < 1e-9
 
 
 def test_snapshot_series(hadamard):
-    psi0 = figure_state("fig3.3")
+    psi0 = INTERFERENCE
     run = ContinuousRun(hadamard, psi0, (99.25, 99.5, 99.75, 100.0))
     series = snapshots(run)
     assert [t for t, _ in series] == [99.25, 99.5, 99.75, 100.0]
@@ -89,7 +85,7 @@ def test_momentum_form_of_reference_initial_state():
     # the two-site interference state has hat(psi)_0(k) = (e^{-10ik}, e^{10ik}) / (2 sqrt(pi))
     from coinwalk import momentum_state
 
-    psi0 = figure_state("fig3.3")
+    psi0 = INTERFERENCE
     ks = np.linspace(-3.0, 3.0, 11)
     hat = momentum_state(psi0)(ks)
     expected = np.stack(
@@ -106,21 +102,6 @@ def test_continuous_run_validation(hadamard):
         ContinuousRun(hadamard, psi0, (1.0, 1.0))
     with pytest.raises(ValidationError):
         ContinuousRun(hadamard, psi0, (-1.0, 2.0))
-
-
-def test_schrodinger_residual_second_order(hadamard):
-    psi0 = WaveFunction.qubit(0.6, 0.8j)
-    grid = MomentumGrid.for_walk(psi0, 3, pad=8)
-
-    def residual(delta):
-        times = (2.0 - delta, 2.0, 2.0 + delta)
-        series = [(t, evolve_continuous(psi0, t, hadamard, grid)) for t in times]
-        return schrodinger_residual(series, hadamard, grid)
-
-    coarse = residual(1e-3)
-    fine = residual(5e-4)
-    assert coarse < 1e-5
-    assert 3.0 < coarse / fine < 5.0
 
 
 def test_schrodinger_residual_flat_band_coin():

@@ -15,7 +15,6 @@ from coinwalk import (
     WalkRun,
     WaveFunction,
     asymmetry_coefficient,
-    cdf_and_moments,
     density,
     density_localized,
     empirical_scaled_law,
@@ -122,18 +121,6 @@ def test_g_function_nonnegative(hadamard):
 # --------------------------------------------------------------------------
 # densities
 # --------------------------------------------------------------------------
-
-
-def test_localized_closed_form_matches_general_route():
-    coins = [hadamard_switched()] + seeded_coins(4, seed=23)
-    qubits = [(1.0, 0.0), (0.0, 1.0), (S2, 1j * S2), (0.6, 0.8j), (S2, -S2)]
-    for coin in coins:
-        ys = np.linspace(-0.98, 0.98, 200) * coin.abs_l1
-        for a, b in qubits:
-            hat = momentum_state(WaveFunction.qubit(a, b))
-            assert np.abs(
-                density(ys, coin, hat) - density_localized(ys, coin, a, b)
-            ).max() < 1e-10
 
 
 def test_asymmetry_coefficient_reference_values(hadamard):
@@ -258,7 +245,7 @@ def test_weak_limit_law_routing(hadamard):
 def test_point_mass_cdf_step():
     coin = normalize_phase(np.eye(2))
     law = point_mass_law(coin, WaveFunction.qubit(math.sqrt(0.3), math.sqrt(0.7)))
-    cdf, mean, second = cdf_and_moments(law)
+    cdf, mean, second = law.cdf, law.mean(), law.moment(2)
     assert cdf(-1.5) == 0.0
     assert cdf(-1.0) == pytest.approx(0.3)
     assert cdf(0.0) == pytest.approx(0.3)
@@ -270,7 +257,7 @@ def test_point_mass_cdf_step():
 
 def test_symmetric_law_has_zero_mean(hadamard):
     law = weak_limit_law(hadamard, WaveFunction.qubit(S2, 1j * S2))
-    _, mean, second = cdf_and_moments(law)
+    mean, second = law.mean(), law.moment(2)
     assert abs(mean) < 1e-12
     assert second == pytest.approx(1.0 - math.sqrt(1.0 - hadamard.abs_l1**2), abs=1e-10)
 

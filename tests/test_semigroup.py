@@ -181,20 +181,6 @@ def test_observable_sup_norm():
     assert obs.is_hermitian
 
 
-def test_heisenberg_evolution_matches_conjugation(hadamard):
-    grid = MomentumGrid(256)
-    rng = np.random.default_rng(2)
-    obs = random_hermitian_observable(grid, rng)
-    mats = obs.matrices()
-    for t in (0.1, 1.0, 7.3):
-        evolved = heisenberg_evolve(obs, t, hadamard).matrices()
-        worst = 0.0
-        for i in range(0, grid.size, 8):
-            direct = conjugate_evolve(grid.nodes[i], t, mats[i], hadamard)
-            worst = max(worst, float(np.abs(direct - evolved[i]).max()))
-        assert worst < 1e-11
-
-
 def test_heisenberg_preserves_identity_exactly(hadamard):
     grid = MomentumGrid(64)
     ident = DirectIntegralObservable.constant(grid, np.eye(2))

@@ -13,7 +13,6 @@ from coinwalk import (
     DomainError,
     MomentumGrid,
     build_U_of_k,
-    eigensystem,
     gamma,
     hadamard_switched,
     hamiltonian,
@@ -71,15 +70,17 @@ def test_U_of_k_unitary_with_unit_determinant():
 def test_eigensystem_relation_and_characteristic_equation():
     for coin in [hadamard_switched()] + seeded_coins(3, seed=5):
         for k in (-2.5, 0.0, 0.9):
-            data = eigensystem(k, coin)
+            kappa = k - coin.theta1
+            lambda_plus = cmath.exp(1j * gamma(kappa, coin))
+            lambda_minus = cmath.exp(-1j * gamma(kappa, coin))
             U = build_U_of_k(k, coin)
-            for col, lam in ((0, data.lambda_plus), (1, data.lambda_minus)):
-                for S in (data.S_raw, data.S_unitary):
+            for col, lam in ((0, lambda_plus), (1, lambda_minus)):
+                for S in (eigenvector_matrix(kappa, coin), unitary_S(kappa, coin)):
                     vec = S[:, col]
                     assert np.abs(U @ vec - lam * vec).max() < 1e-12
-            assert data.lambda_plus * data.lambda_minus == pytest.approx(1.0, abs=1e-13)
-            assert data.lambda_plus + data.lambda_minus == pytest.approx(
-                2.0 * coin.abs_l1 * math.cos(k - coin.theta1), abs=1e-13
+            assert lambda_plus * lambda_minus == pytest.approx(1.0, abs=1e-13)
+            assert lambda_plus + lambda_minus == pytest.approx(
+                2.0 * coin.abs_l1 * math.cos(kappa), abs=1e-13
             )
 
 
@@ -87,18 +88,21 @@ def test_diagonalization_reconstructs_U_on_grid(hadamard):
     nodes = MomentumGrid(1024).nodes
     worst = 0.0
     for k in nodes[::8]:
-        data = eigensystem(k, hadamard)
-        lam = np.diag([data.lambda_plus, data.lambda_minus])
-        rebuilt = data.S_raw @ lam @ np.linalg.inv(data.S_raw)
+        kappa = k - hadamard.theta1
+        g = gamma(kappa, hadamard)
+        lam = np.diag([cmath.exp(1j * g), cmath.exp(-1j * g)])
+        S = eigenvector_matrix(kappa, hadamard)
+        rebuilt = S @ lam @ np.linalg.inv(S)
         worst = max(worst, np.abs(rebuilt - build_U_of_k(k, hadamard)).max())
     assert worst < 1e-11
 
 
 def test_eigenvalues_at_theta1():
     for coin in seeded_coins(3, seed=9):
-        data = eigensystem(coin.theta1, coin)
+        # at k = theta1 the eigenvalue argument k - theta1 is zero
+        lambda_plus = cmath.exp(1j * gamma(0.0, coin))
         expected = cmath.exp(1j * math.acos(coin.abs_l1))
-        assert data.lambda_plus == pytest.approx(expected, abs=1e-13)
+        assert lambda_plus == pytest.approx(expected, abs=1e-13)
 
 
 def test_unitary_S_is_unitary_with_orthogonal_columns(hadamard):
@@ -159,12 +163,6 @@ def test_axis_unit_norm_property(kappa, mix, phase1, phase2):
     assert abs(np.linalg.norm(h) - 1.0) < 1e-12
 
 
-def test_cos_denominator_variant_breaks_unit_norm(hadamard):
-    kappas = MomentumGrid(64).nodes
-    bad = pauli_axis(kappas, hadamard, h2_denominator="cos")
-    assert np.abs(np.linalg.norm(bad, axis=-1) - 1.0).max() > 1e-3
-
-
 def test_gamma_range_bound():
     for coin in seeded_coins(4, seed=12):
         g, _ = dispersion(MomentumGrid(512).nodes, coin)
@@ -183,7 +181,7 @@ def test_propagator_bank_integer_power(hadamard):
 def test_degenerate_coin_routing():
     coin = normalize_phase(np.diag([np.exp(0.4j), np.exp(-0.4j)]))
     with pytest.raises(DegenerateCoinError):
-        eigensystem(0.3, coin)
+        eigenvector_matrix(0.3, coin)
     with pytest.raises(DegenerateCoinError):
         hamiltonian(0.3, coin)
     with pytest.raises(DegenerateCoinError):

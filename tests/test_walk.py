@@ -14,7 +14,6 @@ from coinwalk import (
     empirical_scaled_law,
     evolve,
     fourier_evolve,
-    hadamard_switched,
     ks_distance,
     normalize_phase,
     position_distribution,
@@ -22,7 +21,6 @@ from coinwalk import (
 )
 from coinwalk.walk import distribution_difference, iter_evolution, sup_norm_difference
 
-from conftest import figure_state, seeded_coins
 
 
 def test_one_step_amplitudes(hadamard, origin_right):
@@ -69,25 +67,6 @@ def test_norm_conservation(hadamard, origin_right):
     for _, psi in iter_evolution(WalkRun(hadamard, origin_right, 400)):
         worst = max(worst, abs(psi.norm() - 1.0))
     assert worst < 1e-12
-
-
-def test_light_cone_and_parity():
-    coin = seeded_coins(1, seed=3)[0]
-    start = 5
-    n = 33
-    psi = evolve(WalkRun(coin, WaveFunction.qubit(0.8, 0.6j, site=start), n))
-    assert psi.x_min >= start - n and psi.x_max <= start + n
-    p = position_distribution(psi)
-    odd_class = p[(psi.sites + start + n) % 2 == 1]
-    assert np.all(odd_class == 0.0)
-
-
-def test_fourier_route_matches_position_route(origin_right):
-    coins = [hadamard_switched()] + seeded_coins(4, seed=1)
-    for coin in coins:
-        direct = evolve(WalkRun(coin, origin_right, 50))
-        spectral_route = fourier_evolve(origin_right, coin, 50)
-        assert sup_norm_difference(direct, spectral_route) < 1e-9
 
 
 def test_fourier_route_accepts_explicit_grid(origin_right, hadamard):
@@ -150,25 +129,6 @@ def test_ks_distance_basics():
     assert ks_distance(delta_minus, delta_plus) == ks_distance(delta_plus, delta_minus)
     half = DiscreteLaw(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
     assert ks_distance(delta_minus, half) == pytest.approx(0.5)
-
-
-def test_superposition_differs_from_mixture(hadamard):
-    n = 300
-    finals = {
-        name: evolve(WalkRun(hadamard, figure_state(name), n))
-        for name in ("fig3.1", "fig3.2", "fig3.3", "fig3.4")
-    }
-    lo = min(f.x_min for f in finals.values())
-    hi = max(f.x_max for f in finals.values())
-
-    def dist(psi):
-        full = np.zeros(hi - lo + 1)
-        full[psi.x_min - lo : psi.x_max - lo + 1] = position_distribution(psi)
-        return full
-
-    mixture = 0.5 * (dist(finals["fig3.1"]) + dist(finals["fig3.2"]))
-    assert np.abs(dist(finals["fig3.3"]) - mixture).max() > 1e-3
-    assert np.abs(dist(finals["fig3.3"]) - dist(finals["fig3.4"])).max() > 1e-3
 
 
 def test_distribution_difference_helper(hadamard, origin_right):
