@@ -263,6 +263,9 @@ def parse_config(data: dict) -> RunConfig:
         raise ValidationError("config field 'times': required for mode 'cwalk'")
     if mode in ("walk", "cwalk", "density") and config.initial_spec is None:
         raise ValidationError(f"config field 'initial': required for mode {mode!r}")
+    if mode != "semigroup" and grid_size is not None:
+        # the other modes size their grids from the run itself
+        raise ValidationError(f"config field 'grid': only mode 'semigroup' takes it, not {mode!r}")
     return config
 
 
@@ -376,8 +379,7 @@ def cmd_walk(config: RunConfig, out_dir: Path) -> list[Path]:
 def cmd_cwalk(config: RunConfig, out_dir: Path) -> list[Path]:
     coin = config.coin()
     psi0 = config.initial_state()
-    grid = MomentumGrid(config.grid_size) if config.grid_size else None
-    run = continuous.ContinuousRun(coin, psi0, config.times, grid=grid)
+    run = continuous.ContinuousRun(coin, psi0, config.times)
     written = []
     norms = {}
     for t, psi in continuous.snapshots(run):
@@ -554,7 +556,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to a JSON config")
         p.add_argument("--preset", help=f"bundled preset name ({', '.join(sorted(PRESETS))})")
         p.add_argument("--out", help=f"output directory (or ${ENV_OUT_DIR})")
-        p.add_argument("--grid", type=int, help="momentum grid size override")
+        p.add_argument("--grid", type=int, help="momentum grid size (semigroup only)")
         p.add_argument("--seed", type=int, help="seed for randomised checks")
         if mode == "walk":
             p.add_argument("--steps", type=int, help="step count override")

@@ -13,8 +13,8 @@ provides the shared vocabulary for everything else in the package:
 - ``PauliObservable``: a 2x2 operator expressed in the Pauli basis,
 
 together with the basic operations: phase normalisation of raw unitaries, the
-position distribution, the lattice Fourier transform and its inverse, and the
-Pauli decomposition.
+position distribution, the lattice Fourier transform and its inverse (by FFT),
+and the Pauli decomposition.
 
 All types are immutable after construction and all operations are pure
 functions, so everything here is safe to use from multiple threads.
@@ -60,6 +60,9 @@ VALIDATE_TOL = 1e-8
 DEGENERATE_TOL = 1e-8
 # Squared-modulus threshold below which fringe amplitudes are trimmed.
 TRIM_TOL = 1e-30
+# Sites added on each side of the light cone by MomentumGrid.for_walk: the
+# continuous-time light cone is not sharp (see ROADMAP item 3a on its sizing).
+GRID_MARGIN = 8
 
 PAULI = np.array(
     [
@@ -329,18 +332,18 @@ class MomentumGrid:
         return 2.0 * math.pi / self.size
 
     @classmethod
-    def for_walk(cls, psi0: WaveFunction, steps: int, pad: int = 0) -> "MomentumGrid":
+    def for_walk(cls, psi0: WaveFunction, steps: int) -> "MomentumGrid":
         """Grid large enough that a walk of the given duration cannot wrap around.
 
         The walker moves at most one site per unit time, so a state of support
-        radius R reaches at most ``R + steps + pad`` from the origin; the grid
-        size ``2*(steps + pad + R) + 3`` resolves that window with margin.
+        radius R reaches at most ``R + steps`` from the origin; the grid size
+        ``2*(steps + GRID_MARGIN + R) + 3`` resolves that window with margin.
         Callers may round up (e.g. to a power of two); exactness never
         requires it.
         """
         if steps < 0:
             raise ValidationError("steps must be nonnegative")
-        return cls(2 * (int(steps) + int(pad) + psi0.support_radius) + 3)
+        return cls(2 * (int(steps) + GRID_MARGIN + psi0.support_radius) + 3)
 
 
 def fourier_transform(psi: WaveFunction, grid: MomentumGrid) -> np.ndarray:
@@ -348,14 +351,17 @@ def fourier_transform(psi: WaveFunction, grid: MomentumGrid) -> np.ndarray:
 
     Returns an array of shape ``(grid.size, 2)``.  Requires
     ``grid.size >= psi.width`` so the finite support is resolved without
-    aliasing; then the transform is exactly invertible.
+    aliasing; then the transform is exactly invertible.  By FFT: site ``x``
+    fills slot ``x mod grid.size``, times ``e^{-i pi x} = (-1)^x`` from the
+    first node ``-pi``.
     """
     if grid.size < psi.width:
         raise AliasingError(
             f"grid of size {grid.size} cannot resolve support width {psi.width}"
         )
-    phases = np.exp(1j * np.outer(grid.nodes, psi.sites))
-    return (phases @ psi.amplitudes) / SQRT_2PI
+    slots = np.zeros((grid.size, 2), dtype=np.complex128)
+    slots[psi.sites % grid.size] = (1 - 2 * (psi.sites % 2))[:, None] * psi.amplitudes
+    return np.fft.ifft(slots, axis=0, norm="forward") / SQRT_2PI
 
 
 def inverse_fourier(
@@ -365,7 +371,8 @@ def inverse_fourier(
 
     ``support`` is the inclusive site window ``(x_min, x_max)`` on which to
     reconstruct; the result is trimmed of zero fringes.  Exact for states
-    band-limited to at most ``grid.size`` contiguous sites.
+    band-limited to at most ``grid.size`` contiguous sites.  By FFT, like
+    :func:`fourier_transform`.
     """
     x_min, x_max = int(support[0]), int(support[1])
     width = x_max - x_min + 1
@@ -381,8 +388,8 @@ def inverse_fourier(
             f"momentum data must have shape ({grid.size}, 2), got {psi_hat.shape}"
         )
     sites = np.arange(x_min, x_max + 1)
-    phases = np.exp(-1j * np.outer(sites, grid.nodes))
-    amps = (phases @ psi_hat) * (SQRT_2PI / grid.size)
+    slots = np.fft.fft(psi_hat, axis=0)[sites % grid.size]
+    amps = (1 - 2 * (sites % 2))[:, None] * slots * (SQRT_2PI / grid.size)
     return WaveFunction(x_min, amps).trimmed()
 
 

@@ -82,7 +82,7 @@ def eigenvector_matrix(kappa, coin: Coin) -> np.ndarray:
     """
     _require_spectral(coin)
     kap = np.asarray(kappa, dtype=np.float64)
-    g = np.arccos(np.clip(coin.abs_l1 * np.cos(kap), -1.0, 1.0))
+    g = gamma(kap, coin)
     u = np.exp(-1j * kap)
     scale = -cmath.exp(1j * coin.theta1) / coin.l2
     v_plus = scale * (coin.abs_l1 * np.exp(-1j * kap) - np.exp(1j * g))
@@ -156,8 +156,7 @@ def dispersion(k, coin: Coin) -> tuple[np.ndarray, np.ndarray]:
     """
     _require_spectral(coin)
     kap = np.asarray(k, dtype=np.float64) - coin.theta1
-    g = np.arccos(np.clip(coin.abs_l1 * np.cos(kap), -1.0, 1.0))
-    return g, pauli_axis(kap, coin)
+    return gamma(kap, coin), pauli_axis(kap, coin)
 
 
 def hamiltonian(k: float, coin: Coin) -> tuple[np.ndarray, np.ndarray, float]:

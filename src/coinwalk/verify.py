@@ -146,7 +146,11 @@ def _fourier_round_trip(rng, count):
         worst = max(worst, walk.sup_norm_difference(psi, back))
         parseval = abs(grid.spacing * np.sum(np.abs(hat) ** 2) - psi.norm() ** 2)
         worst = max(worst, parseval)
-    return worst, "inverse o forward = id; Parseval"
+        # the FFT against the dense evaluator, also on the tightest grid
+        exact = momentum_state(psi)
+        for g in (grid, MomentumGrid(width)):
+            worst = max(worst, np.abs(fourier_transform(psi, g) - exact(g.nodes)).max())
+    return worst, "inverse o forward = id; Parseval; FFT = dense evaluator"
 
 
 def _pauli_round_trip(rng, count):
@@ -322,7 +326,7 @@ def _integer_time_consistency(rng, steps):
 def _group_law(rng, size):
     coin = random_coin(rng)
     psi0 = WaveFunction.qubit(1.0, 0.0)
-    grid = MomentumGrid.for_walk(psi0, 6, pad=8)
+    grid = MomentumGrid.for_walk(psi0, 6)
     a = continuous.evolve_continuous(
         continuous.evolve_continuous(psi0, 0.7, coin, grid), 1.6, coin, grid
     )
@@ -338,7 +342,7 @@ def _continuous_norm_drift(rng, t):
 def _schrodinger_residual(rng, size):
     coin = hadamard_switched()
     psi0 = WaveFunction.qubit(0.6, 0.8j)
-    grid = MomentumGrid.for_walk(psi0, 3, pad=8)
+    grid = MomentumGrid.for_walk(psi0, 3)
 
     def residual(delta: float) -> float:
         times = [2.0 - delta, 2.0, 2.0 + delta]

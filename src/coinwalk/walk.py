@@ -19,14 +19,12 @@ from typing import Iterator
 
 import numpy as np
 
-from . import spectral
+from . import continuous
 from .core import (
     Coin,
     MomentumGrid,
     ValidationError,
     WaveFunction,
-    fourier_transform,
-    inverse_fourier,
     position_distribution,
     require_normalized,
 )
@@ -97,26 +95,13 @@ def fourier_evolve(
 ) -> WaveFunction:
     """Evolve ``n`` steps through momentum space (independent of :func:`evolve`).
 
-    Applies the closed-form ``U(k)^n`` node by node on an anti-aliased grid
-    and transforms back; cost per node is independent of ``n``.  Degenerate
-    coins (``l2 ~ 0``) take the exact ballistic formula
-    ``psi_n(x) = (l1^n psi0(1;x+n), r2^n psi0(2;x-n))`` instead, since the
-    eigenvector expressions divide by ``l2``.
+    The walk is diagonal in momentum, ``U(k)^n = exp(i n H(k))``, so this is
+    :func:`~coinwalk.continuous.evolve_continuous` at ``t = n``: one
+    closed-form propagator per grid node, whatever ``n``, between two FFTs.
     """
     if n < 0:
         raise ValidationError(f"step count must be nonnegative, got {n}")
-    if coin.is_degenerate:
-        width = psi0.width
-        out = np.zeros((width + 2 * n, 2), dtype=np.complex128)
-        out[0:width, 0] = coin.l1**n * psi0.amplitudes[:, 0]
-        out[2 * n : 2 * n + width, 1] = coin.r2**n * psi0.amplitudes[:, 1]
-        return WaveFunction(psi0.x_min - n, out).trimmed()
-    if grid is None:
-        grid = MomentumGrid.for_walk(psi0, n)
-    psi_hat = fourier_transform(psi0, grid)
-    bank = spectral.propagator_bank(grid.nodes, float(n), coin)
-    evolved = np.einsum("mij,mj->mi", bank, psi_hat)
-    return inverse_fourier(evolved, grid, (psi0.x_min - n, psi0.x_max + n))
+    return continuous.evolve_continuous(psi0, float(n), coin, grid)
 
 
 @dataclass(frozen=True, eq=False)

@@ -63,6 +63,8 @@ def test_config_validation_names_fields():
         parse_config({"mode": "verify", "coin": [[1, 2], [3]]})
     with pytest.raises(ValidationError, match="unknown field"):
         parse_config({"mode": "verify", "banana": 1})
+    with pytest.raises(ValidationError, match="'grid'"):
+        parse_config({**PRESETS["fig3.3"], "grid": 4096})
     with pytest.raises(ValidationError, match="initial"):
         parse_config(
             {"mode": "walk", "steps": 1, "initial": {"qubit": [[1.0, 0.0], [1.0, 0.0]]}}
@@ -243,6 +245,9 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["walk", "--preset", "nope", "--out", str(tmp_path / "o")]) == 1
     assert main(["walk", "--config", str(tmp_path / "missing.json")]) == 1
+    # only semigroup takes a grid; the walk routes size their own
+    assert main(["cwalk", "--preset", "fig3.5", "--grid", "64", "--out", str(tmp_path / "o")]) == 1
+    assert "'grid'" in capsys.readouterr().err
 
 
 def test_env_var_output_dir(tmp_path, monkeypatch):

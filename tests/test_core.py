@@ -22,7 +22,7 @@ from coinwalk import (
     position_distribution,
     step,
 )
-from coinwalk.core import SQRT_2PI
+from coinwalk.core import GRID_MARGIN, SQRT_2PI
 from coinwalk.walk import sup_norm_difference
 
 from conftest import seeded_coins
@@ -205,7 +205,7 @@ def test_momentum_grid_nodes():
 def test_grid_sizing_rule():
     psi = WaveFunction.qubit(1.0, 0.0, site=-4)
     grid = MomentumGrid.for_walk(psi, 10)
-    assert grid.size == 2 * (10 + 4) + 3
+    assert grid.size == 2 * (10 + GRID_MARGIN + 4) + 3
 
 
 # --------------------------------------------------------------------------

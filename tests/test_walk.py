@@ -76,10 +76,6 @@ def test_fourier_route_accepts_explicit_grid(origin_right, hadamard):
     assert sup_norm_difference(a, b) < 1e-10
 
 
-def test_fourier_route_zero_steps_is_identity(origin_right, hadamard):
-    assert sup_norm_difference(fourier_evolve(origin_right, hadamard, 0), origin_right) < 1e-12
-
-
 def test_ballistic_coin_exact_shift_formula():
     coin = normalize_phase(np.diag([np.exp(0.3j), np.exp(-0.3j)]))
     assert coin.is_degenerate
