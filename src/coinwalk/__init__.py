@@ -18,7 +18,6 @@ from .core import (
     DegenerateCoinError,
     DomainError,
     MomentumGrid,
-    PauliObservable,
     ValidationError,
     WaveFunction,
     fourier_transform,
@@ -63,7 +62,6 @@ from .limitlaw import (
 )
 from .semigroup import (
     DirectIntegralObservable,
-    PauliFlow,
     conjugate_evolve,
     cross_generator,
     heisenberg_evolve,
@@ -84,8 +82,6 @@ __all__ = [
     "DomainError",
     "LimitLaw",
     "MomentumGrid",
-    "PauliFlow",
-    "PauliObservable",
     "StationaryPoints",
     "ValidationError",
     "WalkRun",

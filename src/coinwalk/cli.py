@@ -263,9 +263,13 @@ def parse_config(data: dict) -> RunConfig:
         raise ValidationError("config field 'times': required for mode 'cwalk'")
     if mode in ("walk", "cwalk", "density") and config.initial_spec is None:
         raise ValidationError(f"config field 'initial': required for mode {mode!r}")
-    if mode != "semigroup" and grid_size is not None:
-        # the other modes size their grids from the run itself
-        raise ValidationError(f"config field 'grid': only mode 'semigroup' takes it, not {mode!r}")
+    if mode != "semigroup":
+        # the other modes size their grids from the run and evolve no observable
+        for name in ("grid", "time"):
+            if data.get(name) is not None:
+                raise ValidationError(
+                    f"config field {name!r}: only mode 'semigroup' takes it, not {mode!r}"
+                )
     return config
 
 
@@ -407,9 +411,16 @@ def cmd_density(config: RunConfig, out_dir: Path) -> list[Path]:
     coin = config.coin()
     psi0 = config.initial_state()
     law = limitlaw.weak_limit_law(coin, psi0)
+    mass = law.mass()
+    if abs(mass - 1.0) > limitlaw.MASS_TOL:
+        raise CoinWalkError(
+            f"limit law mass defect |mass - 1| = {abs(mass - 1.0):.3e} exceeds "
+            f"{limitlaw.MASS_TOL:g}; the quadrature cannot resolve this coin"
+        )
+    kind = "density" if isinstance(law, limitlaw.LimitLaw) else "point_mass"
     written = []
-    meta: dict = {"kind": law.kind, "config": serialize_config(config)}
-    if law.kind == "density":
+    meta: dict = {"kind": kind, "config": serialize_config(config)}
+    if kind == "density":
         lo, hi = law.support()
         ys = np.linspace(lo, hi, config.y_points + 2)[1:-1]
         rho = law.pdf(ys)
@@ -420,7 +431,7 @@ def cmd_density(config: RunConfig, out_dir: Path) -> list[Path]:
             {
                 "support": [lo, hi],
                 "beta": law.beta,
-                "mass": law.mass(),
+                "mass": mass,
                 "mean": law.mean(),
             }
         )
@@ -429,7 +440,7 @@ def cmd_density(config: RunConfig, out_dir: Path) -> list[Path]:
             {
                 "atoms": [
                     [float(a), float(w)]
-                    for a, w in zip(law.atoms.atoms, law.atoms.weights)
+                    for a, w in zip(law.atoms, law.weights)
                 ],
                 "routing": "degenerate coin: point-mass law emitted instead of a density",
             }

@@ -10,11 +10,11 @@ provides the shared vocabulary for everything else in the package:
 - ``WaveFunction``: a finitely supported lattice state with two complex
   amplitudes per site,
 - ``MomentumGrid``: the uniform discretisation of momentum space (-pi, pi],
-- ``PauliObservable``: a 2x2 operator expressed in the Pauli basis,
 
 together with the basic operations: phase normalisation of raw unitaries, the
 position distribution, the lattice Fourier transform and its inverse (by FFT),
-and the Pauli decomposition.
+and the Pauli decomposition of 2x2 matrices into plain ``(..., 4)``
+coefficient arrays over {sigma_0, sigma_1, sigma_2, sigma_3}.
 
 All types are immutable after construction and all operations are pure
 functions, so everything here is safe to use from multiple threads.
@@ -37,7 +37,6 @@ __all__ = [
     "DomainError",
     "MomentumGrid",
     "PAULI",
-    "PauliObservable",
     "ValidationError",
     "WaveFunction",
     "fourier_transform",
@@ -144,16 +143,6 @@ class Coin:
     @property
     def matrix(self) -> np.ndarray:
         return np.array([[self.l1, self.l2], [self.r1, self.r2]], dtype=np.complex128)
-
-    @property
-    def left_block(self) -> np.ndarray:
-        """The top-row block L = [[l1, l2], [0, 0]] coupling to the left shift."""
-        return np.array([[self.l1, self.l2], [0.0, 0.0]], dtype=np.complex128)
-
-    @property
-    def right_block(self) -> np.ndarray:
-        """The bottom-row block R = [[0, 0], [r1, r2]] coupling to the right shift."""
-        return np.array([[0.0, 0.0], [self.r1, self.r2]], dtype=np.complex128)
 
 
 def normalize_phase(matrix) -> Coin:
@@ -411,41 +400,21 @@ def momentum_state(psi: WaveFunction) -> Callable[[np.ndarray], np.ndarray]:
     return evaluate
 
 
-@dataclass(frozen=True)
-class PauliObservable:
-    """Coefficients of a 2x2 operator over {sigma_0, sigma_1, sigma_2, sigma_3}."""
+def pauli_decompose(matrix) -> np.ndarray:
+    """Expand 2x2 matrices as ``A = sum_l a_l sigma_l`` with ``a_l = tr(sigma_l A) / 2``.
 
-    a0: complex
-    a1: complex
-    a2: complex
-    a3: complex
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return np.array([self.a0, self.a1, self.a2, self.a3], dtype=np.complex128)
-
-    @property
-    def vector(self) -> np.ndarray:
-        """The (a1, a2, a3) part that transforms under Heisenberg rotations."""
-        return np.array([self.a1, self.a2, self.a3], dtype=np.complex128)
-
-    @property
-    def is_hermitian(self) -> bool:
-        return bool(np.max(np.abs(self.coefficients.imag)) < 1e-12)
-
-
-def pauli_decompose(matrix) -> PauliObservable:
-    """Expand a 2x2 matrix as ``A = sum_l a_l sigma_l`` with ``a_l = tr(sigma_l A) / 2``."""
+    Broadcasts over leading axes: matrices of shape ``(..., 2, 2)`` give
+    coefficients of shape ``(..., 4)``.
+    """
     A = np.asarray(matrix, dtype=np.complex128)
-    if A.shape != (2, 2):
-        raise ValidationError(f"expected a 2x2 matrix, got shape {A.shape}")
-    coeffs = np.einsum("lij,ji->l", PAULI, A) / 2.0
-    return PauliObservable(*map(complex, coeffs))
+    if A.shape[-2:] != (2, 2):
+        raise ValidationError(f"expected 2x2 matrices, got shape {A.shape}")
+    return np.einsum("lij,...ji->...l", PAULI, A) / 2.0
 
 
-def pauli_compose(obs) -> np.ndarray:
-    """Rebuild the 2x2 matrix from Pauli coefficients (inverse of :func:`pauli_decompose`)."""
-    coeffs = obs.coefficients if isinstance(obs, PauliObservable) else np.asarray(obs)
-    if coeffs.shape != (4,):
+def pauli_compose(coefficients) -> np.ndarray:
+    """Rebuild 2x2 matrices from Pauli coefficients (inverse of :func:`pauli_decompose`)."""
+    coeffs = np.asarray(coefficients, dtype=np.complex128)
+    if coeffs.shape[-1:] != (4,):
         raise ValidationError(f"expected 4 Pauli coefficients, got shape {coeffs.shape}")
-    return np.tensordot(coeffs.astype(np.complex128), PAULI, axes=([0], [0]))
+    return np.einsum("...l,lij->...ij", coeffs, PAULI)

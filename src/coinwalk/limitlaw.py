@@ -11,11 +11,14 @@ squared amplitudes evaluated at the stationary momenta of ``gamma(k) - y*k``
 (two mirrored pairs, one per phase branch).  The prefactor here already
 absorbs the factor pi that would otherwise cancel against the momentum
 normalisation ``1/sqrt(2*pi)`` carried by the initial data inside ``g``;
-total mass one is verified by quadrature.
+total mass one is verified by quadrature.  A density law is a
+:class:`LimitLaw`.
 
-Degenerate coins give point masses instead: two atoms at +/-1 when
-``l2 = 0`` (the walk is ballistic) and a unit atom at 0 when ``l1 = 0``
-(the walk oscillates in place).
+Degenerate coins give point masses instead, as a plain
+:class:`~coinwalk.walk.DiscreteLaw`: two atoms at +/-1 when ``l2 = 0`` (the
+walk is ballistic) and a unit atom at 0 when ``l1 = 0`` (the walk oscillates
+in place).  Both law types share one protocol (``support``, ``jump_points``,
+``mass``, ``cdf``, ``cdf_left``, ``mean``, ``moment``).
 
 For a single-site initial qubit ``(a, b)`` the density collapses to the
 classical closed form ``prefactor * (1 - beta*y)`` with
@@ -48,6 +51,7 @@ from .core import (
 from .walk import DiscreteLaw
 
 __all__ = [
+    "MASS_TOL",
     "LimitLaw",
     "StationaryAmplitudes",
     "StationaryPoints",
@@ -63,6 +67,18 @@ __all__ = [
 ]
 
 InitialState = Union[WaveFunction, Callable[[np.ndarray], np.ndarray]]
+
+# Largest accepted |mass - 1| of a density law; `coinwalk density` refuses to
+# write a law outside it.
+MASS_TOL = 1e-6
+
+
+def _require_density(coin: Coin) -> None:
+    if not coin.has_density_limit:
+        raise DegenerateCoinError(
+            "the scaling limit has a density only when l1*l2 != 0; "
+            "use point_mass_law for degenerate coins"
+        )
 
 
 @dataclass(frozen=True)
@@ -87,10 +103,7 @@ def stationary_points(y: float, coin: Coin) -> StationaryPoints:
 
     Requires ``0 < |l1| < 1`` and ``|y| < |l1|``.
     """
-    if coin.is_degenerate or coin.l1 == 0:
-        raise DegenerateCoinError(
-            "stationary points exist only for coins with l1*l2 != 0"
-        )
+    _require_density(coin)
     c1 = spectral.stationary_angle(float(y), coin.abs_l1)
     return StationaryPoints(y=float(y), c1=c1, c2=math.pi - c1)
 
@@ -119,11 +132,7 @@ def _resolve_initial(psi0: InitialState) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _check_density_domain(y: np.ndarray, coin: Coin) -> None:
-    if coin.is_degenerate or coin.l1 == 0:
-        raise DegenerateCoinError(
-            "the scaling limit has a density only when l1*l2 != 0; "
-            "use point_mass_law for degenerate coins"
-        )
+    _require_density(coin)
     if np.any(np.abs(y) >= coin.abs_l1):
         raise DomainError("|y| must be strictly below |l1|")
 
@@ -263,11 +272,7 @@ def density(y, coin: Coin, psi0: InitialState):
     endpoints raises :class:`DomainError` (the singularity is integrable but
     the pointwise value is infinite).
     """
-    if coin.is_degenerate or coin.l1 == 0:
-        raise DegenerateCoinError(
-            "the scaling limit has a density only when l1*l2 != 0; "
-            "use point_mass_law for degenerate coins"
-        )
+    _require_density(coin)
     y_arr = np.asarray(y, dtype=np.float64)
     a1 = coin.abs_l1
     _edge_guard(y_arr, a1)
@@ -292,8 +297,7 @@ def asymmetry_coefficient(coin: Coin, a: complex, b: complex) -> float:
     ``beta = |a|^2 - |b|^2 + (conj(l1) l2 conj(a) b + l1 conj(l2) a conj(b)) / |l1|^2``;
     the two cross terms are conjugate, so the result is real.
     """
-    if coin.is_degenerate or coin.l1 == 0:
-        raise DegenerateCoinError("the tilt coefficient requires l1*l2 != 0")
+    _require_density(coin)
     a, b = complex(a), complex(b)
     cross = coin.l1.conjugate() * coin.l2 * a.conjugate() * b
     return float(abs(a) ** 2 - abs(b) ** 2 + 2.0 * cross.real / coin.abs_l1**2)
@@ -326,41 +330,29 @@ def density_localized(y, coin: Coin, a: complex, b: complex):
 
 # 16-node Gauss-Legendre rule used panelwise after the y = |l1| sin(u)
 # substitution; the substituted integrand is analytic, so short panels give
-# quadrature error far below the 1e-6 mass tolerance.
+# quadrature error far below MASS_TOL.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _BASE_PANELS = 192
 
 
 class LimitLaw:
-    """The weak limit of ``X_n / n``: a density or a point-mass measure.
+    """The weak limit of ``X_n / n`` for a coin with ``l1*l2 != 0``: a density.
 
-    Density laws evaluate their distribution function and moments by
-    panelwise Gauss-Legendre quadrature in the substituted variable
+    The distribution function and moments come from panelwise
+    Gauss-Legendre quadrature in the substituted variable
     ``y = |l1| sin(u)``, which removes the endpoint singularities exactly.
     """
 
     def __init__(
         self,
-        kind: str,
         coin: Coin,
-        psi0_hat: Callable[[np.ndarray], np.ndarray] | None = None,
+        psi0_hat: Callable[[np.ndarray], np.ndarray],
         beta: float | None = None,
-        atoms: DiscreteLaw | None = None,
     ) -> None:
-        if kind not in ("density", "point_mass"):
-            raise ValidationError(f"unknown law kind {kind!r}")
-        if kind == "density" and psi0_hat is None:
-            raise ValidationError("density laws need the momentum-space initial state")
-        if kind == "point_mass" and atoms is None:
-            raise ValidationError("point-mass laws need their atoms")
-        self.kind = kind
         self.coin = coin
         self.psi0_hat = psi0_hat
         self.beta = beta
-        self.atoms = atoms
         self._mass: float | None = None
-
-    # -- density-kind internals -------------------------------------------
 
     def _integrand_u(self, u: np.ndarray) -> np.ndarray:
         """Density times dy/du after y = |l1| sin(u): the singular factors cancel."""
@@ -390,35 +382,23 @@ class LimitLaw:
         cumulative = np.concatenate(([0.0], np.cumsum(panel)))
         return cumulative[np.searchsorted(edges, u_targets)]
 
-    # -- common law protocol ----------------------------------------------
-
     def support(self) -> tuple[float, float]:
-        if self.kind == "point_mass":
-            return self.atoms.support()
         a1 = self.coin.abs_l1
         return (-a1, a1)
 
     def jump_points(self) -> np.ndarray:
-        if self.kind == "point_mass":
-            return self.atoms.jump_points()
         return np.empty(0)
 
     def pdf(self, y):
-        if self.kind == "point_mass":
-            raise DomainError("a point-mass law has no density")
         return density(y, self.coin, self.psi0_hat)
 
     def mass(self) -> float:
-        """Total mass by quadrature (should be 1; checked in verification)."""
-        if self.kind == "point_mass":
-            return self.atoms.total_mass()
+        """Total mass by quadrature (should be 1 within :data:`MASS_TOL`)."""
         if self._mass is None:
             self._mass = float(self._cumulative(np.array([math.pi / 2]))[0])
         return self._mass
 
     def cdf(self, y):
-        if self.kind == "point_mass":
-            return self.atoms.cdf(y)
         y_arr = np.atleast_1d(np.asarray(y, dtype=np.float64))
         a1 = self.coin.abs_l1
         u = np.arcsin(np.clip(y_arr / a1, -1.0, 1.0))
@@ -430,20 +410,16 @@ class LimitLaw:
         return float(values[0]) if np.isscalar(y) or np.asarray(y).ndim == 0 else values
 
     def cdf_left(self, y):
-        if self.kind == "point_mass":
-            return self.atoms.cdf_left(y)
         return self.cdf(y)
 
     def mean(self) -> float:
         return self.moment(1)
 
     def moment(self, order: int) -> float:
-        if self.kind == "point_mass":
-            return self.atoms.moment(order)
         return float(self._cumulative(np.array([math.pi / 2]), weight_power=order)[0])
 
 
-def point_mass_law(coin: Coin, psi0: WaveFunction) -> LimitLaw:
+def point_mass_law(coin: Coin, psi0: WaveFunction) -> DiscreteLaw:
     """The degenerate scaling limit for coins with ``l1 = 0`` or ``l2 = 0``.
 
     ``l2 = 0``: the two chirality populations travel ballistically, so the
@@ -453,21 +429,23 @@ def point_mass_law(coin: Coin, psi0: WaveFunction) -> LimitLaw:
     """
     weights = np.sum(np.abs(psi0.amplitudes) ** 2, axis=0)
     if coin.is_degenerate:
-        atoms = DiscreteLaw(np.array([-1.0, 1.0]), weights)
-    elif coin.l1 == 0:
-        atoms = DiscreteLaw(np.array([0.0]), np.array([float(weights.sum())]))
-    else:
-        raise ValueError("point-mass laws arise only for coins with l1 = 0 or l2 = 0")
-    return LimitLaw("point_mass", coin, atoms=atoms)
+        return DiscreteLaw(np.array([-1.0, 1.0]), weights)
+    if coin.l1 == 0:
+        return DiscreteLaw(np.array([0.0]), np.array([float(weights.sum())]))
+    raise ValueError("point-mass laws arise only for coins with l1 = 0 or l2 = 0")
 
 
-def weak_limit_law(coin: Coin, psi0: WaveFunction) -> LimitLaw:
-    """The scaling limit of the walk: density when ``l1*l2 != 0``, point mass otherwise."""
+def weak_limit_law(coin: Coin, psi0: WaveFunction) -> LimitLaw | DiscreteLaw:
+    """The scaling limit of the walk: a density when ``l1*l2 != 0``, point masses otherwise.
+
+    The density's mass is not checked here (see :data:`MASS_TOL`), so that
+    callers can measure the quadrature defect.
+    """
     require_normalized(psi0, "initial state")
-    if coin.is_degenerate or coin.l1 == 0:
+    if not coin.has_density_limit:
         return point_mass_law(coin, psi0)
     beta = None
     if psi0.width == 1:
         a, b = psi0.amplitudes[0]
         beta = asymmetry_coefficient(coin, a, b)
-    return LimitLaw("density", coin, psi0_hat=momentum_state(psi0), beta=beta)
+    return LimitLaw(coin, momentum_state(psi0), beta=beta)

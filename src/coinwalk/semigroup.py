@@ -2,8 +2,9 @@
 Heisenberg-picture evolution of momentum-fibred observables.
 
 An observable here is a family ``A(k)`` of 2x2 matrices with uniformly
-bounded norm, one per momentum node.  The walk generator acts fibrewise, so
-the unital, positivity-preserving semigroup
+bounded norm, one per momentum node, stored as an ``(M, 4)`` array of Pauli
+coefficients.  The walk generator acts fibrewise, so the unital,
+positivity-preserving semigroup
 
     V_t(A)(k) = exp(i t H(k)) A(k) exp(-i t H(k))
 
@@ -11,9 +12,10 @@ never mixes momenta.  On the Pauli expansion ``A(k) = a0 I + a . sigma`` the
 identity component is frozen and the vector part rotates about the generator
 axis ``h(k - theta1)`` by the angle ``-2 t gamma(k - theta1)``:
 
-    a(t) = exp(t * cross_generator(k)) a(0).
+    a(t) = exp(t * cross_generator(k)) a(0) = pauli_flow(k, t) a(0).
 
-The stored generator acts on *coefficient* vectors; the Pauli basis operators
+Both functions broadcast over momenta, so one call covers every fibre.  The
+generator acts on *coefficient* vectors; the Pauli basis operators
 themselves transform by its transpose.  Correctness of the orientation is
 pinned by the direct-conjugation oracle, not by convention.  Two independent
 routes compute the rotation: the closed Rodrigues form (default) and the
@@ -28,16 +30,15 @@ import numpy as np
 
 from . import spectral
 from .core import (
-    PAULI,
     Coin,
     MomentumGrid,
     ValidationError,
+    pauli_compose,
     pauli_decompose,
 )
 
 __all__ = [
     "DirectIntegralObservable",
-    "PauliFlow",
     "conjugate_evolve",
     "cross_generator",
     "heisenberg_evolve",
@@ -67,22 +68,16 @@ class DirectIntegralObservable:
 
     @classmethod
     def from_matrices(cls, grid: MomentumGrid, matrices) -> "DirectIntegralObservable":
-        mats = np.asarray(matrices, dtype=np.complex128)
-        if mats.shape != (grid.size, 2, 2):
-            raise ValidationError(
-                f"matrices must have shape ({grid.size}, 2, 2), got {mats.shape}"
-            )
-        coeffs = np.einsum("lij,mji->ml", PAULI, mats) / 2.0
-        return cls(grid, coeffs)
+        """Fibres of shape ``(grid.size, 2, 2)``, stored by :func:`pauli_decompose`."""
+        return cls(grid, pauli_decompose(matrices))
 
     @classmethod
     def constant(cls, grid: MomentumGrid, matrix) -> "DirectIntegralObservable":
         """The same 2x2 operator on every fibre."""
-        single = pauli_decompose(matrix).coefficients
-        return cls(grid, np.tile(single, (grid.size, 1)))
+        return cls(grid, np.tile(pauli_decompose(matrix), (grid.size, 1)))
 
     def matrices(self) -> np.ndarray:
-        return np.einsum("ml,lij->mij", self.coefficients, PAULI)
+        return pauli_compose(self.coefficients)
 
     @property
     def is_hermitian(self) -> bool:
@@ -107,26 +102,6 @@ def conjugate_evolve(k: float, t: float, matrix, coin: Coin) -> np.ndarray:
     return P @ A @ P.conj().T
 
 
-def cross_generator(k: float, coin: Coin) -> np.ndarray:
-    """Generator of the coefficient rotation at momentum ``k``.
-
-    The 3x3 real antisymmetric matrix ``G = -2 [gamma*h]_x`` (cross-product
-    matrix of the scaled axis), so that Pauli coefficient vectors evolve as
-    ``a(t) = exp(t G) a(0)``; the basis operators evolve by the transpose.
-    Eigenvalues are ``{0, +/- 2i*gamma(k - theta1)}`` and the kernel is
-    spanned by the axis ``h``.
-    """
-    g, h = spectral.dispersion(float(k), coin)
-    gh = float(g) * h
-    return np.array(
-        [
-            [0.0, 2.0 * gh[2], -2.0 * gh[1]],
-            [-2.0 * gh[2], 0.0, 2.0 * gh[0]],
-            [2.0 * gh[1], -2.0 * gh[0], 0.0],
-        ]
-    )
-
-
 def _axis_cross_matrices(h: np.ndarray) -> np.ndarray:
     """Batched cross-product matrices ``[h]_x`` for axes of shape (..., 3)."""
     K = np.zeros(h.shape[:-1] + (3, 3))
@@ -139,27 +114,17 @@ def _axis_cross_matrices(h: np.ndarray) -> np.ndarray:
     return K
 
 
-def _coefficient_rotations(k, t: float, coin: Coin) -> np.ndarray:
-    """Rodrigues form of ``exp(t * cross_generator)``: rotation by ``-2*gamma*t`` about h."""
+def cross_generator(k, coin: Coin) -> np.ndarray:
+    """Generator of the coefficient rotation at every momentum in ``k``.
+
+    The real antisymmetric 3x3 matrices ``G = -2 [gamma*h]_x`` (cross-product
+    matrix of the scaled axis), shape ``k.shape + (3, 3)``, so that Pauli
+    coefficient vectors evolve as ``a(t) = exp(t G) a(0)``; the basis
+    operators evolve by the transpose.  Eigenvalues are
+    ``{0, +/- 2i*gamma(k - theta1)}`` and the kernel is spanned by the axis ``h``.
+    """
     g, h = spectral.dispersion(k, coin)
-    angle = -2.0 * t * g
-    K = _axis_cross_matrices(h)
-    eye = np.broadcast_to(np.eye(3), K.shape)
-    sin_term = np.sin(angle)[..., None, None] * K
-    cos_term = (1.0 - np.cos(angle))[..., None, None] * (K @ K)
-    return eye + sin_term + cos_term
-
-
-@dataclass(frozen=True, eq=False)
-class PauliFlow:
-    """The coefficient rotation at one momentum and time, with its generator data."""
-
-    k: float
-    t: float
-    rotation: np.ndarray  # 3x3 real orthogonal, acts on coefficient vectors
-    generator: np.ndarray  # the antisymmetric cross generator
-    axis: np.ndarray
-    gamma: float
+    return _axis_cross_matrices(-2.0 * np.asarray(g)[..., None] * h)
 
 
 def rotation_via_eigenbasis(generator: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -179,24 +144,20 @@ def rotation_via_eigenbasis(generator: np.ndarray, t: float) -> tuple[np.ndarray
     return rotation.real, W
 
 
-def pauli_flow(k: float, t: float, coin: Coin) -> PauliFlow:
-    """The full Pauli-coefficient rotation data at momentum ``k`` and time ``t``.
+def pauli_flow(k, t: float, coin: Coin) -> np.ndarray:
+    """``exp(t * cross_generator(k))`` at every momentum in ``k``, shape ``k.shape + (3, 3)``.
 
-    The rotation is computed in the closed Rodrigues form (no complex
-    intermediates); the eigenbasis route is exposed separately through
-    :func:`rotation_via_eigenbasis` and agrees to ~1e-11.
+    The Rodrigues form of the rotation by ``-2*gamma*t`` about ``h`` (no
+    complex intermediates); the eigenbasis route of
+    :func:`rotation_via_eigenbasis` agrees to ~1e-11.
     """
-    g, h = spectral.dispersion(float(k), coin)
-    G = cross_generator(float(k), coin)
-    rotation = _coefficient_rotations(float(k), float(t), coin)
-    return PauliFlow(
-        k=float(k),
-        t=float(t),
-        rotation=rotation,
-        generator=G,
-        axis=h,
-        gamma=float(g),
-    )
+    g, h = spectral.dispersion(k, coin)
+    angle = -2.0 * float(t) * g
+    K = _axis_cross_matrices(h)
+    eye = np.broadcast_to(np.eye(3), K.shape)
+    sin_term = np.sin(angle)[..., None, None] * K
+    cos_term = (1.0 - np.cos(angle))[..., None, None] * (K @ K)
+    return eye + sin_term + cos_term
 
 
 def heisenberg_evolve(
@@ -207,7 +168,7 @@ def heisenberg_evolve(
     Agrees node by node with :func:`conjugate_evolve`; the identity is a
     fixed point exactly at the coefficient level.
     """
-    rotations = _coefficient_rotations(obs.grid.nodes, float(t), coin)
+    rotations = pauli_flow(obs.grid.nodes, t, coin)
     coeffs = obs.coefficients
     out = np.empty_like(coeffs)
     out[:, 0] = coeffs[:, 0]

@@ -414,19 +414,19 @@ def _point_mass_laws(rng, n):
     psi0 = WaveFunction.from_sites(
         [(-2, (math.sqrt(1 / 3), 0.0)), (5, (0.0, math.sqrt(2 / 3)))]
     )
-    atoms = limitlaw.point_mass_law(shift, psi0).atoms
+    law = limitlaw.point_mass_law(shift, psi0)
     final = walk.evolve(walk.WalkRun(shift, psi0, n))
     left_mass = float(position_distribution(final)[final.sites < 0].sum())
     worst = max(
-        abs(atoms.atoms[0] + 1.0),
-        abs(atoms.atoms[1] - 1.0),
-        abs(atoms.weights[0] - 1 / 3),
-        abs(atoms.weights[1] - 2 / 3),
+        abs(law.atoms[0] + 1.0),
+        abs(law.atoms[1] - 1.0),
+        abs(law.weights[0] - 1 / 3),
+        abs(law.weights[1] - 2 / 3),
         abs(left_mass - 1 / 3),
     )
 
     flip = normalize_phase(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    frozen = limitlaw.point_mass_law(flip, WaveFunction.qubit(0.6, 0.8)).atoms
+    frozen = limitlaw.point_mass_law(flip, WaveFunction.qubit(0.6, 0.8))
     worst = max(worst, abs(frozen.atoms[0]), abs(frozen.weights[0] - 1.0))
     final0 = walk.evolve(walk.WalkRun(flip, WaveFunction.qubit(0.6, 0.8), n))
     spread = float(np.abs(final0.sites[position_distribution(final0) > 1e-30]).max()) / n
@@ -501,9 +501,9 @@ def _semigroup_law(rng, size):
     worst = 0.0
     for coin in (hadamard_switched(), random_coin(rng)):
         for k in MomentumGrid(16).nodes:
-            r_s = semigroup.pauli_flow(k, 0.6, coin).rotation
-            r_t = semigroup.pauli_flow(k, 1.9, coin).rotation
-            r_st = semigroup.pauli_flow(k, 2.5, coin).rotation
+            r_s = semigroup.pauli_flow(k, 0.6, coin)
+            r_t = semigroup.pauli_flow(k, 1.9, coin)
+            r_st = semigroup.pauli_flow(k, 2.5, coin)
             worst = max(worst, np.abs(r_s @ r_t - r_st).max())
     return worst, "R(s)R(t) = R(s+t)"
 
@@ -527,16 +527,16 @@ def _rotation_properties(rng, size):
     worst = 0.0
     for k in (-2.1, 0.4, 2.9):
         g, h = spectral.dispersion(k, coin)
+        G = semigroup.cross_generator(k, coin)
         for t in (0.3, 1.0, 4.2):
-            flow = semigroup.pauli_flow(k, t, coin)
-            R = flow.rotation
+            R = semigroup.pauli_flow(k, t, coin)
             worst = max(worst, np.abs(R.T @ R - np.eye(3)).max())
             worst = max(worst, abs(np.linalg.det(R) - 1.0))
             worst = max(worst, np.abs(R @ h - h).max())
             worst = max(worst, abs(np.trace(R) - (1.0 + 2.0 * math.cos(2 * g * t))))
-            eig_route, _ = semigroup.rotation_via_eigenbasis(flow.generator, t)
+            eig_route, _ = semigroup.rotation_via_eigenbasis(G, t)
             worst = max(worst, np.abs(R - eig_route).max())
-        period = semigroup.pauli_flow(k, math.pi / g, coin).rotation
+        period = semigroup.pauli_flow(k, math.pi / g, coin)
         worst = max(worst, np.abs(period - np.eye(3)).max())
     return worst, "orthogonal, det 1, axis fixed, period pi/gamma"
 
@@ -588,7 +588,7 @@ CHECKS: tuple[Check, ...] = (
     Check("schrodinger_residual", _schrodinger_residual, 1e-5),
     Check("lm_two_route_agreement", _two_route_agreement, 1e-10),
     Check("localized_closed_form", _localized_closed_form, 1e-10, criterion=4),
-    Check("density_mass", _density_mass, 1e-6, criterion=8),
+    Check("density_mass", _density_mass, limitlaw.MASS_TOL, criterion=8),
     Check("point_mass_laws", _point_mass_laws, 1e-14, full=1000, criterion=5),
     Check(
         "ks_convergence", _ks_convergence, 0.05,

@@ -125,7 +125,7 @@ class DiscreteLaw:
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
 
-    def total_mass(self) -> float:
+    def mass(self) -> float:
         return float(self.weights.sum())
 
     def mean(self) -> float:

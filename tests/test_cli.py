@@ -1,6 +1,7 @@
 """Config parsing, data export, determinism, and exit codes."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,8 @@ def test_config_validation_names_fields():
         parse_config({"mode": "verify", "banana": 1})
     with pytest.raises(ValidationError, match="'grid'"):
         parse_config({**PRESETS["fig3.3"], "grid": 4096})
+    with pytest.raises(ValidationError, match="'time'"):
+        parse_config({**PRESETS["fig3.3"], "time": 3.0})
     with pytest.raises(ValidationError, match="initial"):
         parse_config(
             {"mode": "walk", "steps": 1, "initial": {"qubit": [[1.0, 0.0], [1.0, 0.0]]}}
@@ -205,6 +208,25 @@ def test_density_degenerate_coin_emits_atoms(tmp_path):
     law = json.loads((tmp_path / "o" / "law.json").read_text())
     assert law["kind"] == "point_mass"
     assert law["atoms"] == [[-1.0, pytest.approx(0.36)], [1.0, pytest.approx(0.64)]]
+    assert not (tmp_path / "o" / "density.csv").exists()
+
+
+def test_density_refuses_a_law_with_a_mass_defect(tmp_path, capsys):
+    # |l2| = 1e-5 takes the density route, but the quadrature misses most of the mass
+    l1 = math.sqrt(1.0 - 1e-10)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "mode": "density",
+                "coin": [[[l1, 0.0], [1e-5, 0.0]], [[-1e-5, 0.0], [l1, 0.0]]],
+                "initial": {"qubit": [[1.0, 0.0], [0.0, 0.0]]},
+            }
+        )
+    )
+    assert main(["density", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "mass defect" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "law.json").exists()
     assert not (tmp_path / "o" / "density.csv").exists()
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from coinwalk import (
     AliasingError,
+    DirectIntegralObservable,
     MomentumGrid,
     ValidationError,
     WaveFunction,
@@ -215,18 +216,18 @@ def test_grid_sizing_rule():
 
 def test_pauli_decompose_identity_and_sigma2():
     ident = pauli_decompose(np.eye(2))
-    assert ident.coefficients == pytest.approx([1.0, 0.0, 0.0, 0.0])
+    assert ident == pytest.approx([1.0, 0.0, 0.0, 0.0])
     sigma2 = pauli_decompose(np.array([[0.0, -1j], [1j, 0.0]]))
-    assert sigma2.coefficients == pytest.approx([0.0, 0.0, 1.0, 0.0])
+    assert sigma2 == pytest.approx([0.0, 0.0, 1.0, 0.0])
 
 
 def test_pauli_decompose_general_matrix():
     # trace formulas by hand: a2 = tr(sigma_2 A)/2 = (-3i + 2i)/2 = -i/2
-    obs = pauli_decompose(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert obs.a0 == pytest.approx(2.5)
-    assert obs.a1 == pytest.approx(2.5)
-    assert obs.a2 == pytest.approx(-0.5j)
-    assert obs.a3 == pytest.approx(-1.5)
+    a0, a1, a2, a3 = pauli_decompose(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    assert a0 == pytest.approx(2.5)
+    assert a1 == pytest.approx(2.5)
+    assert a2 == pytest.approx(-0.5j)
+    assert a3 == pytest.approx(-1.5)
 
 
 @settings(max_examples=50, deadline=None)
@@ -237,5 +238,6 @@ def test_pauli_round_trip(entries):
 
 
 def test_pauli_hermitian_flag():
-    assert pauli_decompose(np.array([[1.0, 2j], [-2j, -1.0]])).is_hermitian
-    assert not pauli_decompose(np.array([[1.0, 1.0], [0.0, 1.0]])).is_hermitian
+    grid = MomentumGrid(1)
+    assert DirectIntegralObservable.constant(grid, [[1.0, 2j], [-2j, -1.0]]).is_hermitian
+    assert not DirectIntegralObservable.constant(grid, [[1.0, 1.0], [0.0, 1.0]]).is_hermitian

@@ -1,5 +1,6 @@
 """The scaling limit: stationary amplitudes, densities, point masses, moments."""
 
+import inspect
 import math
 
 import numpy as np
@@ -10,7 +11,9 @@ from scipy.integrate import quad
 
 from coinwalk import (
     DegenerateCoinError,
+    DiscreteLaw,
     DomainError,
+    LimitLaw,
     ValidationError,
     WalkRun,
     WaveFunction,
@@ -201,24 +204,8 @@ def test_cdf_against_scipy_quad(hadamard):
 def test_point_mass_ballistic_qubit():
     coin = normalize_phase(np.eye(2))
     law = point_mass_law(coin, WaveFunction.qubit(0.6, 0.8))
-    assert law.atoms.atoms == pytest.approx([-1.0, 1.0])
-    assert law.atoms.weights == pytest.approx([0.36, 0.64])
-
-
-def test_point_mass_ballistic_spread_state():
-    coin = normalize_phase(np.eye(2))
-    psi0 = WaveFunction.from_sites(
-        [(-2, (math.sqrt(1 / 3), 0.0)), (5, (0.0, math.sqrt(2 / 3)))]
-    )
-    law = point_mass_law(coin, psi0)
-    assert law.atoms.weights == pytest.approx([1 / 3, 2 / 3])
-
-
-def test_point_mass_flip_coin():
-    coin = normalize_phase(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    law = point_mass_law(coin, WaveFunction.qubit(0.6, 0.8))
-    assert law.atoms.atoms == pytest.approx([0.0])
-    assert law.atoms.weights == pytest.approx([1.0])
+    assert law.atoms == pytest.approx([-1.0, 1.0])
+    assert law.weights == pytest.approx([0.36, 0.64])
 
 
 def test_point_mass_rejects_generic_coin(hadamard):
@@ -227,10 +214,9 @@ def test_point_mass_rejects_generic_coin(hadamard):
 
 
 def test_weak_limit_law_routing(hadamard):
-    assert weak_limit_law(hadamard, WaveFunction.qubit(1.0, 0.0)).kind == "density"
-    assert (
-        weak_limit_law(normalize_phase(np.eye(2)), WaveFunction.qubit(1.0, 0.0)).kind
-        == "point_mass"
+    assert isinstance(weak_limit_law(hadamard, WaveFunction.qubit(1.0, 0.0)), LimitLaw)
+    assert isinstance(
+        weak_limit_law(normalize_phase(np.eye(2)), WaveFunction.qubit(1.0, 0.0)), DiscreteLaw
     )
     law = weak_limit_law(hadamard, WaveFunction.qubit(1.0, 0.0))
     assert law.beta == pytest.approx(1.0)
@@ -250,7 +236,7 @@ def test_point_mass_cdf_step():
     assert cdf(-1.0) == pytest.approx(0.3)
     assert cdf(0.0) == pytest.approx(0.3)
     assert cdf(1.0) == pytest.approx(1.0)
-    assert law.atoms.cdf_left(-1.0) == 0.0
+    assert law.cdf_left(-1.0) == 0.0
     assert mean == pytest.approx(0.4)
     assert second == pytest.approx(1.0)
 
@@ -276,3 +262,25 @@ def test_empirical_law_converges_for_spread_state(hadamard):
     d_large = ks_distance(empirical_scaled_law(WalkRun(hadamard, psi0, 800)), law)
     assert d_large < d_small
     assert d_large < 0.05
+
+
+def test_law_method_signatures():
+    # perfbench's tracer patches these methods through cls.__dict__, so each
+    # class must define them itself; it reads the cdfs' and g_function's `y`
+    # and LimitLaw.mass's `self` by name
+    traced = {
+        LimitLaw: {
+            "cdf": "self y",
+            "cdf_left": "self y",
+            "mass": "self",
+            "pdf": "self y",
+            "mean": "self",
+            "moment": "self order",
+        },
+        DiscreteLaw: {"cdf": "self y", "cdf_left": "self y"},
+    }
+    for cls, methods in traced.items():
+        for name, params in methods.items():
+            assert name in vars(cls), f"{cls.__name__}.{name}"
+            assert " ".join(inspect.signature(vars(cls)[name]).parameters) == params, name
+    assert " ".join(inspect.signature(g_function).parameters) == "y coin psi0"
