@@ -15,9 +15,14 @@ superposition and snapshot experiments.  Complex numbers are written as
 ``[re, im]`` pairs; an initial state is either ``{"qubit": [a, b], "site": x}``
 or ``{"sites": [[x, a, b], ...]}``.
 
+``_FIELDS`` is the one table of which subcommand reads which setting.  A
+config may hold only its mode's fields (plus ``mode`` and ``out``), a preset
+contributes only those, each subcommand offers a flag only for those, and the
+``config`` echo in the outputs lists only those.
+
 Outputs are deterministic: CSV floats carry 17 significant digits and JSON is
 key-sorted, so identical configs diff clean.  Exit codes: 0 ok, 1 validation
-error, 2 verification failure.
+or usage error, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -87,7 +92,28 @@ PRESETS: dict[str, dict] = {
     },
 }
 
-_MODES = ("walk", "cwalk", "density", "semigroup", "verify")
+# The one table of which mode takes which config field (True: required).
+# Every mode also takes the _COMMON fields; any other key is rejected.
+_COMMON = ("mode", "out")
+_FIELDS: dict[str, dict[str, bool]] = {
+    "walk": {"initial": True, "steps": True, "coin": False, "trajectory": False},
+    "cwalk": {"initial": True, "times": True, "coin": False},
+    "density": {"initial": True, "coin": False, "y_points": False},
+    "semigroup": {"coin": False, "time": False, "grid": False, "seed": False},
+    "verify": {"seed": False, "quick": False},
+}
+
+# Fields a subcommand flag of the same name can set, with the flag's help.
+_FLAGS = {
+    "steps": (int, "step count override"),
+    "trajectory": (bool, "export every step"),
+    "grid": (int, "momentum grid size"),
+    "seed": (int, "seed for randomised checks"),
+    "quick": (bool, "reduced-size invariants"),
+}
+
+# RunConfig attributes whose name differs from their config field
+_ATTRS = {"coin": "coin_spec", "initial": "initial_spec", "grid": "grid_size", "out": "out_dir"}
 
 
 @dataclass(frozen=True)
@@ -191,16 +217,22 @@ def parse_config(data: dict) -> RunConfig:
     """Validate a raw config dict; error messages name the offending field."""
     if not isinstance(data, dict):
         raise ValidationError("config: expected a JSON object")
-    known = {
-        "mode", "coin", "initial", "steps", "times", "time",
-        "grid", "y_points", "seed", "out", "trajectory", "quick",
-    }
+    taken = set(_COMMON).union(*_FIELDS.values())
     for key in data:
-        if key not in known:
+        if key not in taken:
             raise ValidationError(f"config field {key!r}: unknown field")
     mode = data.get("mode")
-    if mode not in _MODES:
-        raise ValidationError(f"config field 'mode': expected one of {_MODES}, got {mode!r}")
+    if mode not in _FIELDS:
+        raise ValidationError(
+            f"config field 'mode': expected one of {tuple(_FIELDS)}, got {mode!r}"
+        )
+    fields = _FIELDS[mode]
+    for key in data:
+        if key not in fields and key not in _COMMON:
+            raise ValidationError(f"config field {key!r}: mode {mode!r} does not take it")
+    for name, required in fields.items():
+        if required and data.get(name) is None:
+            raise ValidationError(f"config field {name!r}: required for mode {mode!r}")
 
     def _opt_int(name, minimum, default=None):
         value = data.get(name, default)
@@ -223,6 +255,11 @@ def parse_config(data: dict) -> RunConfig:
             raise ValidationError("config field 'times': expected a list of nonnegative numbers")
         if any(b <= a for a, b in zip(times, list(times)[1:])):
             raise ValidationError("config field 'times': must be strictly ascending")
+        # each time names its snapshot file, snapshot_t{t:g}.csv
+        if len({f"{t:g}" for t in times}) < len(times):
+            raise ValidationError(
+                "config field 'times': two times share a 6-significant-digit snapshot label"
+            )
         times = tuple(float(t) for t in times)
 
     time_value = data.get("time", 1.0)
@@ -232,12 +269,10 @@ def parse_config(data: dict) -> RunConfig:
     out_dir = data.get("out")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ValidationError("config field 'out': expected a string path")
-    trajectory = data.get("trajectory", False)
-    if not isinstance(trajectory, bool):
-        raise ValidationError("config field 'trajectory': expected a boolean")
-    quick = data.get("quick", False)
-    if not isinstance(quick, bool):
-        raise ValidationError("config field 'quick': expected a boolean")
+    trajectory, quick = data.get("trajectory", False), data.get("quick", False)
+    for name, flag in (("trajectory", trajectory), ("quick", quick)):
+        if not isinstance(flag, bool):
+            raise ValidationError(f"config field {name!r}: expected a boolean")
 
     config = RunConfig(
         mode=mode,
@@ -257,43 +292,16 @@ def parse_config(data: dict) -> RunConfig:
     config.coin()
     if config.initial_spec is not None:
         config.initial_state()
-    if mode == "walk" and steps is None:
-        raise ValidationError("config field 'steps': required for mode 'walk'")
-    if mode == "cwalk" and times is None:
-        raise ValidationError("config field 'times': required for mode 'cwalk'")
-    if mode in ("walk", "cwalk", "density") and config.initial_spec is None:
-        raise ValidationError(f"config field 'initial': required for mode {mode!r}")
-    if mode != "semigroup":
-        # the other modes size their grids from the run and evolve no observable
-        for name in ("grid", "time"):
-            if data.get(name) is not None:
-                raise ValidationError(
-                    f"config field {name!r}: only mode 'semigroup' takes it, not {mode!r}"
-                )
     return config
 
 
 def serialize_config(config: RunConfig) -> dict:
-    """The JSON form of a config; ``parse_config`` inverts it exactly."""
-    data: dict = {"mode": config.mode, "coin": config.coin_spec}
-    if config.initial_spec is not None:
-        data["initial"] = config.initial_spec
-    if config.steps is not None:
-        data["steps"] = config.steps
-    if config.times is not None:
-        data["times"] = list(config.times)
-    if config.mode == "semigroup":
-        data["time"] = config.time
-    if config.grid_size is not None:
-        data["grid"] = config.grid_size
-    data["y_points"] = config.y_points
-    data["seed"] = config.seed
-    if config.out_dir is not None:
-        data["out"] = config.out_dir
-    if config.trajectory:
-        data["trajectory"] = True
-    if config.quick:
-        data["quick"] = True
+    """The JSON form of a config: its mode's fields; ``parse_config`` inverts it exactly."""
+    data: dict = {}
+    for name in (*_COMMON, *_FIELDS[config.mode]):
+        value = getattr(config, _ATTRS.get(name, name))
+        if value is not None and value is not False:
+            data[name] = list(value) if isinstance(value, tuple) else value
     return data
 
 
@@ -534,8 +542,8 @@ def _load_config(args, mode: str) -> RunConfig:
                 f"unknown preset {args.preset!r}; available: {sorted(PRESETS)}"
             )
         # a preset bundles coin + initial state; the subcommand decides what
-        # to do with them, so its mode wins
-        data = dict(PRESETS[args.preset])
+        # to do with them, so it takes only its own fields and its mode wins
+        data = {k: v for k, v in PRESETS[args.preset].items() if k in _FIELDS[mode]}
         data["mode"] = mode
     else:
         data = {}
@@ -544,42 +552,40 @@ def _load_config(args, mode: str) -> RunConfig:
         raise ValidationError(
             f"config field 'mode': {data['mode']!r} does not match subcommand {mode!r}"
         )
-    if args.grid is not None:
-        data["grid"] = args.grid
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if getattr(args, "steps", None) is not None:
-        data["steps"] = args.steps
-    if getattr(args, "trajectory", False):
-        data["trajectory"] = True
-    if getattr(args, "quick", False):
-        data["quick"] = True
+    for name in _FLAGS:
+        if getattr(args, name, None) is not None:
+            data[name] = getattr(args, name)
     return parse_config(data)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises usage errors as ``ValidationError`` so they exit 1 like any invalid input."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="coinwalk", description="one-dimensional coined quantum walk toolkit"
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in _MODES:
+    for mode, fields in _FIELDS.items():
         p = sub.add_parser(mode, help=f"run the {mode} command")
         p.add_argument("--config", help="path to a JSON config")
         p.add_argument("--preset", help=f"bundled preset name ({', '.join(sorted(PRESETS))})")
         p.add_argument("--out", help=f"output directory (or ${ENV_OUT_DIR})")
-        p.add_argument("--grid", type=int, help="momentum grid size (semigroup only)")
-        p.add_argument("--seed", type=int, help="seed for randomised checks")
-        if mode == "walk":
-            p.add_argument("--steps", type=int, help="step count override")
-            p.add_argument("--trajectory", action="store_true", help="export every step")
-        if mode == "verify":
-            p.add_argument("--quick", action="store_true", help="reduced-size invariants")
+        for name, (kind, text) in _FLAGS.items():
+            if name in fields:
+                # an absent flag stays None, so it never overrides the config
+                how = {"action": "store_true", "default": None} if kind is bool else {"type": kind}
+                p.add_argument(f"--{name}", help=text, **how)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         config = _load_config(args, args.mode)
         out_dir = _resolve_out_dir(config, args.out)
         if args.mode == "walk":

@@ -130,11 +130,8 @@ def schrodinger_residual(
         h_psi[..., 0] = diag * hats[..., 0]
         h_psi[..., 1] = -diag * hats[..., 1]
     else:
-        g, h = spectral.dispersion(grid.nodes, coin)
-        gh = g[:, None] * h
-        h_psi = np.empty_like(hats)
-        h_psi[..., 0] = gh[:, 2] * hats[..., 0] + (gh[:, 0] - 1j * gh[:, 1]) * hats[..., 1]
-        h_psi[..., 1] = (gh[:, 0] + 1j * gh[:, 1]) * hats[..., 0] - gh[:, 2] * hats[..., 1]
+        H, _, _ = spectral.hamiltonian(grid.nodes, coin)
+        h_psi = np.einsum("mij,tmj->tmi", H, hats)
 
     derivative = (hats[2:] - hats[:-2]) / (2.0 * delta)
     defect = derivative - 1j * h_psi[1:-1]

@@ -193,37 +193,24 @@ def random_psd_observable(
     return DirectIntegralObservable.from_matrices(grid, B @ np.conj(np.swapaxes(B, 1, 2)))
 
 
-def positivity_check(
-    obs: DirectIntegralObservable,
-    t: float,
-    coin: Coin,
-    samples: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> dict:
+def positivity_check(obs: DirectIntegralObservable, t: float, coin: Coin) -> dict:
     """Verify that positive fibres stay positive under the semigroup.
 
-    Checks the smallest eigenvalue of every (or ``samples`` randomly chosen)
-    fibre before and after evolution by time ``t``.  Input fibres must be
-    Hermitian; they count as positive when all eigenvalues are >= -1e-12 and
-    the evolved fibres must stay above -1e-10.
+    Checks the smallest eigenvalue of every fibre before and after evolution
+    by time ``t``.  Input fibres must be Hermitian; they count as positive
+    when all eigenvalues are >= -1e-12 and the evolved fibres must stay above
+    -1e-10.
 
     Returns a report dict with the node indices, the min-eigenvalue arrays
     before and after, their worst values, and the overall verdict.
     """
     if not obs.is_hermitian:
         raise ValidationError("positivity check requires Hermitian fibres")
-    size = obs.grid.size
-    if samples is None or samples >= size:
-        idx = np.arange(size)
-    else:
-        rng = rng if rng is not None else np.random.default_rng(0)
-        idx = np.sort(rng.choice(size, size=samples, replace=False))
-    before = np.linalg.eigvalsh(obs.matrices()[idx]).min(axis=1)
-    evolved = heisenberg_evolve(obs, t, coin)
-    after = np.linalg.eigvalsh(evolved.matrices()[idx]).min(axis=1)
+    fibres = np.stack([obs.matrices(), heisenberg_evolve(obs, t, coin).matrices()])
+    before, after = np.linalg.eigvalsh(fibres).min(axis=-1)
     input_psd = bool(before.min() >= -1e-12)
     return {
-        "nodes": idx.tolist(),
+        "nodes": list(range(obs.grid.size)),
         "time": float(t),
         "min_eigenvalue_before": before.tolist(),
         "min_eigenvalue_after": after.tolist(),

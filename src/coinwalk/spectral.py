@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import PAULI, Coin, DegenerateCoinError, DomainError
+from .core import Coin, DegenerateCoinError, DomainError, pauli_compose
 
 __all__ = [
     "StationaryInverses",
@@ -159,16 +159,18 @@ def dispersion(k, coin: Coin) -> tuple[np.ndarray, np.ndarray]:
     return gamma(kap, coin), pauli_axis(kap, coin)
 
 
-def hamiltonian(k: float, coin: Coin) -> tuple[np.ndarray, np.ndarray, float]:
-    """Hermitian generator at momentum ``k``: returns ``(H, h, gamma)``.
+def hamiltonian(k, coin: Coin) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
+    """Hermitian generator at physical momentum ``k``: returns ``(H, h, gamma)``.
 
     ``H = gamma * (h . sigma)`` satisfies ``exp(i H) = U(k)`` exactly; the
     operator norm of ``H`` equals ``gamma(k - theta1)`` and is therefore
-    bounded by ``pi - arccos|l1|``.
+    bounded by ``pi - arccos|l1|``.  Broadcasts like :func:`dispersion`;
+    ``H`` has shape ``S + (2, 2)``.
     """
-    g, h = dispersion(float(k), coin)
-    H = float(g) * np.tensordot(h, PAULI[1:], axes=([0], [0]))
-    return H, h, float(g)
+    g, h = dispersion(k, coin)
+    coefficients = np.zeros(h.shape[:-1] + (4,))
+    coefficients[..., 1:] = np.asarray(g)[..., None] * h
+    return pauli_compose(coefficients), h, g
 
 
 def propagator_bank(k, t: float, coin: Coin) -> np.ndarray:

@@ -23,7 +23,6 @@ import numpy as np
 from . import continuous, limitlaw, semigroup, spectral, walk
 from .cli import PRESETS, parse_config
 from .core import (
-    PAULI,
     AliasingError,
     Coin,
     MomentumGrid,
@@ -235,13 +234,12 @@ def _spectral_identities(rng, size):
     worst_unit = 0.0
     worst = 0.0
     for coin in coins:
-        g, h = spectral.dispersion(grid.nodes, coin)
+        H_all, h, g = spectral.hamiltonian(grid.nodes, coin)
         worst_unit = max(worst_unit, np.abs(np.linalg.norm(h, axis=-1) - 1.0).max())
         floor = math.acos(coin.abs_l1)
         range_defect = max(0.0, g.max() - (math.pi - floor), floor - g.min())
 
-        k, gk, hk = grid.nodes[idx], g[idx], h[idx]
-        H = np.tensordot(gk[:, None] * hk, PAULI[1:], axes=([1], [0]))
+        k, gk, H = grid.nodes[idx], g[idx], H_all[idx]
         w, V = np.linalg.eigh(H)
         exp_h = np.einsum("mij,mj,mkj->mik", V, np.exp(1j * w), V.conj())
         U = np.stack([spectral.build_U_of_k(x, coin) for x in k])

@@ -42,6 +42,9 @@ __all__ = [
     "sup_norm_difference",
 ]
 
+# Size of the uniform grid ks_distance probes when a law has a continuous part.
+KS_PROBE_POINTS = 4097
+
 
 def step(psi: WaveFunction, coin: Coin) -> WaveFunction:
     """Advance the walk one time unit.
@@ -167,7 +170,7 @@ def empirical_scaled_law(run: WalkRun) -> DiscreteLaw:
     return DiscreteLaw(psi.sites[mask] / run.n, p[mask])
 
 
-def ks_distance(law_a, law_b, probe_points: int = 4097) -> float:
+def ks_distance(law_a, law_b) -> float:
     """Kolmogorov-Smirnov distance ``sup_y |F_a(y) - F_b(y)|``.
 
     Laws must expose ``cdf``, ``cdf_left``, ``jump_points`` and ``support``
@@ -182,7 +185,7 @@ def ks_distance(law_a, law_b, probe_points: int = 4097) -> float:
     if continuous:
         lo = min(law_a.support()[0], law_b.support()[0])
         hi = max(law_a.support()[1], law_b.support()[1])
-        points.append(np.linspace(lo, hi, probe_points))
+        points.append(np.linspace(lo, hi, KS_PROBE_POINTS))
     ys = np.unique(np.concatenate([p for p in points if p.size]))
     right = np.abs(np.asarray(law_a.cdf(ys)) - np.asarray(law_b.cdf(ys)))
     left = np.abs(np.asarray(law_a.cdf_left(ys)) - np.asarray(law_b.cdf_left(ys)))

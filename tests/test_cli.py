@@ -42,11 +42,52 @@ def test_config_round_trip_explicit_coin():
         "coin": [[[0.6, 0.0], [0.0, 0.8]], [[0.0, 0.8], [0.6, 0.0]]],
         "initial": {"qubit": [[1.0, 0.0], [0.0, 0.0]], "site": 0},
         "y_points": 11,
-        "seed": 3,
     }
     config = parse_config(data)
     assert parse_config(serialize_config(config)) == config
     assert abs(config.coin().l1 - 0.6) < 1e-12
+
+
+# one valid value for every field some mode takes
+SAMPLE = {
+    "coin": [[[0.6, 0.0], [0.0, 0.8]], [[0.0, 0.8], [0.6, 0.0]]],
+    "initial": {"qubit": [[1.0, 0.0], [0.0, 0.0]], "site": 2},
+    "steps": 3,
+    "trajectory": True,
+    "times": [0.5, 2.0],
+    "y_points": 11,
+    "time": 2.5,
+    "grid": 64,
+    "seed": 4,
+    "quick": True,
+}
+
+
+@pytest.mark.parametrize("mode", sorted(cli._FIELDS))
+def test_config_round_trip_every_mode(mode):
+    data = {"mode": mode, "out": "o", **{name: SAMPLE[name] for name in cli._FIELDS[mode]}}
+    config = parse_config(data)
+    assert serialize_config(config) == data
+    assert parse_config(serialize_config(config)) == config
+
+
+@pytest.mark.parametrize("mode", sorted(cli._FIELDS))
+def test_mode_rejects_fields_of_other_modes(mode):
+    taken = cli._FIELDS[mode]
+    base = {"mode": mode, **{name: SAMPLE[name] for name, required in taken.items() if required}}
+    foreign = set().union(*cli._FIELDS.values()) - set(taken)
+    assert foreign
+    for name in sorted(foreign):
+        with pytest.raises(ValidationError, match=f"'{name}': mode '{mode}' does not take it"):
+            parse_config({**base, name: SAMPLE[name]})
+
+
+def test_snapshot_times_need_distinct_file_labels(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**PRESETS["fig3.5"], "times": [1.0000001, 1.0000002]}))
+    assert main(["cwalk", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert "'times'" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "snapshot_t1.csv").exists()
 
 
 def test_config_validation_names_fields():
@@ -193,6 +234,18 @@ def test_density_reports_beta_and_mass(tmp_path):
     assert all(r >= 0.0 for _, r in rows)
 
 
+def test_density_preset_echoes_only_density_fields(tmp_path):
+    assert main(["density", "--preset", "fig3.2", "--out", str(tmp_path / "o")]) == 0
+    law = json.loads((tmp_path / "o" / "law.json").read_text())
+    preset = PRESETS["fig3.2"]
+    assert law["config"] == {
+        "mode": "density",
+        "coin": preset["coin"],
+        "initial": preset["initial"],
+        "y_points": 201,
+    }
+
+
 def test_density_degenerate_coin_emits_atoms(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
@@ -269,7 +322,13 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     assert main(["walk", "--config", str(tmp_path / "missing.json")]) == 1
     # only semigroup takes a grid; the walk routes size their own
     assert main(["cwalk", "--preset", "fig3.5", "--grid", "64", "--out", str(tmp_path / "o")]) == 1
-    assert "'grid'" in capsys.readouterr().err
+    assert "--grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--quick", "--bogus"])
+def test_usage_errors_exit_1(tmp_path, capsys, flag):
+    assert main(["walk", "--preset", "fig3.1", flag, "--out", str(tmp_path / "o")]) == 1
+    assert flag in capsys.readouterr().err
 
 
 def test_env_var_output_dir(tmp_path, monkeypatch):
