@@ -46,7 +46,7 @@ from .spectral import (
     s_inverse_closed_form,
     unitary_S,
 )
-from .continuous import ContinuousRun, evolve_continuous, schrodinger_residual
+from .continuous import evolve_continuous, schrodinger_residual
 from .limitlaw import (
     LimitLaw,
     StationaryPoints,
@@ -75,7 +75,6 @@ __all__ = [
     "AliasingError",
     "Coin",
     "CoinWalkError",
-    "ContinuousRun",
     "DegenerateCoinError",
     "DirectIntegralObservable",
     "DiscreteLaw",

@@ -20,9 +20,10 @@ config may hold only its mode's fields (plus ``mode`` and ``out``), a preset
 contributes only those, each subcommand offers a flag only for those, and the
 ``config`` echo in the outputs lists only those.
 
-Outputs are deterministic: CSV floats carry 17 significant digits and JSON is
-key-sorted, so identical configs diff clean.  Exit codes: 0 ok, 1 validation
-or usage error, 2 verification failure.
+Outputs are deterministic: every CSV goes through ``_write_table``, the one
+place the CSV format lives (integer columns as integers, floats at 17
+significant digits), and JSON is key-sorted, so identical configs diff clean.
+Exit codes: 0 ok, 1 validation or usage error, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -142,14 +143,24 @@ class RunConfig:
         return _parse_initial(self.initial_spec)
 
 
+def _is_finite_number(value) -> bool:
+    """Whether a JSON value is a number that converts to a finite float (booleans are not)."""
+    # int/float comparison is exact, so this also rejects integers beyond the float range
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
 def _as_complex(value, field_name: str) -> complex:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(v, (int, float)) for v in value)
+        or not all(_is_finite_number(v) for v in value)
     ):
         raise ValidationError(
-            f"config field '{field_name}': complex numbers are [re, im] pairs, got {value!r}"
+            f"config field '{field_name}': complex numbers are finite [re, im] pairs, got {value!r}"
         )
     return complex(float(value[0]), float(value[1]))
 
@@ -250,9 +261,9 @@ def parse_config(data: dict) -> RunConfig:
     times = data.get("times")
     if times is not None:
         if not isinstance(times, (list, tuple)) or not times or not all(
-            isinstance(t, (int, float)) and not isinstance(t, bool) and t >= 0 for t in times
+            _is_finite_number(t) and t >= 0 for t in times
         ):
-            raise ValidationError("config field 'times': expected a list of nonnegative numbers")
+            raise ValidationError("config field 'times': expected finite nonnegative numbers")
         if any(b <= a for a, b in zip(times, list(times)[1:])):
             raise ValidationError("config field 'times': must be strictly ascending")
         # each time names its snapshot file, snapshot_t{t:g}.csv
@@ -263,8 +274,8 @@ def parse_config(data: dict) -> RunConfig:
         times = tuple(float(t) for t in times)
 
     time_value = data.get("time", 1.0)
-    if not isinstance(time_value, (int, float)) or isinstance(time_value, bool) or time_value < 0:
-        raise ValidationError("config field 'time': expected a nonnegative number")
+    if not _is_finite_number(time_value) or time_value < 0:
+        raise ValidationError("config field 'time': expected a finite nonnegative number")
 
     out_dir = data.get("out")
     if out_dir is not None and not isinstance(out_dir, str):
@@ -310,14 +321,18 @@ def serialize_config(config: RunConfig) -> dict:
 # --------------------------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+def _write_table(path: Path, header: str, blocks) -> None:
+    """Write ``header``, then the rows of each block of equal-length numpy columns.
 
-
-def _write_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Integer columns print as integers and all others at 17 significant digits,
+    which round-trips a float64.  Blocks stream to the file one at a time.
+    """
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for columns in blocks:
+            fields = ("{}" if c.dtype.kind in "iu" else "{:.17g}" for c in columns)
+            row = (",".join(fields) + "\n").format
+            fh.writelines(row(*values) for values in zip(*(c.tolist() for c in columns)))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -339,11 +354,6 @@ def _coin_as_rows(coin: Coin) -> list[list[list[float]]]:
     ]
 
 
-def _distribution_rows(psi: WaveFunction):
-    p = position_distribution(psi)
-    return [f"{x},{_fmt(v)}" for x, v in zip(psi.sites, p)]
-
-
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------
@@ -355,21 +365,21 @@ def cmd_walk(config: RunConfig, out_dir: Path) -> list[Path]:
     run = walk.WalkRun(coin, psi0, config.steps)
     written = []
     if config.trajectory:
-        rows = []
         final = psi0
-        for i, psi in walk.iter_evolution(run):
-            final = psi
-            rows.extend(
-                f"{i},{x},{_fmt(v)}"
-                for x, v in zip(psi.sites, position_distribution(psi))
-            )
+
+        def blocks():
+            nonlocal final
+            for i, psi in walk.iter_evolution(run):
+                final = psi
+                yield np.full(psi.width, i), psi.sites, position_distribution(psi)
+
         trajectory_path = out_dir / "trajectory.csv"
-        _write_csv(trajectory_path, "n,x,p", rows)
+        _write_table(trajectory_path, "n,x,p", blocks())
         written.append(trajectory_path)
     else:
         final = walk.evolve(run)
     dist_path = out_dir / f"distribution_n{config.steps}.csv"
-    _write_csv(dist_path, "x,p", _distribution_rows(final))
+    _write_table(dist_path, "x,p", [(final.sites, position_distribution(final))])
     written.append(dist_path)
     manifest = out_dir / "manifest.json"
     _write_json(
@@ -391,12 +401,11 @@ def cmd_walk(config: RunConfig, out_dir: Path) -> list[Path]:
 def cmd_cwalk(config: RunConfig, out_dir: Path) -> list[Path]:
     coin = config.coin()
     psi0 = config.initial_state()
-    run = continuous.ContinuousRun(coin, psi0, config.times)
     written = []
     norms = {}
-    for t, psi in continuous.snapshots(run):
+    for t, psi in continuous.snapshots(psi0, coin, config.times):
         path = out_dir / f"snapshot_t{t:g}.csv"
-        _write_csv(path, "x,p", _distribution_rows(psi))
+        _write_table(path, "x,p", [(psi.sites, position_distribution(psi))])
         written.append(path)
         norms[f"{t:g}"] = psi.norm()
     manifest = out_dir / "manifest.json"
@@ -433,7 +442,7 @@ def cmd_density(config: RunConfig, out_dir: Path) -> list[Path]:
         ys = np.linspace(lo, hi, config.y_points + 2)[1:-1]
         rho = law.pdf(ys)
         path = out_dir / "density.csv"
-        _write_csv(path, "y,rho", [f"{_fmt(y)},{_fmt(r)}" for y, r in zip(ys, rho)])
+        _write_table(path, "y,rho", [(ys, rho)])
         written.append(path)
         meta.update(
             {
@@ -464,12 +473,8 @@ def cmd_semigroup(config: RunConfig, out_dir: Path) -> list[Path]:
     grid = MomentumGrid(config.grid_size or 256)
     t = config.time
     g, h = spectral.dispersion(grid.nodes, coin)
-    rows = [
-        f"{_fmt(k)},{_fmt(gv)},{_fmt(h1)},{_fmt(h2)},{_fmt(h3)},{_fmt(2.0 * gv * t)}"
-        for k, gv, (h1, h2, h3) in zip(grid.nodes, g, h)
-    ]
     flow_path = out_dir / f"flow_t{t:g}.csv"
-    _write_csv(flow_path, "k,gamma,h1,h2,h3,angle", rows)
+    _write_table(flow_path, "k,gamma,h1,h2,h3,angle", [(grid.nodes, g, *h.T, 2.0 * g * t)])
 
     rng = np.random.default_rng(config.seed)
     psd = semigroup.random_psd_observable(grid, rng)

@@ -16,7 +16,6 @@ that equation through a centred finite difference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +25,6 @@ from .core import (
     GRID_MARGIN,
     Coin,
     MomentumGrid,
-    ValidationError,
     WaveFunction,
     fourier_transform,
     inverse_fourier,
@@ -34,7 +32,6 @@ from .core import (
 )
 
 __all__ = [
-    "ContinuousRun",
     "evolve_continuous",
     "schrodinger_residual",
     "snapshots",
@@ -74,30 +71,16 @@ def evolve_continuous(
     return inverse_fourier(evolved, grid, (lo, hi))
 
 
-@dataclass(frozen=True)
-class ContinuousRun:
-    """A snapshot series: coin, normalised initial state, ascending times."""
+def snapshots(
+    psi0: WaveFunction, coin: Coin, times: Sequence[float]
+) -> list[tuple[float, WaveFunction]]:
+    """Evolve ``psi0`` to every time in ``times``, each one independently.
 
-    coin: Coin
-    psi0: WaveFunction
-    times: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        times = tuple(float(t) for t in self.times)
-        if not times:
-            raise ValidationError("at least one snapshot time is required")
-        if any(t < 0 for t in times):
-            raise ValidationError("snapshot times must be nonnegative")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValidationError("snapshot times must be strictly ascending")
-        object.__setattr__(self, "times", times)
-        require_normalized(self.psi0, "initial state")
-
-
-def snapshots(run: ContinuousRun) -> list[tuple[float, WaveFunction]]:
-    """Evolve the initial state to every requested time (each one independent)."""
-    grid = MomentumGrid.for_walk(run.psi0, int(math.ceil(run.times[-1])))
-    return [(t, evolve_continuous(run.psi0, t, run.coin, grid)) for t in run.times]
+    All times share the one grid sized for the latest, so the snapshots are
+    samples of a single evolution.
+    """
+    grid = MomentumGrid.for_walk(psi0, int(math.ceil(max(times))))
+    return [(t, evolve_continuous(psi0, t, coin, grid)) for t in times]
 
 
 def schrodinger_residual(

@@ -187,9 +187,11 @@ def ks_distance(law_a, law_b) -> float:
         hi = max(law_a.support()[1], law_b.support()[1])
         points.append(np.linspace(lo, hi, KS_PROBE_POINTS))
     ys = np.unique(np.concatenate([p for p in points if p.size]))
-    right = np.abs(np.asarray(law_a.cdf(ys)) - np.asarray(law_b.cdf(ys)))
-    left = np.abs(np.asarray(law_a.cdf_left(ys)) - np.asarray(law_b.cdf_left(ys)))
-    return float(max(right.max(), left.max()))
+    right_a, right_b = np.asarray(law_a.cdf(ys)), np.asarray(law_b.cdf(ys))
+    # a law without jumps is continuous, so its left limits are its values
+    left_a = np.asarray(law_a.cdf_left(ys)) if points[0].size else right_a
+    left_b = np.asarray(law_b.cdf_left(ys)) if points[1].size else right_b
+    return float(max(np.abs(right_a - right_b).max(), np.abs(left_a - left_b).max()))
 
 
 def sup_norm_difference(psi_a: WaveFunction, psi_b: WaveFunction) -> float:

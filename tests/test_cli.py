@@ -2,12 +2,15 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import coinwalk.cli as cli
-from coinwalk import ValidationError
+from coinwalk import MomentumGrid, ValidationError, continuous, limitlaw, spectral, walk
+from coinwalk.core import position_distribution
 from coinwalk.cli import PRESETS, main, parse_config, serialize_config
 from coinwalk.verify import CHECKS
 
@@ -97,10 +100,9 @@ def test_config_validation_names_fields():
         parse_config({"mode": "walk", "initial": {"qubit": [[1, 0], [0, 0]]}})
     with pytest.raises(ValidationError, match="'initial'"):
         parse_config({"mode": "walk", "steps": 3})
-    with pytest.raises(ValidationError, match="'times'"):
-        parse_config(
-            {"mode": "cwalk", "initial": {"qubit": [[1, 0], [0, 0]]}, "times": [2.0, 1.0]}
-        )
+    for times in ([2.0, 1.0], [], [1.0, 1.0], [-1.0, 2.0]):
+        with pytest.raises(ValidationError, match="'times'"):
+            parse_config({"mode": "cwalk", "initial": {"qubit": [[1, 0], [0, 0]]}, "times": times})
     with pytest.raises(ValidationError, match="coin"):
         parse_config({"mode": "verify", "coin": [[1, 2], [3]]})
     with pytest.raises(ValidationError, match="unknown field"):
@@ -113,6 +115,33 @@ def test_config_validation_names_fields():
         parse_config(
             {"mode": "walk", "steps": 1, "initial": {"qubit": [[1.0, 0.0], [1.0, 0.0]]}}
         )
+
+
+QUBIT = {"qubit": [[1, 0], [0, 0]]}
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"mode": "density", "initial": {"qubit": [[math.nan, 0], [0, 0]]}}, "initial.qubit[0]"),
+        ({"mode": "semigroup", "time": math.nan}, "time"),
+        ({"mode": "semigroup", "time": math.inf}, "time"),
+        ({"mode": "semigroup", "time": 10**400}, "time"),
+        ({"mode": "cwalk", "initial": QUBIT, "times": [math.inf]}, "times"),
+        (
+            {"mode": "walk", "initial": QUBIT, "steps": 3,
+             "coin": [[[math.nan, 0], [0, 0]], [[0, 0], [1, 0]]]},
+            "coin[0][0]",
+        ),
+    ],
+)
+def test_non_finite_config_numbers_are_rejected(tmp_path, capsys, data, field):
+    # JSON as Python reads it carries NaN, Infinity and integers beyond float range
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    assert main([data["mode"], "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert f"'{field}'" in capsys.readouterr().err
+    assert not list((tmp_path / "o").glob("*"))
 
 
 # --------------------------------------------------------------------------
@@ -160,6 +189,64 @@ def test_walk_trajectory_export(tmp_path):
     header, rows = read_csv(tmp_path / "o" / "trajectory.csv")
     assert header == ["n", "x", "p"]
     assert {int(r[0]) for r in rows} == {0, 1, 2, 3}
+
+
+def test_csv_tables_round_trip_exactly(tmp_path):
+    # read_csv parses every field as a float, so it cannot tell 10 from 10.0 or
+    # a 16-digit float from a 17-digit one; this reads the fields as text
+    base = {key: PRESETS["fig3.3"][key] for key in ("coin", "initial")}
+    runs = {
+        "walk": {**base, "steps": 12, "trajectory": True},
+        "cwalk": {**base, "times": [0.5, 3.0]},
+        "density": {**base, "y_points": 21},
+        "semigroup": {"grid": 32, "time": 2.5},
+    }
+    for mode, fields in runs.items():
+        cfg = tmp_path / f"{mode}.json"
+        cfg.write_text(json.dumps({"mode": mode, **fields}))
+        assert main([mode, "--config", str(cfg), "--out", str(tmp_path / mode)]) == 0
+
+    config = parse_config({"mode": "walk", **runs["walk"]})
+    coin, psi0 = config.coin(), config.initial_state()
+    states = [psi for _, psi in walk.iter_evolution(walk.WalkRun(coin, psi0, 12))]
+    law = limitlaw.weak_limit_law(coin, psi0)
+    ys = np.linspace(*law.support(), 23)[1:-1]
+    g, h = spectral.dispersion(MomentumGrid(32).nodes, coin)
+
+    def distribution(psi):
+        return {"x": psi.sites, "p": position_distribution(psi)}
+
+    expected = {
+        "walk/distribution_n12.csv": distribution(states[-1]),
+        "walk/trajectory.csv": {
+            "n": np.concatenate([np.full(psi.width, i) for i, psi in enumerate(states)]),
+            "x": np.concatenate([psi.sites for psi in states]),
+            "p": np.concatenate([position_distribution(psi) for psi in states]),
+        },
+        **{
+            f"cwalk/snapshot_t{t:g}.csv": distribution(psi)
+            for t, psi in continuous.snapshots(psi0, coin, (0.5, 3.0))
+        },
+        "density/density.csv": {"y": ys, "rho": law.pdf(ys)},
+        "semigroup/flow_t2.5.csv": {
+            "k": MomentumGrid(32).nodes,
+            "gamma": g,
+            **{f"h{i + 1}": h[:, i] for i in range(3)},
+            "angle": 2.0 * g * 2.5,
+        },
+    }
+    for name, columns in expected.items():
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[0] == ",".join(columns), name
+        fields = list(zip(*(line.split(",") for line in lines[1:])))
+        assert len(fields) == len(columns), name
+        for text, (column, want) in zip(fields, columns.items()):
+            if want.dtype.kind == "i":
+                assert all(re.fullmatch(r"-?[0-9]+", v) for v in text), (name, column)
+                assert [int(v) for v in text] == want.tolist(), (name, column)
+            else:
+                got = np.array([float(v) for v in text])
+                assert got.tobytes() == want.astype(np.float64).tobytes(), (name, column)
 
 
 def test_cwalk_integer_time_matches_walk(tmp_path):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from coinwalk import (
-    ContinuousRun,
     MomentumGrid,
     ValidationError,
     WalkRun,
@@ -67,8 +66,7 @@ def test_norm_preserved(hadamard):
 
 def test_snapshot_series(hadamard):
     psi0 = INTERFERENCE
-    run = ContinuousRun(hadamard, psi0, (99.25, 99.5, 99.75, 100.0))
-    series = snapshots(run)
+    series = snapshots(psi0, hadamard, (99.25, 99.5, 99.75, 100.0))
     assert [t for t, _ in series] == [99.25, 99.5, 99.75, 100.0]
     for _, psi in series:
         assert abs(psi.norm() - 1.0) < 1e-9
@@ -89,14 +87,11 @@ def test_momentum_form_of_reference_initial_state():
     assert np.abs(hat - expected).max() < 1e-14
 
 
-def test_continuous_run_validation(hadamard):
-    psi0 = WaveFunction.qubit(1.0, 0.0)
-    with pytest.raises(ValidationError):
-        ContinuousRun(hadamard, psi0, ())
-    with pytest.raises(ValidationError):
-        ContinuousRun(hadamard, psi0, (1.0, 1.0))
-    with pytest.raises(ValidationError):
-        ContinuousRun(hadamard, psi0, (-1.0, 2.0))
+def test_continuous_run_validation():
+    # a cwalk run's times are validated once, when its config is parsed
+    for times in ([], [1.0, 1.0], [-1.0, 2.0]):
+        with pytest.raises(ValidationError, match="'times'"):
+            parse_config({"mode": "cwalk", "initial": {"qubit": [[1, 0], [0, 0]]}, "times": times})
 
 
 def test_schrodinger_residual_flat_band_coin():
