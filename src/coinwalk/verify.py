@@ -14,6 +14,7 @@ subcommand runs this suite and exits nonzero on any failure.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -166,12 +167,9 @@ def _pauli_round_trip(rng, count):
 
 
 def _norm_conservation(rng, n):
-    coin = hadamard_switched()
-    worst = 0.0
-    psi = WaveFunction.qubit(1.0, 0.0)
-    for _ in range(n):
-        psi = walk.step(psi, coin)
-        worst = max(worst, abs(psi.norm() - 1.0))
+    # the production loop, the one `walk --trajectory` writes
+    run = walk.WalkRun(hadamard_switched(), WaveFunction.qubit(1.0, 0.0), n)
+    worst = max(abs(psi.norm() - 1.0) for _, psi in walk.iter_evolution(run))
     return worst, f"max |norm-1| over n<={n}"
 
 
@@ -184,6 +182,44 @@ def _oracle_equivalence(rng, n):
         b = walk.fourier_evolve(psi0, coin, n)
         worst = max(worst, walk.sup_norm_difference(a, b))
     return worst, f"position vs momentum route, {len(coins)} coins, n={n}"
+
+
+def _step_loop_equivalence(rng, n):
+    # the buffer loop of evolve/iter_evolution against the defining step map,
+    # bit for bit, on the coins and states where trimming does the most:
+    # l1 = 0, l2 = 0, |l2| below DEGENERATE_TOL, zero gaps in the state, and
+    # fringes below TRIM_TOL that a step loop drops and must never see again
+    e = 1e-9
+    l1, l2 = math.sqrt(1.0 - e * e) * cmath.exp(0.4j), e * cmath.exp(1.3j)
+    coins = [random_coin(rng) for _ in range(4)] + [
+        normalize_phase(np.array([[0.0, 1.0], [-1.0, 0.0]])),
+        Coin(1.0, 0.0, 0.0, 1.0),
+        Coin(l1, l2, -l2.conjugate(), l1.conjugate()),
+    ]
+    states = [
+        WaveFunction.qubit(0.6, -0.8j),
+        WaveFunction.from_sites([(-3, (1e-17, 1e-17j)), (0, (0.6, 0.8)), (3, (-1e-17, 1e-17))]),
+    ]
+    for gaps in ([1], [1, 2, 4]):
+        amps = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+        amps[gaps] = 0.0
+        states.append(WaveFunction(int(rng.integers(-5, 6)), amps / np.linalg.norm(amps)))
+    differing = 0
+    for coin in coins:
+        for psi0 in states:
+            run = walk.WalkRun(coin, psi0, n)
+            psi = psi0
+            for i, fast in walk.iter_evolution(run):
+                if i:
+                    psi = walk.step(psi, coin)
+                differing += not _same_bits(fast, psi)
+            differing += not _same_bits(walk.evolve(run), psi)
+    cases = len(coins) * len(states)
+    return float(differing), f"{cases} runs of n={n}: states differing from a step loop"
+
+
+def _same_bits(a: WaveFunction, b: WaveFunction) -> bool:
+    return (a.x_min, a.width, a.amplitudes.tobytes()) == (b.x_min, b.width, b.amplitudes.tobytes())
 
 
 def _light_cone_and_parity(rng, n):
@@ -599,6 +635,7 @@ CHECKS: tuple[Check, ...] = (
     Check("cross_generator", _cross_generator, 1e-11, criterion=7),
     Check("rotation_properties", _rotation_properties, 1e-10),
     Check("positivity_and_spectrum", _positivity, 1e-11),
+    Check("step_loop_equivalence", _step_loop_equivalence, 0.0, full=300, quick=40),
 )
 
 

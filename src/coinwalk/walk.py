@@ -2,10 +2,14 @@
 Exact discrete-time evolution of the coined walk.
 
 One step maps ``psi(x)`` to ``L psi(x+1) + R psi(x-1)`` where ``L`` and ``R``
-are the top- and bottom-row blocks of the coin.  The same evolution is
-implemented a second, independent way through momentum space: the walk is
-diagonal there, so ``n`` steps cost one closed-form rotation per momentum
-node regardless of ``n``.  The two routes serve as oracles for each other.
+are the top- and bottom-row blocks of the coin; :func:`step` defines it.
+:func:`evolve` and :func:`iter_evolution` run ``n`` steps in place on one
+light-cone buffer, O(width) work per step, and reach the same states as a
+loop of :func:`step` bit for bit (the verify check ``step_loop_equivalence``
+compares the two).  The same evolution is implemented a second, independent
+way through momentum space: the walk is diagonal there, so ``n`` steps cost
+one closed-form rotation per momentum node regardless of ``n``.  The two
+routes serve as oracles for each other.
 
 Also here: the empirical law of the scaled position ``X_n / n`` and the
 Kolmogorov-Smirnov distance used to monitor its convergence to the scaling
@@ -21,6 +25,7 @@ import numpy as np
 
 from . import continuous
 from .core import (
+    TRIM_TOL,
     Coin,
     MomentumGrid,
     ValidationError,
@@ -76,21 +81,85 @@ class WalkRun:
         require_normalized(self.psi0, "initial state")
 
 
+def _live_windows(run: WalkRun) -> Iterator[tuple[int, np.ndarray]]:
+    """Run the walk in place; after each step yield ``(x_min, window)``.
+
+    The state lives in one light-cone buffer: rows ``L`` and ``R`` hold the
+    two chiralities over ``psi0.width + 2n`` sites, the widest the walk can
+    spread, and only the live window ``[lo, hi]`` is nonzero.  A step applies
+    :func:`step`'s arithmetic to the window in the same operand order, writes
+    the results back shifted by one site, then trims the window edges as
+    :meth:`WaveFunction.trimmed` does, zeroing what it drops.  Every state
+    therefore equals the one a loop of :func:`step` reaches, bit for bit, at
+    O(width) work and no new arrays per step.  ``window`` is the ``(2, width)``
+    view of the live sites; the next step overwrites it.
+    """
+    psi0, coin, n = run.psi0, run.coin, run.n
+    buffer = np.zeros((2, psi0.width + 2 * n), dtype=np.complex128)
+    L, R = buffer
+    # buffer column i holds site psi0.x_min - n + i
+    lo, hi = n, n + psi0.width - 1
+    buffer[:, lo : hi + 1] = psi0.amplitudes.T
+    # rows (l1 L + l2 R, r1 L + r2 R): the new L and R before the shift
+    from_left = np.array([[coin.l1], [coin.r1]], dtype=np.complex128)
+    from_right = np.array([[coin.l2], [coin.r2]], dtype=np.complex128)
+    new, term = np.empty_like(buffer), np.empty_like(buffer)
+
+    def dead(i: int) -> bool:
+        return abs(L[i]) ** 2 + abs(R[i]) ** 2 < TRIM_TOL
+
+    for _ in range(n):
+        out, t = new[:, : hi - lo + 1], term[:, : hi - lo + 1]
+        np.multiply(from_left, L[lo : hi + 1], out=out)
+        np.add(out, np.multiply(from_right, R[lo : hi + 1], out=t), out=out)
+        L[lo - 1 : hi], L[hi] = out[0], 0.0
+        R[lo + 1 : hi + 2], R[lo] = out[1], 0.0
+        lo, hi = lo - 1, hi + 1
+        # trim inward from each edge only
+        first, last = lo, hi
+        while first <= hi and dead(first):
+            first += 1
+        if first > hi:
+            # nothing alive: keep one (numerically zero) site, as trimmed() does
+            first = last = lo
+        while last > first and dead(last):
+            last -= 1
+        if first > lo:
+            buffer[:, lo:first] = 0.0
+        if last < hi:
+            buffer[:, last + 1 : hi + 1] = 0.0
+        lo, hi = first, last
+        yield psi0.x_min - n + lo, buffer[:, lo : hi + 1]
+
+
 def iter_evolution(run: WalkRun) -> Iterator[tuple[int, WaveFunction]]:
-    """Yield ``(step_index, state)`` for every time step ``0..n``."""
-    psi = run.psi0
-    yield 0, psi
-    for i in range(run.n):
-        psi = step(psi, run.coin)
-        yield i + 1, psi
+    """Yield ``(step_index, state)`` for every time step ``0..n``.
+
+    The states are those of :func:`evolve`'s buffer loop; one is built per
+    yield, so a caller that streams them holds one at a time.
+    """
+    yield 0, run.psi0
+    for i, (x_min, window) in enumerate(_live_windows(run), 1):
+        yield i, _state(x_min, window)
 
 
 def evolve(run: WalkRun) -> WaveFunction:
-    """The state after ``run.n`` applications of :func:`step`."""
-    psi = run.psi0
-    for _ in range(run.n):
-        psi = step(psi, run.coin)
-    return psi
+    """The state after ``run.n`` applications of :func:`step`.
+
+    The light-cone buffer loop runs the steps and builds one state at the
+    end.  It equals a loop of :func:`step` bit for bit; the verify check
+    ``step_loop_equivalence`` holds it to that.
+    """
+    last = None
+    for last in _live_windows(run):
+        pass
+    return run.psi0 if last is None else _state(*last)
+
+
+def _state(x_min: int, window: np.ndarray) -> WaveFunction:
+    # row-major like step()'s states, so sums over the amplitudes (the norm)
+    # add in the same order
+    return WaveFunction(x_min, np.ascontiguousarray(window.T))
 
 
 def fourier_evolve(

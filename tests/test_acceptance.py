@@ -50,6 +50,7 @@ VERIFY_NAMES = [
     "cross_generator",
     "rotation_properties",
     "positivity_and_spectrum",
+    "step_loop_equivalence",
 ]
 
 # criterion -> (title, wall-time limit in seconds or None)

@@ -1,10 +1,12 @@
 """Discrete-time evolution: both routes, conservation laws, scaled laws."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+import coinwalk.cli as cli
 from coinwalk import (
     DiscreteLaw,
     MomentumGrid,
@@ -20,7 +22,6 @@ from coinwalk import (
     step,
 )
 from coinwalk.walk import distribution_difference, iter_evolution, sup_norm_difference
-
 
 
 def test_one_step_amplitudes(hadamard, origin_right):
@@ -132,3 +133,43 @@ def test_distribution_difference_helper(hadamard, origin_right):
     assert distribution_difference(a, a) == 0.0
     b = evolve(WalkRun(hadamard, origin_right, 6))
     assert distribution_difference(a, b) > 0.0
+
+
+# --------------------------------------------------------------------------
+# the buffer loop of evolve/iter_evolution against the step map (the
+# registry check step_loop_equivalence compares them state by state)
+# --------------------------------------------------------------------------
+
+def test_zero_steps_returns_the_initial_state(hadamard, origin_right):
+    psi0 = origin_right
+    assert evolve(WalkRun(hadamard, psi0, 0)) is psi0
+    assert [(i, psi) for i, psi in iter_evolution(WalkRun(hadamard, psi0, 0))] == [(0, psi0)]
+
+
+def test_trajectory_csv_equals_step_loop_table(tmp_path):
+    assert cli.main(
+        ["walk", "--preset", "fig3.3", "--steps", "300", "--trajectory", "--out", str(tmp_path)]
+    ) == 0
+    config = cli.parse_config(cli.PRESETS["fig3.3"])
+    states = [config.initial_state()]
+    for _ in range(300):
+        states.append(step(states[-1], config.coin()))
+    blocks = (
+        (np.full(psi.width, i), psi.sites, position_distribution(psi))
+        for i, psi in enumerate(states)
+    )
+    cli._write_table(tmp_path / "expected.csv", "n,x,p", blocks)
+    assert (tmp_path / "trajectory.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+def test_walk_route_signatures():
+    # perfbench's workloads build WalkRun(coin, psi0, n) and call these by name;
+    # its tracer wraps step(psi, coin) to count site updates
+    for fn, names in (
+        (WalkRun, "coin psi0 n"),
+        (evolve, "run"),
+        (iter_evolution, "run"),
+        (empirical_scaled_law, "run"),
+        (step, "psi coin"),
+    ):
+        assert " ".join(inspect.signature(fn).parameters) == names, fn.__name__
