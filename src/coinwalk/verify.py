@@ -597,7 +597,10 @@ CHECKS: tuple[Check, ...] = (
     Check("fourier_round_trip", _fourier_round_trip, 1e-10, full=5),
     Check("pauli_round_trip", _pauli_round_trip, 1e-14, full=25),
     Check("norm_conservation", _norm_conservation, 1e-10, full=10_000, quick=500, criterion=8),
-    Check("discrete_oracle_equivalence", _oracle_equivalence, 1e-9, full=200, criterion=1),
+    Check(
+        "discrete_oracle_equivalence", _oracle_equivalence, 1e-9,
+        full=2000, quick=200, criterion=1,
+    ),
     Check("light_cone_and_parity", _light_cone_and_parity, 0.0, full=41),
     Check(
         "superposition_not_mixture", _superposition, 1e-3,

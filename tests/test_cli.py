@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coinwalk.cli as cli
 from coinwalk import MomentumGrid, ValidationError, continuous, limitlaw, spectral, walk
@@ -249,6 +251,121 @@ def test_csv_tables_round_trip_exactly(tmp_path):
                 assert got.tobytes() == want.astype(np.float64).tobytes(), (name, column)
 
 
+# --------------------------------------------------------------------------
+# output writers
+# --------------------------------------------------------------------------
+
+# floats whose text is easy to get wrong, and values at the JSON edges
+EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan]
+HUGE_INTS = [2**63 - 1, -(2**63), 2**64 - 1, 2**64, -(10**400)]
+TRICKY_TEXT = ['"', "\\", "\x00\x1f\x7f", "\u2028é☃\U0001f600", "[1, 2]", "{}", ", ", ""]
+
+json_text = st.text() | st.sampled_from(TRICKY_TEXT)
+json_number = (
+    st.integers() | st.sampled_from(HUGE_INTS) | st.floats() | st.sampled_from(EDGE_FLOATS)
+)
+json_scalar = st.none() | st.booleans() | json_number | json_text
+json_value = st.recursive(
+    json_scalar | st.lists(st.none() | st.booleans() | json_number),
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(json_text, children),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_value)
+def test_json_text_equals_stdlib_indent_2(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+JSON_RUNS = {
+    "walk": ["walk", "--preset", "fig3.3", "--steps", "12", "--trajectory"],
+    "cwalk": ["cwalk", "--preset", "fig3.5"],
+    "density": ["density", "--preset", "fig3.2"],
+    "point_mass": ["density", "--config", "point_mass.json"],
+    "semigroup": ["semigroup", "--grid", "64"],
+    "verify": ["verify", "--quick"],
+}
+
+
+@pytest.mark.parametrize("run", sorted(JSON_RUNS))
+def test_json_files_are_stdlib_indent_2(tmp_path, monkeypatch, capsys, run):
+    monkeypatch.chdir(tmp_path)
+    Path("point_mass.json").write_text(
+        json.dumps(
+            {
+                "mode": "density",
+                "coin": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+                "initial": {"qubit": [[0.6, 0.0], [0.8, 0.0]]},
+            }
+        )
+    )
+    assert main([*JSON_RUNS[run], "--out", "o"]) == 0
+    written = sorted(Path("o").glob("*.json"))
+    assert written
+    for path in written:
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", path.name
+
+
+def reference_table(header, blocks):
+    """The per-row ``str.format`` rendering ``_write_table`` must reproduce."""
+    lines = [header + "\n"]
+    for columns in blocks:
+        row = (",".join("{}" if c.dtype.kind in "iu" else "{:.17g}" for c in columns) + "\n").format
+        lines.extend(row(*values) for values in zip(*(c.tolist() for c in columns)))
+    return "".join(lines)
+
+
+def assert_same_lines(got, want):
+    """Text equality that reports the first differing line (a str diff of a big table is slow)."""
+    got, want = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    first = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), None)
+    assert first is None, (first, got[first], want[first])
+    assert len(got) == len(want)
+
+
+def edge_block(rng, length):
+    """Columns ``int64, uint64, float64, float64`` of ``length`` rows with extremes mixed in."""
+    i64 = np.iinfo(np.int64)
+    ints = rng.integers(i64.min, i64.max, size=length, endpoint=True, dtype=np.int64)
+    uints = rng.integers(0, 2**64 - 1, size=length, endpoint=True, dtype=np.uint64)
+    # every bit pattern: subnormals, huge exponents, signed zeros, NaN payloads
+    bits = rng.integers(0, 2**64 - 1, size=length, endpoint=True, dtype=np.uint64).view(np.float64)
+    floats = rng.standard_normal(length) * 10.0 ** rng.integers(-300, 300, size=length)
+    for column, edges in (
+        (ints, [i64.min, i64.max, 0, -1]),
+        (uints, [0, 2**64 - 1]),
+        (floats, EDGE_FLOATS),
+    ):
+        k = min(length, len(edges))
+        column[rng.choice(length, size=k, replace=False)] = edges[:k]
+    return ints, uints, floats, bits
+
+
+def test_write_table_matches_per_row_format(tmp_path):
+    rng = np.random.default_rng(7)
+    chunk = cli._TABLE_CHUNK
+    blocks = [edge_block(rng, n) for n in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3)]
+    path = tmp_path / "t.csv"
+    cli._write_table(path, "i,u,f,b", blocks)
+    assert_same_lines(path.read_text(encoding="utf-8"), reference_table("i,u,f,b", blocks))
+
+
+def test_write_table_streams_many_small_blocks(tmp_path):
+    # the shape of `walk --trajectory`: one short block per step, passed lazily
+    rng = np.random.default_rng(8)
+    widths = rng.integers(0, 12, size=400)
+    blocks = [
+        (np.full(w, i), np.arange(-i, -i + w), rng.random(w)) for i, w in enumerate(widths)
+    ]
+    path = tmp_path / "t.csv"
+    cli._write_table(path, "n,x,p", iter(blocks))
+    assert_same_lines(path.read_text(encoding="utf-8"), reference_table("n,x,p", blocks))
+
+
 def test_cwalk_integer_time_matches_walk(tmp_path):
     base = {
         "coin": "hadamard-switched",
@@ -416,6 +533,15 @@ def test_invalid_config_exit_code(tmp_path, capsys):
 def test_usage_errors_exit_1(tmp_path, capsys, flag):
     assert main(["walk", "--preset", "fig3.1", flag, "--out", str(tmp_path / "o")]) == 1
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["file", "file/sub"])
+def test_unusable_output_directory_exits_1(tmp_path, capsys, target):
+    (tmp_path / "file").write_text("")
+    out = str(tmp_path / target)
+    assert main(["walk", "--preset", "fig3.1", "--steps", "3", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(out) in err
 
 
 def test_env_var_output_dir(tmp_path, monkeypatch):
