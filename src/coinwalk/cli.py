@@ -26,7 +26,7 @@ significant digits), and every JSON file through ``_write_json``, the one
 place the JSON format lives (the bytes of the standard library's
 ``json.dumps(payload, indent=2, sort_keys=True)``), so identical configs diff
 clean.
-Exit codes: 0 ok, 1 validation or usage error, 2 verification failure.
+Exit codes: 0 ok, 1 validation, usage or file error, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ import numpy as np
 
 from . import continuous, limitlaw, semigroup, spectral, walk
 from .core import (
+    VALIDATE_TOL,
     Coin,
     CoinWalkError,
     MomentumGrid,
@@ -223,7 +224,7 @@ def _parse_initial(spec) -> WaveFunction:
     else:
         raise ValidationError("config field 'initial': needs 'qubit' or 'sites'")
     nrm = psi.norm()
-    if abs(nrm - 1.0) > 1e-8:
+    if abs(nrm - 1.0) > VALIDATE_TOL:
         raise ValidationError(f"config field 'initial': state norm is {nrm!r}, expected 1")
     return psi
 
@@ -249,20 +250,16 @@ def parse_config(data: dict) -> RunConfig:
         if required and data.get(name) is None:
             raise ValidationError(f"config field {name!r}: required for mode {mode!r}")
 
-    def _opt_int(name, minimum, default=None):
-        value = data.get(name, default)
-        if value is None:
-            return None
-        if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+    # RunConfig gets only the fields present, so each default lives in RunConfig
+    values = dict(data)
+    for name, minimum in (("steps", 0), ("grid", 1), ("y_points", 3), ("seed", 0)):
+        value = values.get(name)
+        if value is not None and (
+            not isinstance(value, int) or isinstance(value, bool) or value < minimum
+        ):
             raise ValidationError(f"config field {name!r}: expected an integer >= {minimum}")
-        return value
 
-    steps = _opt_int("steps", 0)
-    grid_size = _opt_int("grid", 1)
-    y_points = _opt_int("y_points", 3, default=201)
-    seed = _opt_int("seed", 0, default=0)
-
-    times = data.get("times")
+    times = values.get("times")
     if times is not None:
         if not isinstance(times, (list, tuple)) or not times or not all(
             _is_finite_number(t) and t >= 0 for t in times
@@ -275,34 +272,20 @@ def parse_config(data: dict) -> RunConfig:
             raise ValidationError(
                 "config field 'times': two times share a 6-significant-digit snapshot label"
             )
-        times = tuple(float(t) for t in times)
+        values["times"] = tuple(float(t) for t in times)
 
-    time_value = data.get("time", 1.0)
-    if not _is_finite_number(time_value) or time_value < 0:
-        raise ValidationError("config field 'time': expected a finite nonnegative number")
+    if "time" in values:
+        if not _is_finite_number(values["time"]) or values["time"] < 0:
+            raise ValidationError("config field 'time': expected a finite nonnegative number")
+        values["time"] = float(values["time"])
 
-    out_dir = data.get("out")
-    if out_dir is not None and not isinstance(out_dir, str):
+    if values.get("out") is not None and not isinstance(values["out"], str):
         raise ValidationError("config field 'out': expected a string path")
-    trajectory, quick = data.get("trajectory", False), data.get("quick", False)
-    for name, flag in (("trajectory", trajectory), ("quick", quick)):
-        if not isinstance(flag, bool):
+    for name in ("trajectory", "quick"):
+        if name in values and not isinstance(values[name], bool):
             raise ValidationError(f"config field {name!r}: expected a boolean")
 
-    config = RunConfig(
-        mode=mode,
-        coin_spec=data.get("coin", "hadamard-switched"),
-        initial_spec=data.get("initial"),
-        steps=steps,
-        times=times,
-        time=float(time_value),
-        grid_size=grid_size,
-        y_points=y_points,
-        seed=seed,
-        out_dir=out_dir,
-        trajectory=trajectory,
-        quick=quick,
-    )
+    config = RunConfig(**{_ATTRS.get(name, name): value for name, value in values.items()})
     # fail fast on malformed coin/initial rather than mid-run
     config.coin()
     if config.initial_spec is not None:
@@ -382,14 +365,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _resolve_out_dir(config: RunConfig, override: str | None) -> Path:
     # precedence: --out flag, then the environment override, then the config
-    chosen = override or os.environ.get(ENV_OUT_DIR) or config.out_dir or "out"
-    path = Path(chosen)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ValidationError(
-            f"output directory {chosen!r} cannot be created: {exc.strerror}"
-        ) from exc
+    path = Path(override or os.environ.get(ENV_OUT_DIR) or config.out_dir or "out")
+    path.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -583,8 +560,6 @@ def _load_config(args, mode: str) -> RunConfig:
     if args.config:
         try:
             data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise ValidationError(f"config file not found: {args.config}")
         except json.JSONDecodeError as exc:
             raise ValidationError(f"config is not valid JSON: {exc}")
     elif args.preset:
@@ -654,8 +629,13 @@ def main(argv=None) -> int:
         for path in files:
             print(f"wrote {path}")
         return 0
-    except (ValidationError, CoinWalkError) as exc:
+    except CoinWalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # a path the run cannot read or write: --config, --out or an output file
+        where = "" if exc.filename is None else f"{exc.filename!r}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

@@ -62,7 +62,7 @@ def evolve_continuous(
     # trim threshold.  The ring is exact only if the state vanishes beyond
     # GRID_MARGIN sites past the light cone, as at integer t; at fractional t
     # the tails wrap around (Hadamard coin from qubit (1, 0), default grid vs
-    # a 4001-node grid: 1.5e-5 at t=0.5, 1.4e-8 at t=10.5; ROADMAP item 3a).
+    # a 4001-node grid: 1.5e-5 at t=0.5, 1.4e-8 at t=10.5; ROADMAP item 4).
     reach += GRID_MARGIN
     lo, hi = psi0.x_min - reach, psi0.x_max + reach
     deficit = grid.size - (hi - lo + 1)

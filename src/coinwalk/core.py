@@ -60,7 +60,7 @@ DEGENERATE_TOL = 1e-8
 # Squared-modulus threshold below which fringe amplitudes are trimmed.
 TRIM_TOL = 1e-30
 # Sites added on each side of the light cone by MomentumGrid.for_walk: the
-# continuous-time light cone is not sharp (see ROADMAP item 3a on its sizing).
+# continuous-time light cone is not sharp (see ROADMAP item 4 on its sizing).
 GRID_MARGIN = 8
 
 PAULI = np.array(

@@ -149,7 +149,7 @@ def pauli_flow(k, t: float, coin: Coin) -> np.ndarray:
 
     The Rodrigues form of the rotation by ``-2*gamma*t`` about ``h`` (no
     complex intermediates); the eigenbasis route of
-    :func:`rotation_via_eigenbasis` agrees to ~1e-11.
+    :func:`rotation_via_eigenbasis` agrees to 1e-12 (verify check ``rotation_properties``).
     """
     g, h = spectral.dispersion(k, coin)
     angle = -2.0 * float(t) * g

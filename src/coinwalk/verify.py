@@ -594,7 +594,7 @@ def _positivity(rng, size):
 CHECKS: tuple[Check, ...] = (
     Check("coin_row_relations", _coin_relations, 1e-12, full=25),
     Check("coin_phase_invariance", _phase_invariance, 1e-12, full=5),
-    Check("fourier_round_trip", _fourier_round_trip, 1e-10, full=5),
+    Check("fourier_round_trip", _fourier_round_trip, 1e-12, full=5),
     Check("pauli_round_trip", _pauli_round_trip, 1e-14, full=25),
     Check("norm_conservation", _norm_conservation, 1e-10, full=10_000, quick=500, criterion=8),
     Check(
@@ -607,7 +607,7 @@ CHECKS: tuple[Check, ...] = (
         full=1000, quick=200, criterion=9, larger_is_better=True,
     ),
     Check(
-        "spectral_identities", _spectral_identities, 1e-12,
+        "spectral_identities", _spectral_identities, 1e-13,
         full=(9, range(1024)), quick=(3, (0, 257, 513, 1023)), criterion=6,
     ),
     Check("s_inverse_closed_form", _s_inverse_closed_form, 1e-10),
@@ -635,8 +635,8 @@ CHECKS: tuple[Check, ...] = (
     Check("flow_vs_conjugation", _flow_vs_conjugation, 1e-11, full=1, quick=16, criterion=7),
     Check("identity_fixed_point", _identity_fixed_point, 0.0, criterion=7),
     Check("semigroup_law", _semigroup_law, 1e-11, criterion=7),
-    Check("cross_generator", _cross_generator, 1e-11, criterion=7),
-    Check("rotation_properties", _rotation_properties, 1e-10),
+    Check("cross_generator", _cross_generator, 1e-12, criterion=7),
+    Check("rotation_properties", _rotation_properties, 1e-12),
     Check("positivity_and_spectrum", _positivity, 1e-11),
     Check("step_loop_equivalence", _step_loop_equivalence, 0.0, full=300, quick=40),
 )

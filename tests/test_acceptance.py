@@ -20,38 +20,40 @@ ORACLE = json.loads(
     (Path(__file__).resolve().parent / "data" / "oracle_values.json").read_text()
 )
 
-# the check names and order that `coinwalk verify` prints
-VERIFY_NAMES = [
-    "coin_row_relations",
-    "coin_phase_invariance",
-    "fourier_round_trip",
-    "pauli_round_trip",
-    "norm_conservation",
-    "discrete_oracle_equivalence",
-    "light_cone_and_parity",
-    "superposition_not_mixture",
-    "spectral_identities",
-    "s_inverse_closed_form",
-    "fault_wrong_axis_normaliser",
-    "fault_undersized_grid",
-    "integer_time_consistency",
-    "continuous_group_law",
-    "continuous_norm_drift",
-    "schrodinger_residual",
-    "lm_two_route_agreement",
-    "localized_closed_form",
-    "density_mass",
-    "point_mass_laws",
-    "ks_convergence",
-    "beta0_symmetry",
-    "flow_vs_conjugation",
-    "identity_fixed_point",
-    "semigroup_law",
-    "cross_generator",
-    "rotation_properties",
-    "positivity_and_spectrum",
-    "step_loop_equivalence",
-]
+# the checks `coinwalk verify` prints, in order, each with its tolerance, and
+# (tolerance, quick_tolerance) where a quick-mode tolerance is set; a changed
+# tolerance fails test_registry_integrity until this table says so
+VERIFY_TOLERANCES = {
+    "coin_row_relations": 1e-12,
+    "coin_phase_invariance": 1e-12,
+    "fourier_round_trip": 1e-12,
+    "pauli_round_trip": 1e-14,
+    "norm_conservation": 1e-10,
+    "discrete_oracle_equivalence": 1e-9,
+    "light_cone_and_parity": 0.0,
+    "superposition_not_mixture": 1e-3,
+    "spectral_identities": 1e-13,
+    "s_inverse_closed_form": 1e-10,
+    "fault_wrong_axis_normaliser": 1e-3,
+    "fault_undersized_grid": 0.5,
+    "integer_time_consistency": 1e-9,
+    "continuous_group_law": 1e-9,
+    "continuous_norm_drift": 1e-9,
+    "schrodinger_residual": 1e-5,
+    "lm_two_route_agreement": 1e-10,
+    "localized_closed_form": 1e-10,
+    "density_mass": 1e-6,
+    "point_mass_laws": 1e-14,
+    "ks_convergence": (0.05, 0.15),
+    "beta0_symmetry": 1e-12,
+    "flow_vs_conjugation": 1e-11,
+    "identity_fixed_point": 0.0,
+    "semigroup_law": 1e-11,
+    "cross_generator": 1e-12,
+    "rotation_properties": 1e-12,
+    "positivity_and_spectrum": 1e-11,
+    "step_loop_equivalence": 0.0,
+}
 
 # criterion -> (title, wall-time limit in seconds or None)
 CRITERIA = {
@@ -156,5 +158,10 @@ def test_check_without_criterion(check):
 def test_registry_integrity():
     names = [c.name for c in CHECKS]
     assert len(set(names)) == len(names)
-    assert names == VERIFY_NAMES
+    assert names == list(VERIFY_TOLERANCES)
+    tolerances = {
+        c.name: c.tolerance if c.quick_tolerance is None else (c.tolerance, c.quick_tolerance)
+        for c in CHECKS
+    }
+    assert tolerances == VERIFY_TOLERANCES
     assert {c.criterion for c in CHECKS} == set(CRITERIA) | {None}

@@ -544,6 +544,17 @@ def test_unusable_output_directory_exits_1(tmp_path, capsys, target):
     assert err.startswith("error: ") and repr(out) in err
 
 
+@pytest.mark.parametrize("blocked", ["cfg", "manifest.json"])
+def test_directory_where_a_file_is_due_exits_1(tmp_path, capsys, blocked):
+    # --config names a directory, or one stands where the manifest is written
+    path = tmp_path / blocked
+    path.mkdir()
+    source = ["--config", str(path)] if blocked == "cfg" else ["--preset", "fig3.1"]
+    assert main(["walk", *source, "--steps", "3", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(str(path)) in err
+
+
 def test_env_var_output_dir(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.ENV_OUT_DIR, str(tmp_path / "from_env"))
     assert main(["walk", "--preset", "fig3.1", "--steps", "4"]) == 0

@@ -24,7 +24,6 @@ from coinwalk import (
     step,
 )
 from coinwalk.core import GRID_MARGIN, SQRT_2PI
-from coinwalk.walk import sup_norm_difference
 
 from conftest import seeded_coins
 
@@ -161,21 +160,6 @@ def test_transform_of_shifted_qubit_carries_phase():
         [np.zeros(64), np.exp(10j * grid.nodes)], axis=1
     ) / SQRT_2PI
     assert np.allclose(hat, expected, atol=1e-14)
-
-
-def test_round_trip_and_parseval():
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        width = int(rng.integers(1, 9))
-        amps = rng.normal(size=(width, 2)) + 1j * rng.normal(size=(width, 2))
-        psi = WaveFunction(int(rng.integers(-5, 5)), amps)
-        grid = MomentumGrid(width + int(rng.integers(0, 20)))
-        hat = fourier_transform(psi, grid)
-        back = inverse_fourier(hat, grid, (psi.x_min, psi.x_max))
-        assert sup_norm_difference(psi, back) < 1e-12
-        assert grid.spacing * np.sum(np.abs(hat) ** 2) == pytest.approx(
-            psi.norm() ** 2, abs=1e-10
-        )
 
 
 def test_aliasing_guard():

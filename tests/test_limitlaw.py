@@ -26,7 +26,6 @@ from coinwalk import (
     hadamard_switched,
     ks_distance,
     lm_values,
-    lm_values_numeric,
     momentum_state,
     normalize_phase,
     point_mass_law,
@@ -88,18 +87,6 @@ def test_stationary_points_domain(hadamard):
 # --------------------------------------------------------------------------
 
 
-def test_lm_closed_forms_match_eigenvector_route():
-    coins = [hadamard_switched()] + seeded_coins(3, seed=17)
-    states = [WaveFunction.qubit(0.0, 1.0), spread_state()]
-    for coin in coins:
-        for psi0 in states:
-            for frac in (-0.9, -0.35, 0.0, 0.2, 0.85):
-                y = frac * coin.abs_l1
-                closed = np.asarray(lm_values(y, coin, psi0))
-                numeric = np.asarray(lm_values_numeric(y, coin, psi0))
-                assert np.abs(closed - numeric).max() < 1e-10
-
-
 def test_lm_coincidences_at_zero_velocity(hadamard):
     # constant momentum data: the mirrored partner of l+(c1) is l-(-c2)
     vals = lm_values(0.0, hadamard, WaveFunction.qubit(0.6, 0.8))
@@ -154,12 +141,6 @@ def test_density_zero_outside_support_and_endpoint_guard(hadamard):
 def test_density_localized_validates_qubit(hadamard):
     with pytest.raises(ValidationError):
         density_localized(0.0, hadamard, 1.0, 1.0)
-
-
-def test_beta_zero_density_symmetric(hadamard):
-    hat = momentum_state(WaveFunction.qubit(S2, 1j * S2))
-    ys = np.linspace(0.0, 0.95, 40) * hadamard.abs_l1
-    assert np.abs(density(ys, hadamard, hat) - density(-ys, hadamard, hat)).max() < 1e-12
 
 
 def test_density_mass_against_scipy_quad():

@@ -15,17 +15,10 @@ from coinwalk import (
     hamiltonian,
     heisenberg_evolve,
     normalize_phase,
-    pauli_compose,
-    pauli_decompose,
     pauli_flow,
     positivity_check,
 )
-from coinwalk.semigroup import (
-    DirectIntegralObservable,
-    random_hermitian_observable,
-    random_psd_observable,
-    rotation_via_eigenbasis,
-)
+from coinwalk.semigroup import DirectIntegralObservable, rotation_via_eigenbasis
 from coinwalk.spectral import dispersion
 
 from conftest import seeded_coins
@@ -73,15 +66,12 @@ def test_generator_is_fixed_point(hadamard):
 
 
 def test_cross_generator_structure():
+    # spectrum and kernel are the registry check cross_generator, node by
+    # node; antisymmetry holds exactly, also from one batched call
     nodes = MomentumGrid(64).nodes[::8]
     for coin in [hadamard_switched()] + seeded_coins(2, seed=6):
-        # one batched call over the nodes
-        for k, G in zip(nodes, cross_generator(nodes, coin)):
-            assert np.abs(G + G.T).max() == 0.0
-            g, h = dispersion(k, coin)
-            eigs = np.sort(np.linalg.eigvals(G).imag)
-            assert np.abs(eigs - np.array([-2 * g, 0.0, 2 * g])).max() < 1e-11
-            assert np.abs(G @ h).max() < 1e-12
+        G = cross_generator(nodes, coin)
+        assert np.array_equal(G, -np.swapaxes(G, 1, 2))
 
 
 def test_cross_generator_degenerate_coin():
@@ -98,19 +88,6 @@ def test_flow_at_zero_time(hadamard):
     assert np.abs(pauli_flow(1.2, 0.0, hadamard) - np.eye(3)).max() < 1e-15
 
 
-def test_flow_rotation_properties(hadamard):
-    for k in (-2.2, 0.1, 1.9):
-        g, h = dispersion(k, hadamard)
-        for t in (0.4, 1.0, 6.6):
-            R = pauli_flow(k, t, hadamard)
-            assert np.abs(R.T @ R - np.eye(3)).max() < 1e-12
-            assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-12)
-            assert np.abs(R @ h - h).max() < 1e-12
-            assert np.trace(R) == pytest.approx(1.0 + 2.0 * math.cos(2 * g * t), abs=1e-12)
-        full_turn = pauli_flow(k, math.pi / g, hadamard)
-        assert np.abs(full_turn - np.eye(3)).max() < 1e-10
-
-
 def test_flow_matches_rodrigues_oracle(hadamard):
     # coefficients rotate about the axis by -2*gamma*t
     for k in (-1.4, 0.8):
@@ -121,29 +98,14 @@ def test_flow_matches_rodrigues_oracle(hadamard):
 
 
 def test_eigenbasis_route_agrees(hadamard):
+    # the rotation it returns is compared in the registry check rotation_properties
     for k in (-2.8, 0.05, 2.1):
         G = cross_generator(k, hadamard)
         g, _ = dispersion(k, hadamard)
-        for t in (0.1, 1.0, 7.3):
-            via_eig, W = rotation_via_eigenbasis(G, t)
-            assert np.abs(pauli_flow(k, t, hadamard) - via_eig).max() < 1e-11
-            # eigenbasis columns are unit eigenvectors of the generator
-            lams = np.array([0.0, 2j * g, -2j * g])
-            for col, lam in zip(W.T, lams):
-                assert np.abs(G @ col - lam * col).max() < 1e-11
-
-
-def test_flow_reproduces_conjugation(hadamard):
-    rng = np.random.default_rng(4)
-    A = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    A = A + A.conj().T
-    coeff = pauli_decompose(A)
-    for k in (-0.9, 1.7):
-        for t in (0.1, 1.0, 7.3):
-            vec_t = pauli_flow(k, t, hadamard) @ coeff[1:].real
-            rebuilt = pauli_compose([coeff[0], *vec_t])
-            direct = conjugate_evolve(k, t, A, hadamard)
-            assert np.abs(rebuilt - direct).max() < 1e-11
+        _, W = rotation_via_eigenbasis(G, 1.0)
+        # eigenbasis columns are eigenvectors of the generator, in order
+        for col, lam in zip(W.T, (0.0, 2j * g, -2j * g)):
+            assert np.abs(G @ col - lam * col).max() < 1e-11
 
 
 # --------------------------------------------------------------------------
@@ -174,14 +136,6 @@ def test_observable_sup_norm():
     assert obs.is_hermitian
 
 
-def test_heisenberg_preserves_identity_exactly(hadamard):
-    grid = MomentumGrid(64)
-    ident = DirectIntegralObservable.constant(grid, np.eye(2))
-    out = heisenberg_evolve(ident, 11.3, hadamard)
-    assert np.array_equal(out.coefficients[:, 0], ident.coefficients[:, 0])
-    assert np.abs(out.coefficients[:, 1:]).max() == 0.0
-
-
 def test_constant_sigma3_traces_circles(hadamard):
     grid = MomentumGrid(48)
     obs = DirectIntegralObservable.constant(grid, np.diag([1.0, -1.0]))
@@ -193,25 +147,11 @@ def test_constant_sigma3_traces_circles(hadamard):
         assert np.abs(evolved.coefficients[i, 1:].real - expected).max() < 1e-12
 
 
-def test_spectrum_invariance(hadamard):
-    grid = MomentumGrid(96)
-    rng = np.random.default_rng(13)
-    obs = random_hermitian_observable(grid, rng)
-    before = np.sort(np.linalg.eigvalsh(obs.matrices()), axis=1)
-    after = np.sort(np.linalg.eigvalsh(heisenberg_evolve(obs, 2.6, hadamard).matrices()), axis=1)
-    assert np.abs(before - after).max() < 1e-11
-
-
 def test_positivity_of_psd_and_projectors(hadamard):
+    # random PSD fibres are the registry check positivity_and_spectrum;
+    # rank-one projectors keep spectrum {0, 1}
     grid = MomentumGrid(128)
     rng = np.random.default_rng(0)
-    psd = random_psd_observable(grid, rng)
-    report = positivity_check(psd, 2.3, hadamard)
-    assert report["passed"]
-    assert report["worst_before"] >= -1e-12
-    assert report["worst_after"] >= -1e-10
-
-    # rank-one projectors keep spectrum {0, 1}
     vecs = rng.normal(size=(grid.size, 2)) + 1j * rng.normal(size=(grid.size, 2))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     projectors = np.einsum("mi,mj->mij", vecs, vecs.conj())

@@ -51,10 +51,6 @@ def test_identity_coin_is_a_pure_shift():
     assert np.allclose(out.amplitude(1), [0.0, 0.8])
 
 
-def test_zero_steps_returns_initial(hadamard, origin_right):
-    assert sup_norm_difference(evolve(WalkRun(hadamard, origin_right, 0)), origin_right) == 0.0
-
-
 def test_walkrun_validation(hadamard):
     with pytest.raises(ValidationError):
         WalkRun(hadamard, WaveFunction.qubit(1.0, 1.0), 5)  # not normalised
