@@ -1,0 +1,271 @@
+"""CSV row text for ``cli._write_table``, rendered by numpy with ``%``-format bytes.
+
+``render(columns)`` returns the bytes of the rows ``"%d"`` and ``"%.17g"``
+give: an integer column prints each value as ``"%d" % v`` and a float64
+column as ``"%.17g" % x``, fields joined by ``,`` and rows ended by ``\\n``.
+
+Every field is laid out in a 32-byte slot of one ``uint8`` matrix with unused
+bytes 0, and deleting the zero bytes (``bytes.translate``, a little faster than
+``m[m != 0]``) joins the fields; no text byte is 0.
+
+A float ``x`` with ``10**E <= |x| < 10**(E+1)`` has the 17 digits
+``D = round(|x| * 10**(16 - E))``, ``10**16 <= D <= 10**17`` (``10**17`` is a
+carry into ``E + 1``).  ``E`` starts from ``floor(log10|x|)`` and is then set
+exactly by comparing ``|x|`` with the doubles next above the powers of ten.
+The product is formed in double-double: Dekker's ``two_prod`` of ``|x|`` with
+the double nearest ``10**(16 - E)``, plus ``|x|`` times the double nearest the
+remainder, both built once from exact rationals.  That leaves ``D``'s
+fraction within ``2**-45`` of the exact one, so ``D`` is the correctly
+rounded integer whenever the fraction is farther than ``2**-30`` from one
+half.  Three kinds of value go to ``"%.17g" % x`` one at a time instead: such
+near-ties (the exact ties ``%.17g`` breaks to even, like ``2**-25``), values
+outside ``[1e-280, 1e280]``, where the remainder doubles would lose bits, and
+non-finite values.  Zeros stay in the kernel.  The digits come four at a time
+from ``// 10000`` by a scalar and a table of 10000 four-byte strings; the
+text then follows ``%g``: fixed notation for ``-4 <= E < 17``, otherwise
+``d.ddde±XX``, trailing zeros stripped.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import groupby
+
+import numpy as np
+
+SLOT = 32  # bytes per field; the last one holds the ',' or '\n'
+# values per kernel call: a grid-65536 flow table wrote ~30% faster than with
+# one call per 2048-row chunk, its temporaries staying in cache
+_BATCH = 4096
+
+# |x| in this range takes the exact double-double route
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+# decimal exponents of the tables: the fast range's, one more each way for
+# floor(log10) being off by one, and one more above for a carry
+_E_MIN, _E_MAX = -281, 282
+
+_U32 = np.dtype("<u4")
+_U64 = np.dtype("<u8")
+
+
+def _words(pieces, dtype) -> np.ndarray:
+    """The byte strings ``pieces``, concatenated and read as words of ``dtype``."""
+    return np.frombuffer(b"".join(pieces), dtype=dtype)
+
+
+def _ratio_10(k: int) -> tuple[int, int]:
+    """``10**k`` as a numerator and a denominator."""
+    return (10**k, 1) if k >= 0 else (1, 10**-k)
+
+
+def _ceil_double(k: int) -> float:
+    """The smallest double >= ``10**k`` (int / int division rounds correctly)."""
+    n, d = _ratio_10(k)
+    f = n / d
+    fn, fd = f.as_integer_ratio()
+    return math.nextafter(f, math.inf) if fn * d < n * fd else f
+
+
+def _nearest_pair(k: int) -> tuple[float, float]:
+    """The double nearest ``10**k`` and the double nearest the rest."""
+    n, d = _ratio_10(k)
+    hi = n / d
+    hn, hd = hi.as_integer_ratio()
+    return hi, (n * hd - hn * d) / (d * hd)
+
+
+def _split(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split into a high and a low half of 26 bits each."""
+    c = values * 134217729.0  # 2**27 + 1
+    hi = c - (c - values)
+    return hi, values - hi
+
+
+def _group_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Four-digit groups ``r`` in 0..9999 as little-endian words, and digit counts.
+
+    Returns ``"%04d" % r`` for floats; the digit count of float groups 0..3
+    (digits d1..d16 of ``D``) when ``r`` is the last nonzero group, one row
+    per group; and for integers, ``"%04d"`` below the leading group, the
+    leading group without its leading zeros, and the last group keeping its
+    final digit when it leads.  They are built from bytes, not numpy loops:
+    each loop a process first runs maps more of numpy's code into memory.
+    """
+    r = tuple(range(10000))
+    plain = (("%04d" * 10000) % r).encode()
+    unpadded = (("%4d" * 10000) % r).encode().replace(b" ", b"\0")
+    trailing_zeros = bytearray(10000)  # of r, and 255 for r = 0
+    for step, zeros in ((10, 1), (100, 2), (1000, 3), (10000, 255)):
+        trailing_zeros[::step] = bytes([zeros]) * (10000 // step)
+    ndigits = b"".join(
+        trailing_zeros.translate(bytes(max(0, 5 + 4 * j - z) for z in range(256))) for j in range(4)
+    )
+    ints = plain + b"\0" * 4 + unpadded[4:] + unpadded
+    return (
+        np.frombuffer(plain, _U32),
+        np.frombuffer(ndigits, np.uint8).reshape(4, 10000),
+        np.frombuffer(ints, _U32),
+    )
+
+
+_EXPONENTS = range(_E_MIN, _E_MAX + 1)
+_POW_CEIL = np.array([_ceil_double(e) for e in _EXPONENTS])
+_SCALE, _SCALE_LO = np.array([_nearest_pair(16 - e) for e in _EXPONENTS]).T.copy()
+_SCALE_HH, _SCALE_HL = _split(_SCALE)
+_GROUP, _NDIGITS, _INT_GROUP = _group_tables()
+
+# Per decimal exponent X (index X - _E_MIN), the pieces of a float slot:
+#   bytes 0-7    sign, the "0.000" of -4 <= X < 0, and d0 in byte 7  (word 0)
+#   bytes 8-24   d1..d16, with a '.' inserted after d_P              (words 1-3)
+#   bytes 26-30  "e+XX" or "e-XXX" in exponent notation              (word 3)
+_XS = list(_EXPONENTS)
+_HEAD = _words(
+    [
+        (sign + (b"0." + b"0" * (-x - 1) if -4 <= x < 0 else b"")).ljust(8, b"\0")
+        for x in _XS
+        for sign in (b"", b"-")
+    ],
+    _U64,
+)
+_LEAD = _words([b"\0" * 7 + b"%d" % q for q in range(10)], _U64)
+_TAIL = _words(
+    [
+        b"\0" * 8 if -4 <= x < 17 else (b"\0\0e%+03d" % x).ljust(8, b"\0")
+        for x in _XS
+    ],
+    _U64,
+)
+# fixed notation keeps the integer digits d0..dX even when they are zeros
+_MIN_DIGITS = np.array([x + 1 if 0 <= x < 17 else 1 for x in _XS])
+_NO_POINT = 16
+_POINT = np.array([x if 0 <= x < 17 else _NO_POINT if -4 <= x < 0 else 0 for x in _XS])
+# masks on d1..d16 (two words): the first n digits kept; the region below a
+# '.' at P, the '.' itself, and the region above it shifted up one byte
+_KEEP = _words([(b"\xff" * n).ljust(16, b"\0") for n in range(17)], _U64).reshape(17, 2).T.copy()
+_BELOW = _words([(b"\xff" * p).ljust(16, b"\0") for p in range(17)], _U64).reshape(17, 2).T.copy()
+_DOT = _words(
+    [(b"\0" * p + b".").ljust(16, b"\0")[:16] for p in range(17)], _U64
+).reshape(17, 2).T.copy()
+_ABOVE = _words(
+    [(b"\0" * (p + 1)).ljust(16, b"\xff")[:16] for p in range(16)] + [b"\0" * 16], _U64
+).reshape(17, 2).T.copy()
+_SIGN = _words([b"\0" * 8, b"-" + b"\0" * 7], _U64)
+
+
+def _float_slots(x: np.ndarray, out: np.ndarray) -> int:
+    """Write ``"%.17g"`` of each ``x`` into the rows of ``out``; returns the fallback count."""
+    a = np.abs(x)
+    fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
+    a = np.where(fast, a, 1.0)
+    # ei: the decimal exponent E as a table index, E - _E_MIN
+    ei = np.floor(np.log10(a)).astype(np.intp)
+    ei -= _E_MIN
+    # np.log10 can be off by an ulp near a power of ten, either way
+    ei -= a < _POW_CEIL.take(ei)
+    ei += a >= _POW_CEIL.take(ei + 1)
+
+    # |x| * 10**(16 - E) = p + t exactly up to ~2**-48, p an integer >= 2**53
+    p = a * _SCALE.take(ei)
+    ah, al = _split(a)
+    hh, hl = _SCALE_HH.take(ei), _SCALE_HL.take(ei)
+    t = ah * hh
+    t -= p
+    t += ah * hl
+    t += al * hh
+    t += al * hl
+    t += a * _SCALE_LO.take(ei)
+    whole = np.floor(t)
+    t -= whole
+    d = p.astype(np.int64)
+    d += whole.astype(np.int64)
+    d += t > 0.5
+    carry = d == 10**17
+    d[carry] = 10**16
+    ei += carry
+
+    fallback = np.abs(t - 0.5) < 2.0**-30
+    fallback |= ~fast
+    zero = x == 0
+    fallback &= ~zero
+    d[zero] = 0
+    ei[~fast] = -_E_MIN  # X = 0: a zero prints as "0", the rest is overwritten
+
+    digits = np.empty((len(x), 4), _U32)
+    ndigits = np.ones(len(x), np.intp)
+    for j in (3, 2, 1, 0):
+        q = d // 10000
+        r = d - q * 10000
+        digits[:, j] = _GROUP.take(r)
+        np.maximum(ndigits, _NDIGITS[j].take(r), out=ndigits)
+        d = q
+    np.maximum(ndigits, _MIN_DIGITS.take(ei), out=ndigits)
+    point = _POINT.take(ei)
+    point[ndigits <= point + 1] = _NO_POINT  # no digit after it
+    keep = ndigits - 1
+    w = digits.view(_U64)
+    w1 = w[:, 0] & _KEEP[0].take(keep)
+    w2 = w[:, 1] & _KEEP[1].take(keep)
+
+    words = out.view(_U64)
+    words[:, 0] = _HEAD.take(2 * ei + np.signbit(x))
+    words[:, 0] |= _LEAD.take(d)
+    up1 = w1 << 8
+    up2 = (w2 << 8) | (w1 >> 56)
+    words[:, 1] = (w1 & _BELOW[0].take(point)) | (up1 & _ABOVE[0].take(point)) | _DOT[0].take(point)
+    words[:, 2] = (w2 & _BELOW[1].take(point)) | (up2 & _ABOVE[1].take(point)) | _DOT[1].take(point)
+    words[:, 3] = (w2 >> 56) * (point != _NO_POINT)
+    words[:, 3] |= _TAIL.take(ei)
+
+    rows = np.flatnonzero(fallback)
+    for i in rows.tolist():
+        text = b"%.17g" % x[i]
+        out[i, :] = 0
+        out[i, : len(text)] = np.frombuffer(text, np.uint8)
+    return len(rows)
+
+
+def _int_slots(v: np.ndarray, out: np.ndarray) -> None:
+    """Write ``"%d"`` of each ``v`` (int64 or uint64) into the rows of ``out``."""
+    u = np.abs(v).view(np.uint64)  # the int64 minimum wraps to 2**63, its magnitude
+    words = out.view(_U32)
+    # only the four-digit groups the largest |v| has; the rest stay blank
+    ngroups = (len(str(u.max())) + 3) // 4
+    words[:, 2 : 7 - ngroups] = 0
+    words[:, 7] = 0
+    groups = []
+    for _ in range(ngroups - 1):
+        q = u // 10000
+        groups.append(u - q * 10000)
+        u = q
+    groups.append(u)
+    leading = np.ones(len(v), np.intp)  # no nonzero group yet
+    for i, r in enumerate(reversed(groups)):
+        r = r.view(np.int64)
+        last = i == ngroups - 1
+        words[:, 7 - ngroups + i] = _INT_GROUP.take(r + leading * (20000 if last else 10000))
+        leading &= r == 0
+    out.view(_U64)[:, 0] = _SIGN.take(v < 0)
+
+
+def column(values) -> np.ndarray:
+    """``values`` as the dtype it renders from: int64, uint64 or float64."""
+    values = np.asarray(values)
+    kind = values.dtype.kind
+    return values.astype(np.int64 if kind == "i" else np.uint64 if kind == "u" else np.float64, copy=False)
+
+
+def render(columns) -> bytes:
+    """The CSV rows of equal-length nonempty ``columns`` (as made by ``column``)."""
+    m = np.empty((len(columns), len(columns[0]), SLOT), np.uint8)  # a column's slots are contiguous
+    j = 0
+    for dtype, run in groupby(columns, key=lambda c: c.dtype):
+        run = list(run)
+        values = np.concatenate(run)
+        slots = m[j : j + len(run)].reshape(-1, SLOT)
+        kernel = _float_slots if dtype.kind == "f" else _int_slots
+        for start in range(0, len(values), _BATCH):
+            kernel(values[start : start + _BATCH], slots[start : start + _BATCH])
+        j += len(run)
+    m[:, :, -1] = ord(",")
+    m[-1, :, -1] = ord("\n")
+    return m.transpose(1, 0, 2).tobytes().translate(None, b"\0")

@@ -37,12 +37,11 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from . import continuous, limitlaw, semigroup, spectral, walk
+from . import _csvtext, continuous, limitlaw, semigroup, spectral, walk
 from .core import (
     VALIDATE_TOL,
     Coin,
@@ -243,11 +242,13 @@ def parse_config(data: dict) -> RunConfig:
             f"config field 'mode': expected one of {tuple(_FIELDS)}, got {mode!r}"
         )
     fields = _FIELDS[mode]
-    for key in data:
+    for key, value in data.items():
         if key not in fields and key not in _COMMON:
             raise ValidationError(f"config field {key!r}: mode {mode!r} does not take it")
+        if value is None:
+            raise ValidationError(f"config field {key!r}: null is not a value; omit the field")
     for name, required in fields.items():
-        if required and data.get(name) is None:
+        if required and name not in data:
             raise ValidationError(f"config field {name!r}: required for mode {mode!r}")
 
     # RunConfig gets only the fields present, so each default lives in RunConfig
@@ -279,7 +280,7 @@ def parse_config(data: dict) -> RunConfig:
             raise ValidationError("config field 'time': expected a finite nonnegative number")
         values["time"] = float(values["time"])
 
-    if values.get("out") is not None and not isinstance(values["out"], str):
+    if "out" in values and not isinstance(values["out"], str):
         raise ValidationError("config field 'out': expected a string path")
     for name in ("trajectory", "quick"):
         if name in values and not isinstance(values[name], bool):
@@ -308,28 +309,59 @@ def serialize_config(config: RunConfig) -> dict:
 # --------------------------------------------------------------------------
 
 
-# rows per %-format call in _write_table: bounds the text and the Python
-# floats held at once.  The per-call overhead is negligible at this size;
-# 4096-row chunks measured no faster and left ~0.8 MB more peak RSS on
-# 2000-row tables.
-_TABLE_CHUNK = 1024
+# rows per _csvtext.render call.  Short blocks (one per step of `walk
+# --trajectory`) are gathered up to this many rows, so they do not each pay the
+# kernel's fixed cost of ~0.1 ms a call: the fig3.3 trajectory wrote in ~0.6 s
+# at 1024 rows and ~0.45-0.5 s at 2048 or 4096.  A chunk of six columns holds
+# 0.4 MB of slots; the kernel takes it _csvtext._BATCH values at a time.
+_TABLE_CHUNK = 2048
 
 
 def _write_table(path: Path, header: str, blocks) -> None:
     """Write ``header``, then the rows of each block of equal-length numpy columns.
 
-    Integer columns print as integers (``%d``) and all others at 17 significant
-    digits (``%.17g``, the same digits as ``{:.17g}``), which round-trips a
-    float64.  Blocks stream to the file one at a time, and each block is
-    rendered ``_TABLE_CHUNK`` rows per ``%`` call.
+    Integer columns print as integers (``"%d" % v``) and all others at 17
+    significant digits (``"%.17g" % x``, the same digits as ``{:.17g}``), which
+    round-trips a float64; the bytes are exactly those of the ``%`` format.
+    The blocks stream to the file, regrouped into chunks of ``_TABLE_CHUNK``
+    rows, and ``_csvtext.render`` turns each chunk into text with numpy: an
+    exact vectorised ``%.17g`` with a per-value ``%`` fallback for near-ties,
+    values outside [1e-280, 1e280] and non-finite values.
     """
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for columns in blocks:
-            row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
-            for start in range(0, len(columns[0]), _TABLE_CHUNK):
-                chunk = [c[start : start + _TABLE_CHUNK].tolist() for c in columns]
-                fh.write((row * len(chunk[0])) % tuple(chain.from_iterable(zip(*chunk))))
+    with path.open("wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for columns in _table_chunks(blocks):
+            fh.write(_csvtext.render(columns))
+
+
+def _table_chunks(blocks):
+    """The rows of ``blocks`` as chunks of ``_TABLE_CHUNK`` rows, the last one shorter.
+
+    A chunk never mixes blocks whose columns render from different dtypes.
+    """
+    parts: list = []
+    rows, dtypes = 0, None
+    for block in blocks:
+        columns = [_csvtext.column(c) for c in block]
+        if parts and [c.dtype for c in columns] != dtypes:
+            yield _joined(parts)
+            parts, rows = [], 0
+        dtypes = [c.dtype for c in columns]
+        start, n = 0, len(columns[0])
+        while start < n:
+            stop = min(n, start + _TABLE_CHUNK - rows)
+            parts.append([c[start:stop] for c in columns])
+            rows += stop - start
+            start = stop
+            if rows == _TABLE_CHUNK:
+                yield _joined(parts)
+                parts, rows = [], 0
+    if parts:
+        yield _joined(parts)
+
+
+def _joined(parts: list) -> list:
+    return parts[0] if len(parts) == 1 else [np.concatenate(cs) for cs in zip(*parts)]
 
 
 def _json_text(value, pad: str = "") -> str:
@@ -498,6 +530,7 @@ def cmd_semigroup(config: RunConfig, out_dir: Path) -> list[Path]:
     g, h = spectral.dispersion(grid.nodes, coin)
     flow_path = out_dir / f"flow_t{t:g}.csv"
     _write_table(flow_path, "k,gamma,h1,h2,h3,angle", [(grid.nodes, g, *h.T, 2.0 * g * t)])
+    del g, h  # not needed below; freed before the checks allocate their arrays
 
     rng = np.random.default_rng(config.seed)
     psd = semigroup.random_psd_observable(grid, rng)
@@ -560,6 +593,8 @@ def _load_config(args, mode: str) -> RunConfig:
     if args.config:
         try:
             data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"config is not UTF-8 text: {exc}")
         except json.JSONDecodeError as exc:
             raise ValidationError(f"config is not valid JSON: {exc}")
     elif args.preset:

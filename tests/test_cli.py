@@ -117,6 +117,16 @@ def test_config_validation_names_fields():
         parse_config(
             {"mode": "walk", "steps": 1, "initial": {"qubit": [[1.0, 0.0], [1.0, 0.0]]}}
         )
+    # an explicit null is neither a value nor the default
+    for data, field in (
+        ({"mode": "semigroup", "seed": None, "grid": 64}, "seed"),
+        ({"mode": "density", "initial": {"qubit": [[1, 0], [0, 0]]}, "y_points": None}, "y_points"),
+        ({"mode": "walk", "initial": {"qubit": [[1, 0], [0, 0]]}, "steps": None}, "steps"),
+        ({"mode": "cwalk", "initial": None, "times": [1.0]}, "initial"),
+        ({"mode": "verify", "out": None}, "out"),
+    ):
+        with pytest.raises(ValidationError, match=f"config field '{field}': null"):
+            parse_config(data)
 
 
 QUBIT = {"qubit": [[1, 0], [0, 0]]}
@@ -527,6 +537,14 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     # only semigroup takes a grid; the walk routes size their own
     assert main(["cwalk", "--preset", "fig3.5", "--grid", "64", "--out", str(tmp_path / "o")]) == 1
     assert "--grid" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xff\xfe" + json.dumps(PRESETS["fig3.1"]).encode("utf-16-le"))
+    assert main(["walk", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith("error: config is not UTF-8 text")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("flag", ["--quick", "--bogus"])
