@@ -1,0 +1,124 @@
+"""Golden output digests: the bundled runs must keep every byte of their files.
+
+``tests/data/golden_outputs.json`` holds, for every file the runs in ``RUNS``
+write, its SHA-256, its size and a digest of each line (of each run of
+``chunk`` lines in files longer than ``MAX_LINE_DIGESTS`` lines), plus the
+Python and numpy versions it was recorded with.  The test regenerates the
+files through ``cli.main`` and names the first differing line of a changed
+file.  A digest changes only on purpose: rerecord with
+
+    PYTHONPATH=src python tests/test_golden_outputs.py
+
+and say in CHANGES.md which file changed and why.  A numpy that changes the
+bytes is an output change too, so there is no version skip.
+"""
+
+import base64
+import contextlib
+import hashlib
+import io
+import json
+import platform
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from coinwalk.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden_outputs.json"
+MAX_LINE_DIGESTS = 2048
+DIGEST_BYTES = 4
+
+IDENTITY_COIN = {
+    "mode": "density",
+    "coin": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+    "initial": {"qubit": [[0.6, 0.0], [0.8, 0.0]]},
+}
+
+RUNS = {
+    **{f"walk_fig3.{i}": ["walk", "--preset", f"fig3.{i}"] for i in range(1, 5)},
+    **{f"density_fig3.{i}": ["density", "--preset", f"fig3.{i}"] for i in range(1, 5)},
+    "trajectory_fig3.3": ["walk", "--preset", "fig3.3", "--steps", "300", "--trajectory"],
+    "cwalk_fig3.5": ["cwalk", "--preset", "fig3.5"],
+    "density_identity": ["density", "--config", "{root}/identity.json"],
+    "semigroup": ["semigroup", "--grid", "256", "--seed", "1"],
+    "verify_quick": ["verify", "--quick", "--seed", "0"],
+}
+
+
+def _line_digests(lines: list[bytes], chunk: int) -> bytes:
+    return b"".join(
+        hashlib.sha256(b"".join(lines[i : i + chunk])).digest()[:DIGEST_BYTES]
+        for i in range(0, len(lines), chunk)
+    )
+
+
+def _describe(data: bytes) -> dict:
+    lines = data.splitlines(keepends=True)
+    chunk = -(-len(lines) // MAX_LINE_DIGESTS) or 1
+    return {
+        "sha256": hashlib.sha256(data).hexdigest(),
+        "size": len(data),
+        "lines": len(lines),
+        "chunk": chunk,
+        "line_digests": base64.b64encode(_line_digests(lines, chunk)).decode("ascii"),
+    }
+
+
+def write_outputs(root: Path) -> dict[str, bytes]:
+    """Run every entry of ``RUNS`` into ``root``; the written files by ``run/name``."""
+    (root / "identity.json").write_text(json.dumps(IDENTITY_COIN), encoding="utf-8")
+    outputs = {}
+    for run, argv in RUNS.items():
+        argv = [a.format(root=root) for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--out", str(root / run)]) == 0, run
+        for path in sorted((root / run).iterdir()):
+            outputs[f"{run}/{path.name}"] = path.read_bytes()
+    return outputs
+
+
+def _environment() -> dict:
+    return {"machine": platform.machine(), "numpy": np.__version__, "python": platform.python_version()}
+
+
+def _first_difference(name: str, expected: dict, data: bytes) -> str:
+    lines = data.splitlines(keepends=True)
+    chunk = expected["chunk"]
+    old = base64.b64decode(expected["line_digests"])
+    new = _line_digests(lines, chunk)
+    for k in range(0, max(len(old), len(new)), DIGEST_BYTES):
+        if old[k : k + DIGEST_BYTES] != new[k : k + DIGEST_BYTES]:
+            first = k // DIGEST_BYTES * chunk
+            where = f"line {first + 1}" if chunk == 1 else f"lines {first + 1}-{first + chunk}"
+            text = lines[first].decode(errors="replace").rstrip("\n") if first < len(lines) else "<end of file>"
+            return f"{name}: first difference at {where} of {expected['lines']} (now {len(lines)}); it now reads {text!r}"
+    return f"{name}: same lines, different bytes (size {expected['size']} -> {len(data)})"
+
+
+def test_bundled_runs_keep_their_bytes(tmp_path):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    outputs = write_outputs(tmp_path)
+    problems = [f"{name}: missing" for name in sorted(set(golden["files"]) - set(outputs))]
+    problems += [f"{name}: not in the golden record" for name in sorted(set(outputs) - set(golden["files"]))]
+    for name, expected in golden["files"].items():
+        data = outputs.get(name)
+        if data is not None and hashlib.sha256(data).hexdigest() != expected["sha256"]:
+            problems.append(_first_difference(name, expected, data))
+    assert not problems, (
+        f"output bytes changed (recorded with {golden['environment']}, running {_environment()}):\n"
+        + "\n".join(problems)
+    )
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {name: _describe(data) for name, data in write_outputs(Path(tmp)).items()}
+    GOLDEN.write_text(
+        json.dumps({"environment": _environment(), "files": files}, indent=1, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )
+    print(f"recorded {len(files)} files in {GOLDEN}", file=sys.stderr)

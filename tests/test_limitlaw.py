@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from coinwalk import (
     stationary_points,
     weak_limit_law,
 )
+from coinwalk import limitlaw
 
 from conftest import seeded_coins
 
@@ -106,6 +108,19 @@ def test_g_function_nonnegative(hadamard):
     hat = momentum_state(spread_state())
     ys = np.linspace(-0.95, 0.95, 41) * hadamard.abs_l1
     assert np.all(g_function(ys, hadamard, hat) >= 0.0)
+
+
+@pytest.mark.parametrize("psi0", [WaveFunction.qubit(0.6, 0.8j), spread_state()], ids=["qubit", "two_site"])
+def test_g_function_bits_do_not_depend_on_call_length(psi0):
+    # the limit-law quadrature evaluates g in blocks, so one long call must
+    # give the bits of many short ones; slices stay >= 16 points, because one
+    # point sums its eight squared moduli pairwise rather than in sequence
+    coin = seeded_coins(1, seed=3)[0]
+    hat = momentum_state(psi0)
+    ys = np.linspace(-0.999, 0.999, 20480) * coin.abs_l1
+    whole = g_function(ys, coin, hat)
+    sliced = np.concatenate([g_function(ys[i : i + 1024], coin, hat) for i in range(0, ys.size, 1024)])
+    assert np.count_nonzero(whole != sliced) == 0
 
 
 # --------------------------------------------------------------------------
@@ -243,6 +258,37 @@ def test_empirical_law_converges_for_spread_state(hadamard):
     d_large = ks_distance(empirical_scaled_law(WalkRun(hadamard, psi0, 800)), law)
     assert d_large < d_small
     assert d_large < 0.05
+
+
+def test_moments_share_one_integrand_pass(hadamard, monkeypatch):
+    points = []
+    real = limitlaw.g_function
+
+    def counted(y, coin, psi0):
+        points.append(np.size(y))
+        return real(y, coin, psi0)
+
+    monkeypatch.setattr(limitlaw, "g_function", counted)
+    law = weak_limit_law(hadamard, spread_state())
+    first = (law.mass(), law.mean(), law.moment(2))
+    assert points == [limitlaw._BASE_PANELS * 16]
+    assert (law.mass(), law.mean(), law.moment(2)) == first
+
+
+def test_cdf_memory_is_flat_in_target_count(hadamard):
+    # the cdf integrates its panels in fixed blocks: 20000 targets peak at
+    # ~4 MB here, against ~151 MB when every node is evaluated in one call
+    law = weak_limit_law(hadamard, spread_state())
+    law.mass()
+    ys = np.linspace(-1.0, 1.0, 20000) * hadamard.abs_l1
+    tracemalloc.start()
+    try:
+        values = law.cdf(ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.diff(values) >= 0.0) and values[-1] == law.mass()
+    assert peak <= 16e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
 
 
 def test_law_method_signatures():
