@@ -62,7 +62,7 @@ def evolve_continuous(
     # trim threshold.  The ring is exact only if the state vanishes beyond
     # GRID_MARGIN sites past the light cone, as at integer t; at fractional t
     # the tails wrap around (Hadamard coin from qubit (1, 0), default grid vs
-    # a 4001-node grid: 1.5e-5 at t=0.5, 1.4e-8 at t=10.5; ROADMAP item 4).
+    # a 4001-node grid: 1.5e-5 at t=0.5, 1.4e-8 at t=10.5).
     reach += GRID_MARGIN
     lo, hi = psi0.x_min - reach, psi0.x_max + reach
     deficit = grid.size - (hi - lo + 1)
@@ -107,14 +107,7 @@ def schrodinger_residual(
         raise ValueError(f"snapshot spacing {delta} exceeds the 1e-3 bound")
 
     hats = np.stack([fourier_transform(psi, grid) for _, psi in series])
-    if coin.is_degenerate:
-        diag = coin.theta1 - grid.nodes
-        h_psi = np.empty_like(hats)
-        h_psi[..., 0] = diag * hats[..., 0]
-        h_psi[..., 1] = -diag * hats[..., 1]
-    else:
-        H, _, _ = spectral.hamiltonian(grid.nodes, coin)
-        h_psi = np.einsum("mij,tmj->tmi", H, hats)
+    h_psi = np.einsum("mij,tmj->tmi", spectral.hamiltonian(grid.nodes, coin)[0], hats)
 
     derivative = (hats[2:] - hats[:-2]) / (2.0 * delta)
     defect = derivative - 1j * h_psi[1:-1]

@@ -54,13 +54,13 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 # Input validation tolerance; internal invariants are held to 1e-10 .. 1e-12.
 VALIDATE_TOL = 1e-8
-# Coins with |l2| below this are routed to the exact ballistic formulas:
-# the eigenvector expressions divide by l2 and lose all precision first.
+# Coins with |l2| below this get the point-mass limit law and are refused by the
+# eigenvector formulas, which divide by l2; the generator needs no threshold.
 DEGENERATE_TOL = 1e-8
 # Squared-modulus threshold below which fringe amplitudes are trimmed.
 TRIM_TOL = 1e-30
 # Sites added on each side of the light cone by MomentumGrid.for_walk: the
-# continuous-time light cone is not sharp (see ROADMAP item 4 on its sizing).
+# continuous-time light cone is not sharp, so fractional t leaks past it.
 GRID_MARGIN = 8
 
 PAULI = np.array(
@@ -132,7 +132,7 @@ class Coin:
 
     @property
     def is_degenerate(self) -> bool:
-        """True when ``|l2|`` is too small for the spectral formulas (ballistic coin)."""
+        """True when ``|l2|`` is too small for the eigenvector formulas and the density law."""
         return abs(self.l2) < DEGENERATE_TOL
 
     @property

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Coin, DegenerateCoinError, DomainError, pauli_compose
+from .core import DEGENERATE_TOL, Coin, DegenerateCoinError, DomainError, pauli_compose
 
 __all__ = [
     "StationaryInverses",
@@ -44,10 +44,9 @@ __all__ = [
 
 
 def _require_spectral(coin: Coin) -> None:
-    if coin.is_degenerate:
+    if coin.abs_l2 < DEGENERATE_TOL:
         raise DegenerateCoinError(
-            "coin has |l2| below the degeneracy threshold; the eigenvector formulas "
-            "divide by l2 -- use the exact ballistic route instead"
+            "coin has |l2| below the degeneracy threshold and the eigenvector formulas divide by l2"
         )
 
 
@@ -133,15 +132,23 @@ def pauli_axis(kappa, coin: Coin) -> np.ndarray:
         h2 =  cos(phi) / sqrt(1 + rho^2 sin^2 kappa)
         h3 = -rho sin(kappa) / sqrt(1 + rho^2 sin^2 kappa)
 
-    so that ``h1^2 + h2^2 + h3^2 = 1`` identically.  Broadcasts: shape S
-    input yields shape ``S + (3,)``.
+    so that ``h1^2 + h2^2 + h3^2 = 1`` identically.  Where ``rho^2`` overflows
+    (``l2 = 0``, or ``|l2|`` below ~1e-154), ``h`` is the ``l2 -> 0`` limit
+    ``(0, 0, -sign sin kappa)``, or ``(-sin phi, cos phi, 0)`` at ``sin kappa = 0``.
+    Broadcasts: shape S input yields shape ``S + (3,)``.
     """
-    _require_spectral(coin)
     kap = np.asarray(kappa, dtype=np.float64)
-    rho = coin.abs_l1 / coin.abs_l2
+    rho = coin.abs_l1 / coin.abs_l2 if coin.l2 != 0 else math.inf
     phi = kap + coin.theta1 - coin.theta2
-    den = np.sqrt(1.0 + (rho * np.sin(kap)) ** 2)
     out = np.empty(kap.shape + (3,), dtype=np.float64)
+    if not math.isfinite(rho * rho):
+        # not only l2 == 0: an infinite (rho sin kappa)^2 below would zero h
+        side = np.sign(np.sin(kap))
+        out[..., 0] = np.where(side == 0, -np.sin(phi), 0.0)
+        out[..., 1] = np.where(side == 0, np.cos(phi), 0.0)
+        out[..., 2] = -side
+        return out
+    den = np.sqrt(1.0 + (rho * np.sin(kap)) ** 2)
     out[..., 0] = -np.sin(phi) / den
     out[..., 1] = np.cos(phi) / den
     out[..., 2] = -rho * np.sin(kap) / den
@@ -154,7 +161,6 @@ def dispersion(k, coin: Coin) -> tuple[np.ndarray, np.ndarray]:
     ``H(k) = gamma * (h . sigma)`` with both factors evaluated at
     ``k - theta1``.  Vectorised: shape S input yields ``(S, S + (3,))``.
     """
-    _require_spectral(coin)
     kap = np.asarray(k, dtype=np.float64) - coin.theta1
     return gamma(kap, coin), pauli_axis(kap, coin)
 
@@ -179,17 +185,11 @@ def propagator_bank(k, t: float, coin: Coin) -> np.ndarray:
     Since ``H = gamma (h . sigma)`` with a unit vector ``h``, the exponential
     is ``cos(t*gamma) I + i sin(t*gamma) (h . sigma)`` -- no general matrix
     exponential is needed and the result is exactly unitary up to rounding.
-
-    Degenerate coins (``l2 ~ 0``) make ``U(k)`` diagonal; the propagator is
-    then the pair of phases ``exp(+/- i t (theta1 - k))``.
+    One formula serves every coin: at ``l2 = 0`` it is the pair of phases
+    ``exp(-/+ i t wrap(k - theta1))``, the principal log of the diagonal ``U(k)``.
     """
     k_arr = np.asarray(k, dtype=np.float64)
     out = np.zeros(k_arr.shape + (2, 2), dtype=np.complex128)
-    if coin.is_degenerate:
-        phase = np.exp(1j * t * (coin.theta1 - k_arr))
-        out[..., 0, 0] = phase
-        out[..., 1, 1] = np.conj(phase)
-        return out
     g, h = dispersion(k_arr, coin)
     angle = t * g
     rot = 1j * np.sin(angle)

@@ -173,8 +173,17 @@ def _norm_conservation(rng, n):
     return worst, f"max |norm-1| over n<={n}"
 
 
+def _coin_with_l2(abs_l2: float, phase1: float, phase2: float) -> Coin:
+    l1, l2 = cmath.rect(math.sqrt(1.0 - abs_l2 * abs_l2), phase1), cmath.rect(abs_l2, phase2)
+    return Coin(l1, l2, -l2.conjugate(), l1.conjugate())
+
+
 def _oracle_equivalence(rng, n):
     coins = [hadamard_switched()] + [random_coin(rng) for _ in range(10)]
+    # coins random_coin never draws: l2 = 0, |l2| where rho^2 overflows, just
+    # below DEGENERATE_TOL, and one log-uniform |l2| per two decades of [1e-16, 1e-2)
+    scales = [0.0, 1e-200, 9e-9] + [10.0 ** rng.uniform(e, e + 2) for e in range(-16, -2, 2)]
+    coins += [_coin_with_l2(a, *rng.uniform(-math.pi, math.pi, size=2)) for a in scales]
     psi0 = WaveFunction.qubit(0.0, 1.0)
     worst = 0.0
     for coin in coins:
@@ -189,12 +198,10 @@ def _step_loop_equivalence(rng, n):
     # bit for bit, on the coins and states where trimming does the most:
     # l1 = 0, l2 = 0, |l2| below DEGENERATE_TOL, zero gaps in the state, and
     # fringes below TRIM_TOL that a step loop drops and must never see again
-    e = 1e-9
-    l1, l2 = math.sqrt(1.0 - e * e) * cmath.exp(0.4j), e * cmath.exp(1.3j)
     coins = [random_coin(rng) for _ in range(4)] + [
         normalize_phase(np.array([[0.0, 1.0], [-1.0, 0.0]])),
         Coin(1.0, 0.0, 0.0, 1.0),
-        Coin(l1, l2, -l2.conjugate(), l1.conjugate()),
+        _coin_with_l2(1e-9, 0.4, 1.3),
     ]
     states = [
         WaveFunction.qubit(0.6, -0.8j),

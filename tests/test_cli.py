@@ -14,7 +14,7 @@ import coinwalk.cli as cli
 from coinwalk import MomentumGrid, ValidationError, continuous, limitlaw, spectral, walk
 from coinwalk.core import position_distribution
 from coinwalk.cli import PRESETS, main, parse_config, serialize_config
-from coinwalk.verify import CHECKS
+from coinwalk.verify import CHECKS, _coin_with_l2
 
 
 def read_csv(path):
@@ -376,23 +376,32 @@ def test_write_table_streams_many_small_blocks(tmp_path):
     assert_same_lines(path.read_text(encoding="utf-8"), reference_table("n,x,p", blocks))
 
 
+def near_diagonal_coin(abs_l2):
+    """Config rows of the coin with |l2| = abs_l2, theta1 = 0.4 and theta2 = 1.3."""
+    return cli._coin_as_rows(_coin_with_l2(abs_l2, 0.4, 1.3))
+
+
 def test_cwalk_integer_time_matches_walk(tmp_path):
-    base = {
-        "coin": "hadamard-switched",
-        "initial": {"qubit": [[0.0, 0.0], [1.0, 0.0]]},
-    }
-    walk_cfg = tmp_path / "walk.json"
-    walk_cfg.write_text(json.dumps({**base, "mode": "walk", "steps": 5}))
-    cwalk_cfg = tmp_path / "cwalk.json"
-    cwalk_cfg.write_text(json.dumps({**base, "mode": "cwalk", "times": [5.0]}))
-    assert main(["walk", "--config", str(walk_cfg), "--out", str(tmp_path / "w")]) == 0
-    assert main(["cwalk", "--config", str(cwalk_cfg), "--out", str(tmp_path / "c")]) == 0
-    _, walk_rows = read_csv(tmp_path / "w" / "distribution_n5.csv")
-    _, cwalk_rows = read_csv(tmp_path / "c" / "snapshot_t5.csv")
-    walk_p = {int(x): p for x, p in walk_rows}
-    cwalk_p = {int(x): p for x, p in cwalk_rows}
-    for x in set(walk_p) | set(cwalk_p):
-        assert abs(walk_p.get(x, 0.0) - cwalk_p.get(x, 0.0)) < 1e-9
+    cases = [
+        ("hadamard-switched", [[0.0, 0.0], [1.0, 0.0]], 5),
+        # below DEGENERATE_TOL and diagonal: one momentum route serves both
+        (near_diagonal_coin(9e-9), [[0.6, 0.0], [0.0, 0.8]], 10),
+        (near_diagonal_coin(0.0), [[0.6, 0.0], [0.0, 0.8]], 10),
+    ]
+    for i, (coin, qubit, n) in enumerate(cases):
+        base = {"coin": coin, "initial": {"qubit": qubit}}
+        walk_cfg = tmp_path / f"walk{i}.json"
+        walk_cfg.write_text(json.dumps({**base, "mode": "walk", "steps": n}))
+        cwalk_cfg = tmp_path / f"cwalk{i}.json"
+        cwalk_cfg.write_text(json.dumps({**base, "mode": "cwalk", "times": [float(n)]}))
+        assert main(["walk", "--config", str(walk_cfg), "--out", str(tmp_path / f"w{i}")]) == 0
+        assert main(["cwalk", "--config", str(cwalk_cfg), "--out", str(tmp_path / f"c{i}")]) == 0
+        _, walk_rows = read_csv(tmp_path / f"w{i}" / f"distribution_n{n}.csv")
+        _, cwalk_rows = read_csv(tmp_path / f"c{i}" / f"snapshot_t{n}.csv")
+        walk_p = {int(x): p for x, p in walk_rows}
+        cwalk_p = {int(x): p for x, p in cwalk_rows}
+        for x in set(walk_p) | set(cwalk_p):
+            assert abs(walk_p.get(x, 0.0) - cwalk_p.get(x, 0.0)) < 1e-9, (i, x)
 
 
 def test_cwalk_time_zero_reproduces_initial(tmp_path):
@@ -498,16 +507,21 @@ def test_density_refuses_a_law_with_a_mass_defect(tmp_path, capsys):
 
 
 def test_semigroup_outputs(tmp_path):
-    assert main(["semigroup", "--grid", "32", "--out", str(tmp_path / "o")]) == 0
-    report = json.loads((tmp_path / "o" / "semigroup_report.json").read_text())
-    assert report["positivity"]["passed"]
-    assert report["flow_vs_conjugation_max_residual"] < 1e-11
-    header, rows = read_csv(tmp_path / "o" / "flow_t1.csv")
-    assert header == ["k", "gamma", "h1", "h2", "h3", "angle"]
-    assert len(rows) == 32
-    for _, g, h1, h2, h3, angle in rows:
-        assert abs(h1 * h1 + h2 * h2 + h3 * h3 - 1.0) < 1e-12
-        assert angle == pytest.approx(2.0 * g)
+    # coins below DEGENERATE_TOL and diagonal need no eigenvectors either
+    for i, coin in enumerate(["hadamard-switched", near_diagonal_coin(9e-9), near_diagonal_coin(0.0)]):
+        cfg = tmp_path / f"cfg{i}.json"
+        cfg.write_text(json.dumps({"mode": "semigroup", "coin": coin}))
+        out = tmp_path / f"o{i}"
+        assert main(["semigroup", "--config", str(cfg), "--grid", "32", "--out", str(out)]) == 0
+        report = json.loads((out / "semigroup_report.json").read_text())
+        assert report["positivity"]["passed"]
+        assert report["flow_vs_conjugation_max_residual"] < 1e-11
+        header, rows = read_csv(out / "flow_t1.csv")
+        assert header == ["k", "gamma", "h1", "h2", "h3", "angle"]
+        assert len(rows) == 32
+        for _, g, h1, h2, h3, angle in rows:
+            assert abs(h1 * h1 + h2 * h2 + h3 * h3 - 1.0) < 1e-12
+            assert angle == pytest.approx(2.0 * g)
 
 
 def test_verify_quick_passes(tmp_path, capsys):
@@ -578,9 +592,3 @@ def test_env_var_output_dir(tmp_path, monkeypatch):
     assert main(["walk", "--preset", "fig3.1", "--steps", "4"]) == 0
     assert (tmp_path / "from_env" / "distribution_n4.csv").exists()
 
-
-def test_preset_files_match_embedded():
-    presets_dir = Path(__file__).resolve().parent.parent / "presets"
-    for name, preset in PRESETS.items():
-        on_disk = json.loads((presets_dir / (name.replace(".", "_") + ".json")).read_text())
-        assert on_disk == preset, name

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from coinwalk import (
-    DegenerateCoinError,
     MomentumGrid,
     ValidationError,
     conjugate_evolve,
@@ -14,7 +13,6 @@ from coinwalk import (
     hadamard_switched,
     hamiltonian,
     heisenberg_evolve,
-    normalize_phase,
     pauli_flow,
     positivity_check,
 )
@@ -72,11 +70,6 @@ def test_cross_generator_structure():
     for coin in [hadamard_switched()] + seeded_coins(2, seed=6):
         G = cross_generator(nodes, coin)
         assert np.array_equal(G, -np.swapaxes(G, 1, 2))
-
-
-def test_cross_generator_degenerate_coin():
-    with pytest.raises(DegenerateCoinError):
-        cross_generator(0.3, normalize_phase(np.eye(2)))
 
 
 # --------------------------------------------------------------------------

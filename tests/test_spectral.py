@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coinwalk import (
@@ -15,7 +15,6 @@ from coinwalk import (
     build_U_of_k,
     gamma,
     hadamard_switched,
-    hamiltonian,
     normalize_phase,
     s_inverse_closed_form,
     stationary_points,
@@ -123,10 +122,12 @@ def test_unitary_S_alpha_at_zero():
 @settings(max_examples=40, deadline=None)
 @given(
     kappa=st.floats(-math.pi, math.pi, allow_nan=False),
-    mix=st.floats(0.06, math.pi / 2 - 0.06),
+    mix=st.floats(0.0, math.pi / 2 - 0.06),
     phase1=st.floats(-3.0, 3.0),
     phase2=st.floats(-3.0, 3.0),
 )
+@example(kappa=0.0, mix=0.0, phase1=0.4, phase2=1.3)
+@example(kappa=-2.0, mix=1e-200, phase1=-1.1, phase2=2.5)
 def test_axis_unit_norm_property(kappa, mix, phase1, phase2):
     coin = normalize_phase(
         np.array(
@@ -145,12 +146,17 @@ def test_degenerate_coin_routing():
     with pytest.raises(DegenerateCoinError):
         eigenvector_matrix(0.3, coin)
     with pytest.raises(DegenerateCoinError):
-        hamiltonian(0.3, coin)
-    with pytest.raises(DegenerateCoinError):
         unitary_S(0.3, coin)
-    bank = propagator_bank(np.array([0.3]), 2.0, coin)
-    expected = np.diag([np.exp(2j * (0.4 - 0.3)), np.exp(-2j * (0.4 - 0.3))])
-    assert np.abs(bank[0] - expected).max() < 1e-14
+    # the propagator needs no eigenvectors: at l2 = 0 its generator is
+    # diag(-w, w) with w = k - theta1 wrapped into (-pi, pi], the principal
+    # log, not the unwrapped k - theta1 that reaches pi + |theta1|
+    k = MomentumGrid(257).nodes
+    w = np.angle(np.exp(1j * (k - 0.4)))
+    for t in (0.5, 2.25):
+        expected = np.zeros((k.size, 2, 2), dtype=np.complex128)
+        expected[:, 0, 0] = np.exp(-1j * t * w)
+        expected[:, 1, 1] = np.exp(1j * t * w)
+        assert np.abs(propagator_bank(k, t, coin) - expected).max() < 1e-12
 
 
 def test_s_inverse_matches_numerical_inversion():
