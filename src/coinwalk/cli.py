@@ -535,13 +535,10 @@ def cmd_semigroup(config: RunConfig, out_dir: Path) -> list[Path]:
     rng = np.random.default_rng(config.seed)
     psd = semigroup.random_psd_observable(grid, rng)
     report = semigroup.positivity_check(psd, t, coin)
+    del psd
     herm = semigroup.random_hermitian_observable(grid, rng)
-    evolved = semigroup.heisenberg_evolve(herm, t, coin).matrices()
-    mats = herm.matrices()
-    residual = 0.0
-    for i in range(0, grid.size, max(1, grid.size // 32)):
-        direct = semigroup.conjugate_evolve(grid.nodes[i], t, mats[i], coin)
-        residual = max(residual, float(np.abs(direct - evolved[i]).max()))
+    residual = semigroup.flow_vs_conjugation_residual(herm, t, coin, max(1, grid.size // 32))
+    del herm
     report_path = out_dir / "semigroup_report.json"
     _write_json(
         report_path,

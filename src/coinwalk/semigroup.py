@@ -14,9 +14,11 @@ axis ``h(k - theta1)`` by the angle ``-2 t gamma(k - theta1)``:
 
     a(t) = exp(t * cross_generator(k)) a(0) = pauli_flow(k, t) a(0).
 
-Both functions broadcast over momenta, so one call covers every fibre.  The
-generator acts on *coefficient* vectors; the Pauli basis operators
-themselves transform by its transpose.  Correctness of the orientation is
+Both functions broadcast over momenta.  The grid-wide routines below run
+them on blocks of ``_BLOCK_NODES`` fibres, so their working memory is
+O(block) beside the ``(M, 4)`` coefficient arrays; every fibre's bits are
+those of one whole-grid call.  The generator acts on *coefficient* vectors;
+the Pauli basis operators themselves transform by its transpose.  Correctness of the orientation is
 pinned by the direct-conjugation oracle, not by convention.  Two independent
 routes compute the rotation: the closed Rodrigues form (default) and the
 complex eigenbasis of the generator (cross-check).
@@ -41,6 +43,7 @@ __all__ = [
     "DirectIntegralObservable",
     "conjugate_evolve",
     "cross_generator",
+    "flow_vs_conjugation_residual",
     "heisenberg_evolve",
     "pauli_flow",
     "positivity_check",
@@ -48,6 +51,15 @@ __all__ = [
     "random_psd_observable",
     "rotation_via_eigenbasis",
 ]
+
+# Fibres per block of the grid-wide routines.  Fibres never mix, so the
+# block size changes no bit of any result, only the working memory.
+_BLOCK_NODES = 4096
+
+
+def _blocks(size: int):
+    """Slices covering ``range(size)`` in blocks of ``_BLOCK_NODES``."""
+    return (slice(i, i + _BLOCK_NODES) for i in range(0, size, _BLOCK_NODES))
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,20 +172,49 @@ def pauli_flow(k, t: float, coin: Coin) -> np.ndarray:
     return eye + sin_term + cos_term
 
 
+def _evolve_coefficients(k, t: float, coeffs: np.ndarray, coin: Coin) -> np.ndarray:
+    """Pauli coefficients ``coeffs`` (shape ``(m, 4)``) at momenta ``k``, evolved by ``t``."""
+    out = np.empty_like(coeffs)
+    out[:, 0] = coeffs[:, 0]
+    out[:, 1:] = np.einsum("mij,mj->mi", pauli_flow(k, t, coin), coeffs[:, 1:])
+    return out
+
+
 def heisenberg_evolve(
     obs: DirectIntegralObservable, t: float, coin: Coin
 ) -> DirectIntegralObservable:
     """Apply the semigroup to every fibre: freeze ``a0``, rotate the vector part.
 
     Agrees node by node with :func:`conjugate_evolve`; the identity is a
-    fixed point exactly at the coefficient level.
+    fixed point exactly at the coefficient level.  The rotations are built
+    one block of fibres at a time, so only the coefficient arrays span the
+    grid; it draws no random numbers.
     """
-    rotations = pauli_flow(obs.grid.nodes, t, coin)
     coeffs = obs.coefficients
+    nodes = obs.grid.nodes
     out = np.empty_like(coeffs)
-    out[:, 0] = coeffs[:, 0]
-    out[:, 1:] = np.einsum("mij,mj->mi", rotations, coeffs[:, 1:])
+    for block in _blocks(obs.grid.size):
+        out[block] = _evolve_coefficients(nodes[block], t, coeffs[block], coin)
     return DirectIntegralObservable(obs.grid, out)
+
+
+def flow_vs_conjugation_residual(
+    obs: DirectIntegralObservable, t: float, coin: Coin, stride: int
+) -> float:
+    """Largest entry gap between the Pauli flow and :func:`conjugate_evolve`.
+
+    Compared on every ``stride``-th fibre of ``obs`` after time ``t``; only
+    those fibres are evolved.
+    """
+    picked = np.arange(0, obs.grid.size, stride)
+    nodes = obs.grid.nodes[picked]
+    coeffs = obs.coefficients[picked]
+    mats = pauli_compose(coeffs)
+    evolved = pauli_compose(_evolve_coefficients(nodes, t, coeffs, coin))
+    residual = 0.0
+    for k, A, flowed in zip(nodes, mats, evolved):
+        residual = max(residual, float(np.abs(conjugate_evolve(k, t, A, coin) - flowed).max()))
+    return residual
 
 
 def random_hermitian_observable(
@@ -188,9 +229,19 @@ def random_hermitian_observable(
 def random_psd_observable(
     grid: MomentumGrid, rng: np.random.Generator
 ) -> DirectIntegralObservable:
-    """Independent positive-semidefinite fibres ``B B*`` from complex Gaussian B."""
-    B = rng.normal(size=(grid.size, 2, 2)) + 1j * rng.normal(size=(grid.size, 2, 2))
-    return DirectIntegralObservable.from_matrices(grid, B @ np.conj(np.swapaxes(B, 1, 2)))
+    """Independent positive-semidefinite fibres ``B B*`` from complex Gaussian B.
+
+    Both normal arrays are drawn for the whole grid first, real part then
+    imaginary part, so the draw order from ``rng`` does not depend on the
+    block size; ``B B*`` and its Pauli coefficients are formed per block.
+    """
+    real = rng.normal(size=(grid.size, 2, 2))
+    imag = rng.normal(size=(grid.size, 2, 2))
+    coeffs = np.empty((grid.size, 4), dtype=np.complex128)
+    for block in _blocks(grid.size):
+        B = real[block] + 1j * imag[block]
+        coeffs[block] = pauli_decompose(B @ np.conj(np.swapaxes(B, 1, 2)))
+    return DirectIntegralObservable(grid, coeffs)
 
 
 def positivity_check(obs: DirectIntegralObservable, t: float, coin: Coin) -> dict:
@@ -199,15 +250,22 @@ def positivity_check(obs: DirectIntegralObservable, t: float, coin: Coin) -> dic
     Checks the smallest eigenvalue of every fibre before and after evolution
     by time ``t``.  Input fibres must be Hermitian; they count as positive
     when all eigenvalues are >= -1e-12 and the evolved fibres must stay above
-    -1e-10.
+    -1e-10.  The fibres are evolved by :func:`heisenberg_evolve`, then rebuilt
+    as matrices and diagonalised one block at a time; no random numbers are
+    drawn.
 
     Returns a report dict with the node indices, the min-eigenvalue arrays
     before and after, their worst values, and the overall verdict.
     """
     if not obs.is_hermitian:
         raise ValidationError("positivity check requires Hermitian fibres")
-    fibres = np.stack([obs.matrices(), heisenberg_evolve(obs, t, coin).matrices()])
-    before, after = np.linalg.eigvalsh(fibres).min(axis=-1)
+    evolved = heisenberg_evolve(obs, t, coin).coefficients
+    before = np.empty(obs.grid.size)
+    after = np.empty(obs.grid.size)
+    for block in _blocks(obs.grid.size):
+        fibres = np.stack([pauli_compose(obs.coefficients[block]), pauli_compose(evolved[block])])
+        before[block], after[block] = np.linalg.eigvalsh(fibres).min(axis=-1)
+    del evolved  # freed before the report's lists are built
     input_psd = bool(before.min() >= -1e-12)
     return {
         "nodes": list(range(obs.grid.size)),

@@ -43,6 +43,7 @@ RUNS = {
     "cwalk_fig3.5": ["cwalk", "--preset", "fig3.5"],
     "density_identity": ["density", "--config", "{root}/identity.json"],
     "semigroup": ["semigroup", "--grid", "256", "--seed", "1"],
+    "semigroup_blocks": ["semigroup", "--grid", "9000", "--seed", "2"],
     "verify_quick": ["verify", "--quick", "--seed", "0"],
 }
 
