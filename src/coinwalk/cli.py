@@ -24,8 +24,10 @@ Outputs are deterministic: every CSV goes through ``_write_table``, the one
 place the CSV format lives (integer columns as integers, floats at 17
 significant digits), and every JSON file through ``_write_json``, the one
 place the JSON format lives (the bytes of the standard library's
-``json.dumps(payload, indent=2, sort_keys=True)``), so identical configs diff
-clean.
+``json.dumps(payload, indent=2, sort_keys=True)``, with a numpy array written
+as its ``tolist()``), so identical configs diff clean.  Both writers stream to
+the file: a table ``_TABLE_CHUNK`` rows at a time, a numpy array in a JSON
+payload ``_TABLE_CHUNK`` items at a time.
 Exit codes: 0 ok, 1 validation, usage or file error, 2 verification failure.
 """
 
@@ -37,6 +39,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -364,35 +367,58 @@ def _joined(parts: list) -> list:
     return parts[0] if len(parts) == 1 else [np.concatenate(cs) for cs in zip(*parts)]
 
 
-def _json_text(value, pad: str = "") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, nested at indent ``pad``.
+def _json_chunks(value, pad: str = ""):
+    """Pieces of ``json.dumps(value, indent=2, sort_keys=True)``, nested at indent ``pad``.
 
     Dict keys are strings.  A list of numbers, booleans and nulls goes through
     the C encoder in one call and is re-indented by one ``str.replace``: its
     compact text has no string, so ``", "`` occurs only between items.  Every
-    other list recurses item by item.
+    other list recurses item by item.  A 1-D numeric numpy array is written as
+    its ``tolist()``, converted and encoded ``_TABLE_CHUNK`` items at a time, so
+    no piece and no list spans the whole array.
     """
     inner = pad + "  "
+    brackets = "[]"
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = (f"{json.dumps(key)}: {_json_text(value[key], inner)}" for key in sorted(value))
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
+        brackets = "{}"
+        members = (chain((f"{json.dumps(key)}: ",), _json_chunks(value[key], inner)) for key in sorted(value))
+    elif isinstance(value, np.ndarray):
+        if value.ndim != 1:
+            raise TypeError(f"only 1-D arrays are written as JSON, got shape {value.shape}")
+        members = (
+            (json.dumps(value[i : i + _TABLE_CHUNK].tolist())[1:-1].replace(", ", ",\n" + inner),)
+            for i in range(0, len(value), _TABLE_CHUNK)
+        )
+    elif isinstance(value, (list, tuple)):
         body = json.dumps(value)[1:-1]
         if "[" in body or "{" in body or '"' in body:
-            body = (",\n" + inner).join(_json_text(item, inner) for item in value)
+            members = (_json_chunks(item, inner) for item in value)
         else:
-            body = body.replace(", ", ",\n" + inner)
-        return "[\n" + inner + body + "\n" + pad + "]"
-    return json.dumps(value)
+            members = [(body.replace(", ", ",\n" + inner),)] if body else []
+    else:
+        yield json.dumps(value)
+        return
+    opened = False
+    for member in members:
+        yield ",\n" + inner if opened else brackets[0] + "\n" + inner
+        yield from member
+        opened = True
+    yield "\n" + pad + brackets[1] if opened else brackets
+
+
+def _json_text(value) -> str:
+    """The whole text :func:`_write_json` writes for ``value``, less its final newline."""
+    return "".join(_json_chunks(value))
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    """Write ``payload`` as ``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline."""
-    path.write_text(_json_text(payload) + "\n", encoding="utf-8")
+    """Write ``payload`` as ``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline.
+
+    The text streams to the file piece by piece (see :func:`_json_chunks`).
+    """
+    with path.open("w", encoding="utf-8") as fh:
+        fh.writelines(_json_chunks(payload))
+        fh.write("\n")
 
 
 def _resolve_out_dir(config: RunConfig, override: str | None) -> Path:

@@ -62,31 +62,49 @@ def _blocks(size: int):
     return (slice(i, i + _BLOCK_NODES) for i in range(0, size, _BLOCK_NODES))
 
 
+def _frozen(coeffs: np.ndarray) -> np.ndarray:
+    """A fresh coefficient array made read-only, so an observable adopts it uncopied."""
+    coeffs.setflags(write=False)
+    return coeffs
+
+
 @dataclass(frozen=True, eq=False)
 class DirectIntegralObservable:
-    """A momentum-indexed family of 2x2 operators stored as Pauli coefficients."""
+    """A momentum-indexed family of 2x2 operators stored as Pauli coefficients.
+
+    The coefficients are a read-only complex128 array.  One that is already
+    read-only, complex128 and owns its memory is kept as it is (the builders
+    below hand over such arrays); anything else is copied, so later writes
+    to the caller's array change nothing here.
+    """
 
     grid: MomentumGrid
     coefficients: np.ndarray  # shape (grid.size, 4), complex
 
     def __post_init__(self) -> None:
-        coeffs = np.array(self.coefficients, dtype=np.complex128, copy=True)
+        coeffs = self.coefficients
+        if not (
+            isinstance(coeffs, np.ndarray)
+            and coeffs.dtype == np.complex128
+            and coeffs.flags.owndata
+            and not coeffs.flags.writeable
+        ):
+            coeffs = _frozen(np.array(coeffs, dtype=np.complex128))
         if coeffs.shape != (self.grid.size, 4):
             raise ValidationError(
                 f"coefficients must have shape ({self.grid.size}, 4), got {coeffs.shape}"
             )
-        coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
 
     @classmethod
     def from_matrices(cls, grid: MomentumGrid, matrices) -> "DirectIntegralObservable":
         """Fibres of shape ``(grid.size, 2, 2)``, stored by :func:`pauli_decompose`."""
-        return cls(grid, pauli_decompose(matrices))
+        return cls(grid, _frozen(pauli_decompose(matrices)))
 
     @classmethod
     def constant(cls, grid: MomentumGrid, matrix) -> "DirectIntegralObservable":
         """The same 2x2 operator on every fibre."""
-        return cls(grid, np.tile(pauli_decompose(matrix), (grid.size, 1)))
+        return cls(grid, _frozen(np.repeat(pauli_decompose(matrix)[None], grid.size, axis=0)))
 
     def matrices(self) -> np.ndarray:
         return pauli_compose(self.coefficients)
@@ -188,14 +206,15 @@ def heisenberg_evolve(
     Agrees node by node with :func:`conjugate_evolve`; the identity is a
     fixed point exactly at the coefficient level.  The rotations are built
     one block of fibres at a time, so only the coefficient arrays span the
-    grid; it draws no random numbers.
+    grid; the result's array is new, never shared with ``obs``.  It draws no
+    random numbers.
     """
     coeffs = obs.coefficients
     nodes = obs.grid.nodes
     out = np.empty_like(coeffs)
     for block in _blocks(obs.grid.size):
         out[block] = _evolve_coefficients(nodes[block], t, coeffs[block], coin)
-    return DirectIntegralObservable(obs.grid, out)
+    return DirectIntegralObservable(obs.grid, _frozen(out))
 
 
 def flow_vs_conjugation_residual(
@@ -222,7 +241,7 @@ def random_hermitian_observable(
 ) -> DirectIntegralObservable:
     """Independent Hermitian fibres: real Gaussian Pauli coefficients."""
     return DirectIntegralObservable(
-        grid, rng.normal(size=(grid.size, 4)).astype(np.complex128)
+        grid, _frozen(rng.normal(size=(grid.size, 4)).astype(np.complex128))
     )
 
 
@@ -241,7 +260,7 @@ def random_psd_observable(
     for block in _blocks(grid.size):
         B = real[block] + 1j * imag[block]
         coeffs[block] = pauli_decompose(B @ np.conj(np.swapaxes(B, 1, 2)))
-    return DirectIntegralObservable(grid, coeffs)
+    return DirectIntegralObservable(grid, _frozen(coeffs))
 
 
 def positivity_check(obs: DirectIntegralObservable, t: float, coin: Coin) -> dict:
@@ -250,28 +269,30 @@ def positivity_check(obs: DirectIntegralObservable, t: float, coin: Coin) -> dic
     Checks the smallest eigenvalue of every fibre before and after evolution
     by time ``t``.  Input fibres must be Hermitian; they count as positive
     when all eigenvalues are >= -1e-12 and the evolved fibres must stay above
-    -1e-10.  The fibres are evolved by :func:`heisenberg_evolve`, then rebuilt
-    as matrices and diagonalised one block at a time; no random numbers are
-    drawn.
+    -1e-10.  Each block of fibres is evolved as :func:`heisenberg_evolve`
+    evolves it (the same bits), rebuilt as matrices and diagonalised, so no
+    evolved array spans the grid; no random numbers are drawn.
 
-    Returns a report dict with the node indices, the min-eigenvalue arrays
-    before and after, their worst values, and the overall verdict.
+    Returns a report dict with the node indices (an int64 array), the
+    min-eigenvalue arrays before and after (float64 arrays), their worst
+    values, and the overall verdict.
     """
     if not obs.is_hermitian:
         raise ValidationError("positivity check requires Hermitian fibres")
-    evolved = heisenberg_evolve(obs, t, coin).coefficients
+    coeffs = obs.coefficients
+    nodes = obs.grid.nodes
     before = np.empty(obs.grid.size)
     after = np.empty(obs.grid.size)
     for block in _blocks(obs.grid.size):
-        fibres = np.stack([pauli_compose(obs.coefficients[block]), pauli_compose(evolved[block])])
+        evolved = _evolve_coefficients(nodes[block], t, coeffs[block], coin)
+        fibres = np.stack([pauli_compose(coeffs[block]), pauli_compose(evolved)])
         before[block], after[block] = np.linalg.eigvalsh(fibres).min(axis=-1)
-    del evolved  # freed before the report's lists are built
     input_psd = bool(before.min() >= -1e-12)
     return {
-        "nodes": list(range(obs.grid.size)),
+        "nodes": np.arange(obs.grid.size),
         "time": float(t),
-        "min_eigenvalue_before": before.tolist(),
-        "min_eigenvalue_after": after.tolist(),
+        "min_eigenvalue_before": before,
+        "min_eigenvalue_after": after,
         "worst_before": float(before.min()),
         "worst_after": float(after.min()),
         "input_psd": input_psd,

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +291,33 @@ def test_json_text_equals_stdlib_indent_2(value):
     assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
+ARRAY_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1, -2.5]
+ARRAY_INTS = [2**63 - 1, -(2**63 - 1), 0, -7]
+
+
+def _as_lists(value):
+    if isinstance(value, dict):
+        return {key: _as_lists(item) for key, item in value.items()}
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 2048, 10**9])
+def test_json_arrays_stream_as_their_lists(tmp_path, monkeypatch, chunk):
+    # a numpy array is encoded _TABLE_CHUNK items at a time; the text must be
+    # that of its tolist() whatever the chunk size, also around the chunk edge
+    # (at chunk 10**9 the lengths around 2048 all fit in one chunk)
+    monkeypatch.setattr(cli, "_TABLE_CHUNK", chunk)
+    edge = min(chunk, 2048)
+    payload = {"scalar": 1.5, "list": [1, 2.0, None], "nested": {}}
+    for n in sorted({0, 1, edge - 1, edge, edge + 1}):
+        payload[f"floats_{n}"] = np.resize(np.array(ARRAY_FLOATS), n)
+        payload["nested"][f"ints_{n}"] = np.resize(np.array(ARRAY_INTS, dtype=np.int64), n)
+    text = cli._json_text(payload)
+    assert text == json.dumps(_as_lists(payload), indent=2, sort_keys=True)
+    cli._write_json(tmp_path / "out.json", payload)
+    assert (tmp_path / "out.json").read_bytes().decode("utf-8") == text + "\n"
+
+
 JSON_RUNS = {
     "walk": ["walk", "--preset", "fig3.3", "--steps", "12", "--trajectory"],
     "cwalk": ["cwalk", "--preset", "fig3.5"],
@@ -531,6 +559,19 @@ def test_verify_quick_passes(tmp_path, capsys):
     assert [c["name"] for c in report["checks"]] == [c.name for c in CHECKS]
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_semigroup_request_peak_memory(tmp_path, capsys):
+    # the whole request at the benchmark's grid, traced by tracemalloc; it
+    # peaks at 9.2-9.8 MB, and at 15.4-16.0 MB with the report held as lists
+    # and written as one string
+    tracemalloc.start()
+    try:
+        assert main(["semigroup", "--grid", "65536", "--seed", "1", "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6, peak
 
 
 def test_verify_failure_exit_code(tmp_path, monkeypatch):

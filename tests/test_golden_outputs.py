@@ -4,8 +4,9 @@
 write, its SHA-256, its size and a digest of each line (of each run of
 ``chunk`` lines in files longer than ``MAX_LINE_DIGESTS`` lines), plus the
 Python and numpy versions it was recorded with.  The test regenerates the
-files through ``cli.main`` and names the first differing line of a changed
-file.  A digest changes only on purpose: rerecord with
+files through ``cli.main`` and, for a changed file, names the first line (or
+run of ``chunk`` lines) whose digest differs and quotes its current text.  A
+digest changes only on purpose: rerecord with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 
@@ -29,6 +30,8 @@ from coinwalk.cli import main
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_outputs.json"
 MAX_LINE_DIGESTS = 2048
 DIGEST_BYTES = 4
+# lines of a differing chunk quoted in a failure message
+QUOTED_LINES = 8
 
 IDENTITY_COIN = {
     "mode": "density",
@@ -93,9 +96,28 @@ def _first_difference(name: str, expected: dict, data: bytes) -> str:
         if old[k : k + DIGEST_BYTES] != new[k : k + DIGEST_BYTES]:
             first = k // DIGEST_BYTES * chunk
             where = f"line {first + 1}" if chunk == 1 else f"lines {first + 1}-{first + chunk}"
-            text = lines[first].decode(errors="replace").rstrip("\n") if first < len(lines) else "<end of file>"
-            return f"{name}: first difference at {where} of {expected['lines']} (now {len(lines)}); it now reads {text!r}"
+            now = [line.decode(errors="replace").rstrip("\n") for line in lines[first : first + chunk]]
+            text = "".join(f"\n  {first + i + 1}: {line!r}" for i, line in enumerate(now[:QUOTED_LINES]))
+            if len(now) > QUOTED_LINES:
+                text += f"\n  ... {len(now) - QUOTED_LINES} more"
+            return (
+                f"{name}: first difference at {where} of {expected['lines']} (now {len(lines)}); "
+                f"the new text:{text or ' <end of file>'}"
+            )
     return f"{name}: same lines, different bytes (size {expected['size']} -> {len(data)})"
+
+
+def test_first_difference_quotes_the_changed_line():
+    # 5000 lines are digested 3 at a time; the changed line is the middle one
+    # of lines 1000-1002, so quoting only a chunk's first line would miss it
+    lines = [f"{i},{i * i}\n".encode() for i in range(5000)]
+    expected = _describe(b"".join(lines))
+    assert expected["chunk"] == 3
+    lines[1000] = b"1000,changed\n"
+    message = _first_difference("big.csv", expected, b"".join(lines))
+    assert "lines 1000-1002 of 5000" in message
+    assert "'1000,changed'" in message
+    assert "'999,998001'" in message and "'1001,1002001'" in message
 
 
 def test_bundled_runs_keep_their_bytes(tmp_path):

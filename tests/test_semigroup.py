@@ -1,6 +1,5 @@
 """Heisenberg evolution of fibred observables and the coefficient rotations."""
 
-import json
 import math
 import tracemalloc
 
@@ -10,6 +9,7 @@ import pytest
 from coinwalk import (
     MomentumGrid,
     ValidationError,
+    cli,
     conjugate_evolve,
     cross_generator,
     hadamard_switched,
@@ -130,6 +130,32 @@ def test_observable_validation():
         DirectIntegralObservable.from_matrices(grid, np.zeros((8, 3, 3)))
 
 
+def test_observable_owns_read_only_coefficients(hadamard):
+    # a caller's array is copied; a builder's fresh array is adopted, and an
+    # evolved observable never shares memory with the one it came from
+    grid = MomentumGrid(16)
+    caller = np.random.default_rng(3).normal(size=(16, 4)).astype(np.complex128)
+    kept = caller.copy()
+    obs = DirectIntegralObservable(grid, caller)
+    caller[:] = 0.0
+    assert caller.flags.writeable
+    assert np.array_equal(obs.coefficients, kept)
+    evolved = heisenberg_evolve(obs, 1.1, hadamard)
+    assert not np.shares_memory(evolved.coefficients, obs.coefficients)
+    rng = np.random.default_rng(1)
+    built = [
+        obs,
+        evolved,
+        random_psd_observable(grid, rng),
+        random_hermitian_observable(grid, rng),
+        DirectIntegralObservable.from_matrices(grid, np.zeros((16, 2, 2))),
+        DirectIntegralObservable.constant(grid, np.eye(2)),
+    ]
+    for o in built:
+        with pytest.raises(ValueError):
+            o.coefficients[0, 0] = 1.0
+
+
 def test_observable_sup_norm():
     grid = MomentumGrid(4)
     obs = DirectIntegralObservable.constant(grid, np.diag([3.0, -1.0]))
@@ -185,20 +211,27 @@ def test_block_size_changes_no_bit(monkeypatch):
         psd = random_psd_observable(grid, rng)
         evolved = heisenberg_evolve(random_hermitian_observable(grid, rng), 2.7, coin)
         report = positivity_check(psd, 2.7, coin)
-        results.append((psd.coefficients.tobytes(), evolved.coefficients.tobytes(), json.dumps(report)))
+        results.append((psd.coefficients.tobytes(), evolved.coefficients.tobytes(), cli._json_text(report)))
     assert all(r == results[0] for r in results[1:])
 
 
 def test_grid_routines_peak_memory(hadamard):
-    # tracemalloc sees numpy's buffers, so the peaks are deterministic; built
-    # for the whole grid at once they were 22.6 and 26.8 MB
+    # tracemalloc sees numpy's buffers, so the peaks are deterministic.  Built
+    # for the whole grid at once they were 22.6, 26.8 and 16.8 MB; blocked but
+    # with a copy of every fresh coefficient array and positivity_check
+    # evolving the whole grid first, 8.9, 8.9 and 12.9 MB
     grid = MomentumGrid(65536)
     obs = random_psd_observable(grid, np.random.default_rng(0))
-    for routine, limit_mb in ((heisenberg_evolve, 12), (positivity_check, 16)):
+    runs = {
+        "heisenberg_evolve": (lambda: heisenberg_evolve(obs, 1.0, hadamard), 8),
+        "positivity_check": (lambda: positivity_check(obs, 1.0, hadamard), 6),
+        "random_psd_observable": (lambda: random_psd_observable(grid, np.random.default_rng(0)), 11),
+    }
+    for name, (run, limit_mb) in runs.items():
         tracemalloc.start()
         try:
-            routine(obs, 1.0, hadamard)
+            run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= limit_mb * 1e6, (routine.__name__, peak)
+        assert peak <= limit_mb * 1e6, (name, peak)
