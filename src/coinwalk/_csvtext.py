@@ -29,14 +29,10 @@ text then follows ``%g``: fixed notation for ``-4 <= E < 17``, otherwise
 from __future__ import annotations
 
 import math
-from itertools import groupby
 
 import numpy as np
 
 SLOT = 32  # bytes per field; the last one holds the ',' or '\n'
-# values per kernel call: a grid-65536 flow table wrote ~30% faster than with
-# one call per 2048-row chunk, its temporaries staying in cache
-_BATCH = 4096
 
 # |x| in this range takes the exact double-double route
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280
@@ -255,17 +251,14 @@ def column(values) -> np.ndarray:
 
 
 def render(columns) -> bytes:
-    """The CSV rows of equal-length nonempty ``columns`` (as made by ``column``)."""
+    """The CSV rows of equal-length nonempty ``columns`` (as made by ``column``).
+
+    One kernel call per column, so ``cli._write_table`` passes ``core.BLOCK`` rows at most.
+    """
     m = np.empty((len(columns), len(columns[0]), SLOT), np.uint8)  # a column's slots are contiguous
-    j = 0
-    for dtype, run in groupby(columns, key=lambda c: c.dtype):
-        run = list(run)
-        values = np.concatenate(run)
-        slots = m[j : j + len(run)].reshape(-1, SLOT)
-        kernel = _float_slots if dtype.kind == "f" else _int_slots
-        for start in range(0, len(values), _BATCH):
-            kernel(values[start : start + _BATCH], slots[start : start + _BATCH])
-        j += len(run)
+    for values, slots in zip(columns, m):
+        kernel = _float_slots if values.dtype.kind == "f" else _int_slots
+        kernel(values, slots)
     m[:, :, -1] = ord(",")
     m[-1, :, -1] = ord("\n")
     return m.transpose(1, 0, 2).tobytes().translate(None, b"\0")

@@ -26,8 +26,8 @@ significant digits), and every JSON file through ``_write_json``, the one
 place the JSON format lives (the bytes of the standard library's
 ``json.dumps(payload, indent=2, sort_keys=True)``, with a numpy array written
 as its ``tolist()``), so identical configs diff clean.  Both writers stream to
-the file: a table ``_TABLE_CHUNK`` rows at a time, a numpy array in a JSON
-payload ``_TABLE_CHUNK`` items at a time.
+the file: a table ``core.BLOCK`` rows at a time, a numpy array in a JSON
+payload ``core.BLOCK`` items at a time.
 Exit codes: 0 ok, 1 validation, usage or file error, 2 verification failure.
 """
 
@@ -44,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _csvtext, continuous, limitlaw, semigroup, spectral, walk
+from . import _csvtext, continuous, core, limitlaw, semigroup, spectral, walk
 from .core import (
     VALIDATE_TOL,
     Coin,
@@ -190,6 +190,15 @@ def _parse_coin(spec) -> Coin:
         raise ValidationError(f"config field 'coin': {exc}") from exc
 
 
+def _as_site(value, field_name: str) -> int:
+    # positions feed float64 phases and scaled laws, which hold integers exactly up to 2**53
+    if not isinstance(value, int) or isinstance(value, bool) or abs(value) > 2**53:
+        raise ValidationError(
+            f"config field '{field_name}': sites are integers with |x| <= 2**53, got {value!r}"
+        )
+    return value
+
+
 def _parse_initial(spec) -> WaveFunction:
     if not isinstance(spec, dict):
         raise ValidationError("config field 'initial': expected an object")
@@ -199,30 +208,24 @@ def _parse_initial(spec) -> WaveFunction:
             raise ValidationError("config field 'initial.qubit': expected [a, b]")
         a = _as_complex(pair[0], "initial.qubit[0]")
         b = _as_complex(pair[1], "initial.qubit[1]")
-        site = spec.get("site", 0)
-        if not isinstance(site, int):
-            raise ValidationError("config field 'initial.site': expected an integer")
-        psi = WaveFunction.qubit(a, b, site=site)
+        psi = WaveFunction.qubit(a, b, site=_as_site(spec.get("site", 0), "initial.site"))
     elif "sites" in spec:
         entries = spec["sites"]
         if not isinstance(entries, (list, tuple)) or not entries:
             raise ValidationError("config field 'initial.sites': expected a nonempty list")
         pairs = []
         for entry in entries:
-            if not isinstance(entry, (list, tuple)) or len(entry) != 3 or not isinstance(entry[0], int):
+            if not isinstance(entry, (list, tuple)) or len(entry) != 3:
                 raise ValidationError(
                     "config field 'initial.sites': entries are [x, [re, im], [re, im]]"
                 )
-            pairs.append(
-                (
-                    entry[0],
-                    (
-                        _as_complex(entry[1], "initial.sites[..][1]"),
-                        _as_complex(entry[2], "initial.sites[..][2]"),
-                    ),
-                )
-            )
-        psi = WaveFunction.from_sites(pairs)
+            x = _as_site(entry[0], "initial.sites[..][0]")
+            a, b = (_as_complex(entry[j], f"initial.sites[..][{j}]") for j in (1, 2))
+            pairs.append((x, (a, b)))
+        try:
+            psi = WaveFunction.from_sites(pairs)
+        except ValidationError as exc:
+            raise ValidationError(f"config field 'initial.sites': {exc}") from exc
     else:
         raise ValidationError("config field 'initial': needs 'qubit' or 'sites'")
     nrm = psi.norm()
@@ -312,21 +315,13 @@ def serialize_config(config: RunConfig) -> dict:
 # --------------------------------------------------------------------------
 
 
-# rows per _csvtext.render call.  Short blocks (one per step of `walk
-# --trajectory`) are gathered up to this many rows, so they do not each pay the
-# kernel's fixed cost of ~0.1 ms a call: the fig3.3 trajectory wrote in ~0.6 s
-# at 1024 rows and ~0.45-0.5 s at 2048 or 4096.  A chunk of six columns holds
-# 0.4 MB of slots; the kernel takes it _csvtext._BATCH values at a time.
-_TABLE_CHUNK = 2048
-
-
 def _write_table(path: Path, header: str, blocks) -> None:
     """Write ``header``, then the rows of each block of equal-length numpy columns.
 
     Integer columns print as integers (``"%d" % v``) and all others at 17
     significant digits (``"%.17g" % x``, the same digits as ``{:.17g}``), which
     round-trips a float64; the bytes are exactly those of the ``%`` format.
-    The blocks stream to the file, regrouped into chunks of ``_TABLE_CHUNK``
+    The blocks stream to the file, regrouped into chunks of ``core.BLOCK``
     rows, and ``_csvtext.render`` turns each chunk into text with numpy: an
     exact vectorised ``%.17g`` with a per-value ``%`` fallback for near-ties,
     values outside [1e-280, 1e280] and non-finite values.
@@ -338,25 +333,25 @@ def _write_table(path: Path, header: str, blocks) -> None:
 
 
 def _table_chunks(blocks):
-    """The rows of ``blocks`` as chunks of ``_TABLE_CHUNK`` rows, the last one shorter.
+    """The rows of ``blocks`` as chunks of ``core.BLOCK`` rows, the last one shorter.
 
-    A chunk never mixes blocks whose columns render from different dtypes.
+    Short blocks (one per step of ``walk --trajectory``) are gathered, sparing
+    ``_csvtext.render``'s cost per call, but never blocks of different dtypes.
     """
-    parts: list = []
-    rows, dtypes = 0, None
+    chunk = core.BLOCK
+    parts, rows = [], 0
     for block in blocks:
         columns = [_csvtext.column(c) for c in block]
-        if parts and [c.dtype for c in columns] != dtypes:
+        if parts and [c.dtype for c in columns] != [c.dtype for c in parts[0]]:
             yield _joined(parts)
             parts, rows = [], 0
-        dtypes = [c.dtype for c in columns]
         start, n = 0, len(columns[0])
         while start < n:
-            stop = min(n, start + _TABLE_CHUNK - rows)
+            stop = min(n, start + chunk - rows)
             parts.append([c[start:stop] for c in columns])
             rows += stop - start
             start = stop
-            if rows == _TABLE_CHUNK:
+            if rows == chunk:
                 yield _joined(parts)
                 parts, rows = [], 0
     if parts:
@@ -370,33 +365,27 @@ def _joined(parts: list) -> list:
 def _json_chunks(value, pad: str = ""):
     """Pieces of ``json.dumps(value, indent=2, sort_keys=True)``, nested at indent ``pad``.
 
-    Dict keys are strings.  A list of numbers, booleans and nulls goes through
-    the C encoder in one call and is re-indented by one ``str.replace``: its
-    compact text has no string, so ``", "`` occurs only between items.  Every
-    other list recurses item by item.  A 1-D numeric numpy array is written as
-    its ``tolist()``, converted and encoded ``_TABLE_CHUNK`` items at a time, so
-    no piece and no list spans the whole array.
+    A dict (string keys) recurses key by key.  A 1-D numeric numpy array is
+    written as its ``tolist()``, converted and encoded ``core.BLOCK`` items at
+    a time, so no piece and no list spans the whole array.  Any other value is
+    one ``json.dumps`` call re-indented by one ``str.replace``: the encoder
+    escapes newlines inside strings, so its text breaks lines only between
+    items.
     """
     inner = pad + "  "
-    brackets = "[]"
     if isinstance(value, dict):
         brackets = "{}"
         members = (chain((f"{json.dumps(key)}: ",), _json_chunks(value[key], inner)) for key in sorted(value))
     elif isinstance(value, np.ndarray):
         if value.ndim != 1:
             raise TypeError(f"only 1-D arrays are written as JSON, got shape {value.shape}")
+        brackets = "[]"
         members = (
-            (json.dumps(value[i : i + _TABLE_CHUNK].tolist())[1:-1].replace(", ", ",\n" + inner),)
-            for i in range(0, len(value), _TABLE_CHUNK)
+            (json.dumps(value[block].tolist())[1:-1].replace(", ", ",\n" + inner),)
+            for block in core.blocks(len(value))
         )
-    elif isinstance(value, (list, tuple)):
-        body = json.dumps(value)[1:-1]
-        if "[" in body or "{" in body or '"' in body:
-            members = (_json_chunks(item, inner) for item in value)
-        else:
-            members = [(body.replace(", ", ",\n" + inner),)] if body else []
     else:
-        yield json.dumps(value)
+        yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
         return
     opened = False
     for member in members:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -62,6 +62,9 @@ TRIM_TOL = 1e-30
 # Sites added on each side of the light cone by MomentumGrid.for_walk: the
 # continuous-time light cone is not sharp, so fractional t leaks past it.
 GRID_MARGIN = 8
+# Items per block of every blocked pass (fibres, quadrature nodes, CSV rows,
+# JSON array items); items never mix, so it moves memory and speed, no bit.
+BLOCK = 2048
 
 PAULI = np.array(
     [
@@ -238,8 +241,12 @@ class WaveFunction:
 
     @classmethod
     def from_sites(cls, sites: Iterable[tuple[int, Sequence[complex]]]) -> "WaveFunction":
-        """Build a state from ``(x, (a, b))`` pairs; gaps are filled with zeros."""
-        entries = {int(x): (complex(v[0]), complex(v[1])) for x, v in sites}
+        """Build a state from ``(x, (a, b))`` pairs, each ``x`` once; gaps are filled with zeros."""
+        entries = {}
+        for x, v in sites:
+            if int(x) in entries:
+                raise ValidationError(f"site {int(x)} is given twice")
+            entries[int(x)] = (complex(v[0]), complex(v[1]))
         if not entries:
             raise ValidationError("at least one site is required")
         lo, hi = min(entries), max(entries)
@@ -284,6 +291,12 @@ class WaveFunction:
         if lo == 0 and hi == self.width - 1:
             return self
         return WaveFunction(self.x_min + lo, self.amplitudes[lo : hi + 1])
+
+
+def blocks(size: int, per: int = 1) -> Iterator[slice]:
+    """Slices covering ``range(size)`` of ``max(1, BLOCK // per)`` items, ``per`` values each."""
+    step = max(1, BLOCK // per)
+    return (slice(i, i + step) for i in range(0, size, step))
 
 
 def require_normalized(psi: WaveFunction, what: str = "state") -> None:

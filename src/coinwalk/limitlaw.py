@@ -45,6 +45,7 @@ from .core import (
     DomainError,
     ValidationError,
     WaveFunction,
+    blocks,
     momentum_state,
     require_normalized,
 )
@@ -337,11 +338,6 @@ def density_localized(y, coin: Coin, a: complex, b: complex):
 # quadrature error far below MASS_TOL.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _BASE_PANELS = 192
-# Panels per integrand call in LimitLaw._cumulative (4096 nodes), so its live
-# memory is O(block), not O(targets).  On a 2-core x86-64 VM a cdf on 4.5k
-# targets took 121 ms at 16 panels (numpy call overhead), 41-47 ms at
-# 128-1024 and 64 ms unblocked.
-_BLOCK_PANELS = 256
 
 
 def _base_edges() -> np.ndarray:
@@ -363,9 +359,10 @@ class LimitLaw:
     The distribution function and moments come from panelwise
     Gauss-Legendre quadrature in the substituted variable
     ``y = |l1| sin(u)``, which removes the endpoint singularities exactly.
-    The cdf evaluates its panels ``_BLOCK_PANELS`` at a time, so its memory
-    is O(block) beyond a few floats per target; the moments share one
-    cached evaluation of the integrand on the ``_BASE_PANELS`` base panels.
+    The cdf evaluates its panels in blocks of ``core.BLOCK`` quadrature
+    nodes, so its memory is O(block) beyond a few floats per target; the
+    moments share one cached evaluation of the integrand on the
+    ``_BASE_PANELS`` base panels.
     """
 
     def __init__(
@@ -400,15 +397,14 @@ class LimitLaw:
         """Integrals of ``rho`` from the lower edge to each target (sorted).
 
         The panels run between the base edges and the targets.  They are
-        integrated ``_BLOCK_PANELS`` at a time into one array of panel
+        integrated ``core.BLOCK`` nodes at a time into one array of panel
         integrals, whose running sum gives the targets' values; every
         panel's bits are independent of the blocking.
         """
         edges = np.unique(np.concatenate([_base_edges(), u_targets]))
         lo, hi = edges[:-1], edges[1:]
         panel = np.empty(lo.size)
-        for start in range(0, lo.size, _BLOCK_PANELS):
-            block = slice(start, start + _BLOCK_PANELS)
+        for block in blocks(lo.size, per=_GL_NODES.size):
             nodes, half = _panel_nodes(lo[block], hi[block])
             panel[block] = self._panel_integrals(self._integrand_u(nodes), nodes, half)
         cumulative = np.concatenate(([0.0], np.cumsum(panel)))

@@ -15,11 +15,12 @@ axis ``h(k - theta1)`` by the angle ``-2 t gamma(k - theta1)``:
     a(t) = exp(t * cross_generator(k)) a(0) = pauli_flow(k, t) a(0).
 
 Both functions broadcast over momenta.  The grid-wide routines below run
-them on blocks of ``_BLOCK_NODES`` fibres, so their working memory is
-O(block) beside the ``(M, 4)`` coefficient arrays; every fibre's bits are
-those of one whole-grid call.  The generator acts on *coefficient* vectors;
-the Pauli basis operators themselves transform by its transpose.  Correctness of the orientation is
-pinned by the direct-conjugation oracle, not by convention.  Two independent
+them on blocks of ``core.BLOCK`` fibres (:func:`~coinwalk.core.blocks`), so
+their working memory is O(block) beside the ``(M, 4)`` coefficient arrays;
+every fibre's bits are those of one whole-grid call.  The generator acts on
+*coefficient* vectors; the Pauli basis operators themselves transform by its
+transpose.  Correctness of the orientation is pinned by the
+direct-conjugation oracle, not by convention.  Two independent
 routes compute the rotation: the closed Rodrigues form (default) and the
 complex eigenbasis of the generator (cross-check).
 """
@@ -35,6 +36,7 @@ from .core import (
     Coin,
     MomentumGrid,
     ValidationError,
+    blocks,
     pauli_compose,
     pauli_decompose,
 )
@@ -51,16 +53,6 @@ __all__ = [
     "random_psd_observable",
     "rotation_via_eigenbasis",
 ]
-
-# Fibres per block of the grid-wide routines.  Fibres never mix, so the
-# block size changes no bit of any result, only the working memory.
-_BLOCK_NODES = 4096
-
-
-def _blocks(size: int):
-    """Slices covering ``range(size)`` in blocks of ``_BLOCK_NODES``."""
-    return (slice(i, i + _BLOCK_NODES) for i in range(0, size, _BLOCK_NODES))
-
 
 def _frozen(coeffs: np.ndarray) -> np.ndarray:
     """A fresh coefficient array made read-only, so an observable adopts it uncopied."""
@@ -212,7 +204,7 @@ def heisenberg_evolve(
     coeffs = obs.coefficients
     nodes = obs.grid.nodes
     out = np.empty_like(coeffs)
-    for block in _blocks(obs.grid.size):
+    for block in blocks(obs.grid.size):
         out[block] = _evolve_coefficients(nodes[block], t, coeffs[block], coin)
     return DirectIntegralObservable(obs.grid, _frozen(out))
 
@@ -257,7 +249,7 @@ def random_psd_observable(
     real = rng.normal(size=(grid.size, 2, 2))
     imag = rng.normal(size=(grid.size, 2, 2))
     coeffs = np.empty((grid.size, 4), dtype=np.complex128)
-    for block in _blocks(grid.size):
+    for block in blocks(grid.size):
         B = real[block] + 1j * imag[block]
         coeffs[block] = pauli_decompose(B @ np.conj(np.swapaxes(B, 1, 2)))
     return DirectIntegralObservable(grid, _frozen(coeffs))
@@ -283,7 +275,7 @@ def positivity_check(obs: DirectIntegralObservable, t: float, coin: Coin) -> dic
     nodes = obs.grid.nodes
     before = np.empty(obs.grid.size)
     after = np.empty(obs.grid.size)
-    for block in _blocks(obs.grid.size):
+    for block in blocks(obs.grid.size):
         evolved = _evolve_coefficients(nodes[block], t, coeffs[block], coin)
         fibres = np.stack([pauli_compose(coeffs[block]), pauli_compose(evolved)])
         before[block], after[block] = np.linalg.eigvalsh(fibres).min(axis=-1)

@@ -242,21 +242,12 @@ def _light_cone_and_parity(rng, n):
 
 def _superposition(rng, n):
     coin = hadamard_switched()
-    finals = {
-        name: walk.evolve(walk.WalkRun(coin, _figure_state(name), n))
-        for name in ("fig3.1", "fig3.2", "fig3.3", "fig3.4")
-    }
-    lo = min(f.x_min for f in finals.values())
-    hi = max(f.x_max for f in finals.values())
-
-    def dist(psi):
-        full = np.zeros(hi - lo + 1)
-        full[psi.x_min - lo : psi.x_max - lo + 1] = position_distribution(psi)
-        return full
-
-    mixture = 0.5 * (dist(finals["fig3.1"]) + dist(finals["fig3.2"]))
-    gap_mix = float(np.abs(dist(finals["fig3.3"]) - mixture).max())
-    gap_34 = float(np.abs(dist(finals["fig3.3"]) - dist(finals["fig3.4"])).max())
+    p1, p2, p3, p4 = walk._union_window(
+        [walk.evolve(walk.WalkRun(coin, _figure_state(f"fig3.{i}"), n)) for i in range(1, 5)]
+    )
+    mixture = 0.5 * (p1 + p2)
+    gap_mix = float(np.abs(p3 - mixture).max())
+    gap_34 = float(np.abs(p3 - p4).max())
     return (
         min(gap_mix, gap_34),
         f"n={n}: |fig3.3-mean(3.1,3.2)|={gap_mix:.4g}, |fig3.3-fig3.4|={gap_34:.4g}",

@@ -250,8 +250,7 @@ def ks_distance(law_a, law_b) -> float:
     identical distribution functions on the merged grid.
     """
     points = [law_a.jump_points(), law_b.jump_points()]
-    continuous = any(p.size == 0 for p in points)
-    if continuous:
+    if any(p.size == 0 for p in points):
         lo = min(law_a.support()[0], law_b.support()[0])
         hi = max(law_a.support()[1], law_b.support()[1])
         points.append(np.linspace(lo, hi, KS_PROBE_POINTS))
@@ -263,21 +262,24 @@ def ks_distance(law_a, law_b) -> float:
     return float(max(np.abs(right_a - right_b).max(), np.abs(left_a - left_b).max()))
 
 
+def _union_window(states, values=position_distribution) -> list[np.ndarray]:
+    """``values(psi)`` of each state, laid on the union of their supports, zero elsewhere."""
+    lo, hi = min(psi.x_min for psi in states), max(psi.x_max for psi in states)
+    placed = []
+    for psi in states:
+        v = values(psi)
+        placed.append(np.zeros((hi - lo + 1, *v.shape[1:]), v.dtype))
+        placed[-1][psi.x_min - lo : psi.x_max - lo + 1] = v
+    return placed
+
+
 def sup_norm_difference(psi_a: WaveFunction, psi_b: WaveFunction) -> float:
     """Largest amplitude difference between two states on their union support."""
-    lo = min(psi_a.x_min, psi_b.x_min)
-    hi = max(psi_a.x_max, psi_b.x_max)
-    diff = np.zeros((hi - lo + 1, 2), dtype=np.complex128)
-    diff[psi_a.x_min - lo : psi_a.x_max - lo + 1] = psi_a.amplitudes
-    diff[psi_b.x_min - lo : psi_b.x_max - lo + 1] -= psi_b.amplitudes
-    return float(np.max(np.abs(diff)))
+    a, b = _union_window((psi_a, psi_b), lambda psi: psi.amplitudes)
+    return float(np.max(np.abs(a - b)))
 
 
 def distribution_difference(psi_a: WaveFunction, psi_b: WaveFunction) -> float:
     """Sup-norm difference of the two position distributions on the union support."""
-    lo = min(psi_a.x_min, psi_b.x_min)
-    hi = max(psi_a.x_max, psi_b.x_max)
-    out = np.zeros(hi - lo + 1)
-    out[psi_a.x_min - lo : psi_a.x_max - lo + 1] = position_distribution(psi_a)
-    out[psi_b.x_min - lo : psi_b.x_max - lo + 1] -= position_distribution(psi_b)
-    return float(np.max(np.abs(out)))
+    a, b = _union_window((psi_a, psi_b))
+    return float(np.max(np.abs(a - b)))

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coinwalk.cli as cli
+import coinwalk.core as core
 from coinwalk import MomentumGrid, ValidationError, continuous, limitlaw, spectral, walk
 from coinwalk.core import position_distribution
 from coinwalk.cli import PRESETS, main, parse_config, serialize_config
@@ -128,6 +129,17 @@ def test_config_validation_names_fields():
     ):
         with pytest.raises(ValidationError, match=f"config field '{field}': null"):
             parse_config(data)
+    # sites are integers, not booleans, and small enough to be exact as float64
+    for initial, field in (
+        ({"qubit": [[1, 0], [0, 0]], "site": True}, "initial.site"),
+        ({"qubit": [[1, 0], [0, 0]], "site": 10**20}, "initial.site"),
+        ({"qubit": [[1, 0], [0, 0]], "site": -(2**53) - 1}, "initial.site"),
+        ({"sites": [[True, [1, 0], [0, 0]]]}, r"initial.sites\[..\]\[0\]"),
+        ({"sites": [[2**60, [1, 0], [0, 0]]]}, r"initial.sites\[..\]\[0\]"),
+        ({"sites": [[0, [1, 0], [0, 0]], [0, [0, 0], [1, 0]]]}, "initial.sites': site 0 is given twice"),
+    ):
+        with pytest.raises(ValidationError, match=f"config field '{field}"):
+            parse_config({"mode": "walk", "steps": 1, "initial": initial})
 
 
 QUBIT = {"qubit": [[1, 0], [0, 0]]}
@@ -303,10 +315,10 @@ def _as_lists(value):
 
 @pytest.mark.parametrize("chunk", [1, 7, 2048, 10**9])
 def test_json_arrays_stream_as_their_lists(tmp_path, monkeypatch, chunk):
-    # a numpy array is encoded _TABLE_CHUNK items at a time; the text must be
-    # that of its tolist() whatever the chunk size, also around the chunk edge
-    # (at chunk 10**9 the lengths around 2048 all fit in one chunk)
-    monkeypatch.setattr(cli, "_TABLE_CHUNK", chunk)
+    # a numpy array is encoded core.BLOCK items at a time; the text must be
+    # that of its tolist() whatever the block size, also around the block edge
+    # (at 10**9 the lengths around 2048 all fit in one block)
+    monkeypatch.setattr(core, "BLOCK", chunk)
     edge = min(chunk, 2048)
     payload = {"scalar": 1.5, "list": [1, 2.0, None], "nested": {}}
     for n in sorted({0, 1, edge - 1, edge, edge + 1}):
@@ -385,7 +397,7 @@ def edge_block(rng, length):
 
 def test_write_table_matches_per_row_format(tmp_path):
     rng = np.random.default_rng(7)
-    chunk = cli._TABLE_CHUNK
+    chunk = core.BLOCK
     blocks = [edge_block(rng, n) for n in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3)]
     path = tmp_path / "t.csv"
     cli._write_table(path, "i,u,f,b", blocks)

@@ -139,6 +139,11 @@ def test_from_sites_fills_gaps():
     assert psi.amplitude(3)[1] == 1.0
 
 
+def test_from_sites_rejects_a_repeated_site():
+    with pytest.raises(ValidationError, match="site -1 is given twice"):
+        WaveFunction.from_sites([(-1, (1.0, 0.0)), (3, (0.0, 0.0)), (-1, (0.0, 1.0))])
+
+
 # --------------------------------------------------------------------------
 # Fourier transform
 # --------------------------------------------------------------------------

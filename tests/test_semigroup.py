@@ -9,15 +9,17 @@ import pytest
 from coinwalk import (
     MomentumGrid,
     ValidationError,
+    WaveFunction,
     cli,
     conjugate_evolve,
+    core,
     cross_generator,
     hadamard_switched,
     hamiltonian,
     heisenberg_evolve,
+    limitlaw,
     pauli_flow,
     positivity_check,
-    semigroup,
 )
 from coinwalk.semigroup import (
     DirectIntegralObservable,
@@ -201,17 +203,38 @@ def test_positivity_check_validation(hadamard):
 # --------------------------------------------------------------------------
 
 
-def test_block_size_changes_no_bit(monkeypatch):
+def test_block_size_changes_no_bit(monkeypatch, tmp_path):
+    # core.BLOCK sizes every blocked pass: the semigroup fibres, the limit-law
+    # cdf's quadrature nodes, the CSV rows and the JSON array items
     grid = MomentumGrid(1000)
     coin = seeded_coins(1, seed=11)[0]
+    law = limitlaw.weak_limit_law(coin, WaveFunction.from_sites([(-3, (0.6, 0.0)), (2, (0.0, 0.8j))]))
+    targets = np.random.default_rng(5).uniform(-1.0, 1.0, 500)
+    runs = {
+        "semigroup": ["semigroup", "--grid", "120", "--seed", "3"],
+        "walk": ["walk", "--preset", "fig3.3", "--steps", "40", "--trajectory"],
+    }
     results = []
     for block in (1, 7, 1000, 10**9):
-        monkeypatch.setattr(semigroup, "_BLOCK_NODES", block)
+        monkeypatch.setattr(core, "BLOCK", block)
         rng = np.random.default_rng(4)
         psd = random_psd_observable(grid, rng)
         evolved = heisenberg_evolve(random_hermitian_observable(grid, rng), 2.7, coin)
         report = positivity_check(psd, 2.7, coin)
-        results.append((psd.coefficients.tobytes(), evolved.coefficients.tobytes(), cli._json_text(report)))
+        files = {}
+        for name, argv in runs.items():
+            out = tmp_path / str(block) / name
+            assert cli.main([*argv, "--out", str(out)]) == 0
+            files.update({f"{name}/{p.name}": p.read_bytes() for p in sorted(out.iterdir())})
+        results.append(
+            (
+                psd.coefficients.tobytes(),
+                evolved.coefficients.tobytes(),
+                cli._json_text(report),
+                law.cdf(targets).tobytes(),
+                files,
+            )
+        )
     assert all(r == results[0] for r in results[1:])
 
 
