@@ -542,18 +542,24 @@ def cmd_semigroup(config: RunConfig, out_dir: Path) -> list[Path]:
     coin = config.coin()
     grid = MomentumGrid(config.grid_size or 256)
     t = config.time
-    g, h = spectral.dispersion(grid.nodes, coin)
-    flow_path = out_dir / f"flow_t{t:g}.csv"
-    _write_table(flow_path, "k,gamma,h1,h2,h3,angle", [(grid.nodes, g, *h.T, 2.0 * g * t)])
-    del g, h  # not needed below; freed before the checks allocate their arrays
 
+    def flow_blocks():
+        # the dispersion is elementwise: each block has the bits of one whole-grid call
+        nodes = grid.nodes
+        for block in core.blocks(grid.size):
+            k = nodes[block]
+            g, h = spectral.dispersion(k, coin)
+            yield k, g, *h.T, 2.0 * g * t
+
+    flow_path = out_dir / f"flow_t{t:g}.csv"
+    _write_table(flow_path, "k,gamma,h1,h2,h3,angle", flow_blocks())
+
+    # the random fibres are drawn and used per block, as if drawn whole:
+    # the PSD observable, then the Hermitian one
     rng = np.random.default_rng(config.seed)
-    psd = semigroup.random_psd_observable(grid, rng)
-    report = semigroup.positivity_check(psd, t, coin)
-    del psd
-    herm = semigroup.random_hermitian_observable(grid, rng)
-    residual = semigroup.flow_vs_conjugation_residual(herm, t, coin, max(1, grid.size // 32))
-    del herm
+    report = semigroup.random_psd_positivity(grid, t, coin, rng)
+    k, coeffs = semigroup.random_hermitian_sample(grid, rng, max(1, grid.size // 32))
+    residual = semigroup.flow_vs_conjugation_residual(k, coeffs, t, coin)
     report_path = out_dir / "semigroup_report.json"
     _write_json(
         report_path,
@@ -578,20 +584,26 @@ def cmd_verify(config: RunConfig, out_dir: Path) -> tuple[list[Path], bool]:
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.name:<32} residual={r.residual:.3e} tol={r.tolerance:.1e} {r.detail}")
+    report_path, passed = _write_verify_report(out_dir, config.seed, config.quick, results)
+    print(f"{'OK' if passed else 'FAILED'}: {sum(r.passed for r in results)}/{len(results)} checks")
+    return [report_path], passed
+
+
+def _write_verify_report(out_dir: Path, seed: int, quick: bool, results: list) -> tuple[Path, bool]:
+    """Write ``verify_report.json`` for the check results; returns its path and the verdict."""
     passed = all(r.passed for r in results)
     report_path = out_dir / "verify_report.json"
     _write_json(
         report_path,
         {
             "mode": "verify",
-            "seed": config.seed,
-            "quick": config.quick,
+            "seed": seed,
+            "quick": quick,
             "passed": passed,
             "checks": [r.to_dict() for r in results],
         },
     )
-    print(f"{'OK' if passed else 'FAILED'}: {sum(r.passed for r in results)}/{len(results)} checks")
-    return [report_path], passed
+    return report_path, passed
 
 
 # --------------------------------------------------------------------------

@@ -17,16 +17,20 @@ axis ``h(k - theta1)`` by the angle ``-2 t gamma(k - theta1)``:
 Both functions broadcast over momenta.  The grid-wide routines below run
 them on blocks of ``core.BLOCK`` fibres (:func:`~coinwalk.core.blocks`), so
 their working memory is O(block) beside the ``(M, 4)`` coefficient arrays;
-every fibre's bits are those of one whole-grid call.  The generator acts on
-*coefficient* vectors; the Pauli basis operators themselves transform by its
-transpose.  Correctness of the orientation is pinned by the
-direct-conjugation oracle, not by convention.  Two independent
-routes compute the rotation: the closed Rodrigues form (default) and the
-complex eigenbasis of the generator (cross-check).
+every fibre's bits are those of one whole-grid call.  The random fibres are
+drawn per block too, in the order of one whole-grid draw, so
+:func:`random_psd_positivity` and :func:`random_hermitian_sample` use them
+without building the observable.  The generator acts on *coefficient*
+vectors; the Pauli basis operators themselves transform by its transpose.
+Correctness of the orientation is pinned by the direct-conjugation oracle,
+not by convention.  Two independent routes compute the rotation: the
+closed Rodrigues form (default) and the complex eigenbasis of the generator
+(cross-check).
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,9 +54,16 @@ __all__ = [
     "pauli_flow",
     "positivity_check",
     "random_hermitian_observable",
+    "random_hermitian_sample",
     "random_psd_observable",
+    "random_psd_positivity",
     "rotation_via_eigenbasis",
 ]
+
+def _hermitian(coeffs: np.ndarray) -> bool:
+    """Whether Pauli coefficients describe Hermitian fibres (imaginary parts below 1e-12)."""
+    return bool(np.max(np.abs(coeffs.imag)) < 1e-12)
+
 
 def _frozen(coeffs: np.ndarray) -> np.ndarray:
     """A fresh coefficient array made read-only, so an observable adopts it uncopied."""
@@ -103,7 +114,7 @@ class DirectIntegralObservable:
 
     @property
     def is_hermitian(self) -> bool:
-        return bool(np.max(np.abs(self.coefficients.imag)) < 1e-12)
+        return _hermitian(self.coefficients)
 
     def sup_norm(self) -> float:
         """Largest operator norm over the fibres."""
@@ -209,32 +220,72 @@ def heisenberg_evolve(
     return DirectIntegralObservable(obs.grid, _frozen(out))
 
 
-def flow_vs_conjugation_residual(
-    obs: DirectIntegralObservable, t: float, coin: Coin, stride: int
-) -> float:
+def flow_vs_conjugation_residual(k: np.ndarray, coeffs: np.ndarray, t: float, coin: Coin) -> float:
     """Largest entry gap between the Pauli flow and :func:`conjugate_evolve`.
 
-    Compared on every ``stride``-th fibre of ``obs`` after time ``t``; only
-    those fibres are evolved.
+    Compared on the fibres with Pauli coefficients ``coeffs`` (shape
+    ``(m, 4)``) at momenta ``k`` after time ``t``, e.g. the sample drawn by
+    :func:`random_hermitian_sample`.
     """
-    picked = np.arange(0, obs.grid.size, stride)
-    nodes = obs.grid.nodes[picked]
-    coeffs = obs.coefficients[picked]
     mats = pauli_compose(coeffs)
-    evolved = pauli_compose(_evolve_coefficients(nodes, t, coeffs, coin))
+    evolved = pauli_compose(_evolve_coefficients(k, t, coeffs, coin))
     residual = 0.0
-    for k, A, flowed in zip(nodes, mats, evolved):
-        residual = max(residual, float(np.abs(conjugate_evolve(k, t, A, coin) - flowed).max()))
+    for node, A, flowed in zip(k, mats, evolved):
+        residual = max(residual, float(np.abs(conjugate_evolve(node, t, A, coin) - flowed).max()))
     return residual
+
+
+def _sized_blocks(size: int):
+    """``(block, rows)`` for each slice of :func:`~coinwalk.core.blocks` over ``range(size)``."""
+    return ((block, len(range(size)[block])) for block in blocks(size))
+
+
+def _hermitian_draws(grid: MomentumGrid, rng: np.random.Generator):
+    """``(block, normals)``: the real Pauli coefficients of Hermitian fibres, drawn per block."""
+    for block, rows in _sized_blocks(grid.size):
+        yield block, rng.normal(size=(rows, 4))
 
 
 def random_hermitian_observable(
     grid: MomentumGrid, rng: np.random.Generator
 ) -> DirectIntegralObservable:
-    """Independent Hermitian fibres: real Gaussian Pauli coefficients."""
-    return DirectIntegralObservable(
-        grid, _frozen(rng.normal(size=(grid.size, 4)).astype(np.complex128))
-    )
+    """Independent Hermitian fibres: real Gaussian Pauli coefficients, drawn per block."""
+    coeffs = np.empty((grid.size, 4), dtype=np.complex128)
+    for block, normals in _hermitian_draws(grid, rng):
+        coeffs[block] = normals
+    return DirectIntegralObservable(grid, _frozen(coeffs))
+
+
+def random_hermitian_sample(
+    grid: MomentumGrid, rng: np.random.Generator, stride: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Momenta and coefficients of every ``stride``-th fibre of :func:`random_hermitian_observable`.
+
+    Draws from ``rng`` exactly as that builder does and keeps only the picked rows.
+    """
+    picked = [
+        normals[-block.start % stride :: stride].astype(np.complex128)
+        for block, normals in _hermitian_draws(grid, rng)
+    ]
+    # a copy, so that the whole-grid nodes array is freed
+    return grid.nodes[::stride].copy(), np.concatenate(picked)
+
+
+def _psd_fibres(grid: MomentumGrid, rng: np.random.Generator):
+    """``(block, coefficients)`` of the fibres ``B B*`` of :func:`random_psd_observable`, per block.
+
+    One whole-grid draw takes every real part of ``B``, then every imaginary
+    part.  A copy of ``rng`` replays the real parts while ``rng``, advanced
+    past them, draws the imaginary parts; chunked normal draws equal one
+    whole-grid draw bit for bit, so each fibre and the final state of ``rng``
+    are those of the whole-grid draw.
+    """
+    replay = copy.deepcopy(rng)
+    for _, rows in _sized_blocks(grid.size):
+        rng.normal(size=(rows, 2, 2))
+    for block, rows in _sized_blocks(grid.size):
+        B = replay.normal(size=(rows, 2, 2)) + 1j * rng.normal(size=(rows, 2, 2))
+        yield block, pauli_decompose(B @ np.conj(np.swapaxes(B, 1, 2)))
 
 
 def random_psd_observable(
@@ -242,46 +293,29 @@ def random_psd_observable(
 ) -> DirectIntegralObservable:
     """Independent positive-semidefinite fibres ``B B*`` from complex Gaussian B.
 
-    Both normal arrays are drawn for the whole grid first, real part then
-    imaginary part, so the draw order from ``rng`` does not depend on the
-    block size; ``B B*`` and its Pauli coefficients are formed per block.
+    ``rng`` draws the real parts of every ``B``, then the imaginary parts,
+    whatever the block size; the fibres are formed per block.
     """
-    real = rng.normal(size=(grid.size, 2, 2))
-    imag = rng.normal(size=(grid.size, 2, 2))
     coeffs = np.empty((grid.size, 4), dtype=np.complex128)
-    for block in blocks(grid.size):
-        B = real[block] + 1j * imag[block]
-        coeffs[block] = pauli_decompose(B @ np.conj(np.swapaxes(B, 1, 2)))
+    for block, fibres in _psd_fibres(grid, rng):
+        coeffs[block] = fibres
     return DirectIntegralObservable(grid, _frozen(coeffs))
 
 
-def positivity_check(obs: DirectIntegralObservable, t: float, coin: Coin) -> dict:
-    """Verify that positive fibres stay positive under the semigroup.
-
-    Checks the smallest eigenvalue of every fibre before and after evolution
-    by time ``t``.  Input fibres must be Hermitian; they count as positive
-    when all eigenvalues are >= -1e-12 and the evolved fibres must stay above
-    -1e-10.  Each block of fibres is evolved as :func:`heisenberg_evolve`
-    evolves it (the same bits), rebuilt as matrices and diagonalised, so no
-    evolved array spans the grid; no random numbers are drawn.
-
-    Returns a report dict with the node indices (an int64 array), the
-    min-eigenvalue arrays before and after (float64 arrays), their worst
-    values, and the overall verdict.
-    """
-    if not obs.is_hermitian:
-        raise ValidationError("positivity check requires Hermitian fibres")
-    coeffs = obs.coefficients
-    nodes = obs.grid.nodes
-    before = np.empty(obs.grid.size)
-    after = np.empty(obs.grid.size)
-    for block in blocks(obs.grid.size):
-        evolved = _evolve_coefficients(nodes[block], t, coeffs[block], coin)
-        fibres = np.stack([pauli_compose(coeffs[block]), pauli_compose(evolved)])
-        before[block], after[block] = np.linalg.eigvalsh(fibres).min(axis=-1)
+def _positivity(grid: MomentumGrid, t: float, coin: Coin, fibres) -> dict:
+    """The report of :func:`positivity_check` on ``(block, coefficients)`` pairs covering the grid."""
+    nodes = grid.nodes
+    before = np.empty(grid.size)
+    after = np.empty(grid.size)
+    for block, coeffs in fibres:
+        if not _hermitian(coeffs):
+            raise ValidationError("positivity check requires Hermitian fibres")
+        evolved = _evolve_coefficients(nodes[block], t, coeffs, coin)
+        matrices = np.stack([pauli_compose(coeffs), pauli_compose(evolved)])
+        before[block], after[block] = np.linalg.eigvalsh(matrices).min(axis=-1)
     input_psd = bool(before.min() >= -1e-12)
     return {
-        "nodes": np.arange(obs.grid.size),
+        "nodes": np.arange(grid.size),
         "time": float(t),
         "min_eigenvalue_before": before,
         "min_eigenvalue_after": after,
@@ -290,3 +324,31 @@ def positivity_check(obs: DirectIntegralObservable, t: float, coin: Coin) -> dic
         "input_psd": input_psd,
         "passed": input_psd and bool(after.min() >= -1e-10),
     }
+
+
+def positivity_check(obs: DirectIntegralObservable, t: float, coin: Coin) -> dict:
+    """Verify that positive fibres stay positive under the semigroup.
+
+    Checks the smallest eigenvalue of every fibre before and after evolution
+    by time ``t``.  Input fibres must be Hermitian; they count as positive
+    when all eigenvalues are >= -1e-12 and the evolved fibres must stay above
+    -1e-10.  Each block of fibres is checked for Hermiticity, evolved as
+    :func:`heisenberg_evolve` evolves it (the same bits), rebuilt as matrices
+    and diagonalised, so no evolved array spans the grid; no random numbers
+    are drawn.
+
+    Returns a report dict with the node indices (an int64 array), the
+    min-eigenvalue arrays before and after (float64 arrays), their worst
+    values, and the overall verdict.
+    """
+    coeffs = obs.coefficients
+    return _positivity(obs.grid, t, coin, ((block, coeffs[block]) for block in blocks(obs.grid.size)))
+
+
+def random_psd_positivity(grid: MomentumGrid, t: float, coin: Coin, rng: np.random.Generator) -> dict:
+    """:func:`positivity_check` of :func:`random_psd_observable` ``(grid, rng)``, bit for bit.
+
+    The fibres are drawn, checked and dropped per block, so only the report's
+    arrays span the grid; ``rng`` ends where the builder leaves it.
+    """
+    return _positivity(grid, t, coin, _psd_fibres(grid, rng))

@@ -2,11 +2,18 @@ import numpy as np
 import pytest
 
 from coinwalk import WaveFunction, hadamard_switched, random_coin
+from coinwalk.verify import run_verification
 
 
 @pytest.fixture
 def hadamard():
     return hadamard_switched()
+
+
+@pytest.fixture(scope="session")
+def full_verify():
+    """Every registry check in full mode at seed 0, run once per session."""
+    return run_verification(0, False)
 
 
 @pytest.fixture

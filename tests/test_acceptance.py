@@ -1,15 +1,16 @@
 """Acceptance suite: the package's exit criteria are ``coinwalk verify`` checks.
 
-Each criterion test runs, in full mode at seed 0, the registry checks that
-serve that criterion, within the criterion's wall-time limit, and prints one
+The registry runs once, in full mode at seed 0 (the session fixture
+``full_verify``, whose report is also a golden output).  Each criterion test
+reads the results of the checks that serve that criterion, requires their
+summed wall time to be within the criterion's limit, and prints one
 ``ACCEPTANCE <n> PASS|FAIL`` line (visible with ``pytest -s``).  Criteria 3
 and 9 also compare the checks' measurements with thresholds pinned by the
 first oracle run in ``tests/data/oracle_values.json``.  The checks that serve
-no criterion run in full mode in :func:`test_check_without_criterion`.
+no criterion are read in :func:`test_check_without_criterion`.
 """
 
 import json
-import time
 from pathlib import Path
 
 import pytest
@@ -94,11 +95,10 @@ def superposition_thresholds(results):
 ORACLE_COMPARISONS = {3: ks_oracle_drift, 9: superposition_thresholds}
 
 
-def accept(number):
+def accept(number, full_verify):
     title, limit = CRITERIA[number]
-    start = time.perf_counter()
-    results = [check.run() for check in CHECKS if check.criterion == number]
-    elapsed = time.perf_counter() - start
+    results = [r for check, r in zip(CHECKS, full_verify) if check.criterion == number]
+    elapsed = sum(r.seconds for r in results)
     passed = all(r.passed for r in results) and (limit is None or elapsed < limit)
     details = [f"{r.name} {r.residual:.3e} (tol {r.tolerance:.1e}) {r.detail}" for r in results]
     if number in ORACLE_COMPARISONS:
@@ -111,47 +111,47 @@ def accept(number):
     assert passed, f"criterion {number} ({title}): {detail}"
 
 
-def test_criterion_1_discrete_oracle_equivalence():
-    accept(1)
+def test_criterion_1_discrete_oracle_equivalence(full_verify):
+    accept(1, full_verify)
 
 
-def test_criterion_2_integer_time_consistency():
-    accept(2)
+def test_criterion_2_integer_time_consistency(full_verify):
+    accept(2, full_verify)
 
 
-def test_criterion_3_limit_law_convergence():
-    accept(3)
+def test_criterion_3_limit_law_convergence(full_verify):
+    accept(3, full_verify)
 
 
-def test_criterion_4_localized_closed_form():
-    accept(4)
+def test_criterion_4_localized_closed_form(full_verify):
+    accept(4, full_verify)
 
 
-def test_criterion_5_degenerate_laws():
-    accept(5)
+def test_criterion_5_degenerate_laws(full_verify):
+    accept(5, full_verify)
 
 
-def test_criterion_6_generator_correctness():
-    accept(6)
+def test_criterion_6_generator_correctness(full_verify):
+    accept(6, full_verify)
 
 
-def test_criterion_7_semigroup():
-    accept(7)
+def test_criterion_7_semigroup(full_verify):
+    accept(7, full_verify)
 
 
-def test_criterion_8_normalization():
-    accept(8)
+def test_criterion_8_normalization(full_verify):
+    accept(8, full_verify)
 
 
-def test_criterion_9_superposition_gaps():
-    accept(9)
+def test_criterion_9_superposition_gaps(full_verify):
+    accept(9, full_verify)
 
 
 @pytest.mark.parametrize(
     "check", [c for c in CHECKS if c.criterion is None], ids=lambda c: c.name
 )
-def test_check_without_criterion(check):
-    r = check.run()
+def test_check_without_criterion(check, full_verify):
+    r = full_verify[CHECKS.index(check)]
     assert r.passed, f"residual {r.residual:.3e}, tolerance {r.tolerance:.1e}, {r.detail}"
 
 

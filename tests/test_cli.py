@@ -575,15 +575,16 @@ def test_verify_quick_passes(tmp_path, capsys):
 
 def test_semigroup_request_peak_memory(tmp_path, capsys):
     # the whole request at the benchmark's grid, traced by tracemalloc; it
-    # peaks at 9.2-9.8 MB, and at 15.4-16.0 MB with the report held as lists
-    # and written as one string
+    # peaks at 3.2-4.1 MB.  With the report held as lists and written as one
+    # string it peaked at 15.4-16.0 MB, and at 9.0-9.9 MB with the random
+    # observables and the dispersion table built for the whole grid
     tracemalloc.start()
     try:
         assert main(["semigroup", "--grid", "65536", "--seed", "1", "--out", str(tmp_path)]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12e6, peak
+    assert peak <= 5e6, peak
 
 
 def test_verify_failure_exit_code(tmp_path, monkeypatch):

@@ -1,10 +1,12 @@
 """Golden output digests: the bundled runs must keep every byte of their files.
 
 ``tests/data/golden_outputs.json`` holds, for every file the runs in ``RUNS``
-write, its SHA-256, its size and a digest of each line (of each run of
-``chunk`` lines in files longer than ``MAX_LINE_DIGESTS`` lines), plus the
-Python and numpy versions it was recorded with.  The test regenerates the
-files through ``cli.main`` and, for a changed file, names the first line (or
+write and for the full ``verify`` report at seed 0 (``verify_full``, written
+from the session's ``full_verify`` results rather than a second run), its
+SHA-256, its size and a digest of each line (of each run of ``chunk`` lines
+in files longer than ``MAX_LINE_DIGESTS`` lines), plus the Python and numpy
+versions it was recorded with.  The test regenerates the files through
+``cli.main`` and, for a changed file, names the first line (or
 run of ``chunk`` lines) whose digest differs and quotes its current text.  A
 digest changes only on purpose: rerecord with
 
@@ -25,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from coinwalk.cli import main
+from coinwalk.cli import _write_verify_report, main
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_outputs.json"
 MAX_LINE_DIGESTS = 2048
@@ -70,10 +72,13 @@ def _describe(data: bytes) -> dict:
     }
 
 
-def write_outputs(root: Path) -> dict[str, bytes]:
-    """Run every entry of ``RUNS`` into ``root``; the written files by ``run/name``."""
+def write_outputs(root: Path, full_verify: list) -> dict[str, bytes]:
+    """Run every entry of ``RUNS`` into ``root``, and write the report of the
+    full ``verify`` results; the written files by ``run/name``."""
     (root / "identity.json").write_text(json.dumps(IDENTITY_COIN), encoding="utf-8")
-    outputs = {}
+    (root / "verify_full").mkdir()
+    report, _ = _write_verify_report(root / "verify_full", 0, False, full_verify)
+    outputs = {f"verify_full/{report.name}": report.read_bytes()}
     for run, argv in RUNS.items():
         argv = [a.format(root=root) for a in argv]
         with contextlib.redirect_stdout(io.StringIO()):
@@ -120,9 +125,9 @@ def test_first_difference_quotes_the_changed_line():
     assert "'999,998001'" in message and "'1001,1002001'" in message
 
 
-def test_bundled_runs_keep_their_bytes(tmp_path):
+def test_bundled_runs_keep_their_bytes(tmp_path, full_verify):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    outputs = write_outputs(tmp_path)
+    outputs = write_outputs(tmp_path, full_verify)
     problems = [f"{name}: missing" for name in sorted(set(golden["files"]) - set(outputs))]
     problems += [f"{name}: not in the golden record" for name in sorted(set(outputs) - set(golden["files"]))]
     for name, expected in golden["files"].items():
@@ -138,8 +143,11 @@ def test_bundled_runs_keep_their_bytes(tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    from coinwalk.verify import run_verification
+
     with tempfile.TemporaryDirectory() as tmp:
-        files = {name: _describe(data) for name, data in write_outputs(Path(tmp)).items()}
+        outputs = write_outputs(Path(tmp), run_verification(0, False))
+        files = {name: _describe(data) for name, data in outputs.items()}
     GOLDEN.write_text(
         json.dumps({"environment": _environment(), "files": files}, indent=1, sort_keys=True) + "\n",
         encoding="utf-8",

@@ -24,7 +24,9 @@ from coinwalk import (
 from coinwalk.semigroup import (
     DirectIntegralObservable,
     random_hermitian_observable,
+    random_hermitian_sample,
     random_psd_observable,
+    random_psd_positivity,
     rotation_via_eigenbasis,
 )
 from coinwalk.spectral import dispersion
@@ -204,8 +206,11 @@ def test_positivity_check_validation(hadamard):
 
 
 def test_block_size_changes_no_bit(monkeypatch, tmp_path):
-    # core.BLOCK sizes every blocked pass: the semigroup fibres, the limit-law
-    # cdf's quadrature nodes, the CSV rows and the JSON array items
+    # core.BLOCK sizes every blocked pass: the semigroup fibres and random
+    # draws, the limit-law cdf's quadrature nodes, the CSV rows and the JSON
+    # array items.  The streamed positivity report and the sampled Hermitian
+    # fibres match the observables they stand for, and leave rng in the same
+    # state
     grid = MomentumGrid(1000)
     coin = seeded_coins(1, seed=11)[0]
     law = limitlaw.weak_limit_law(coin, WaveFunction.from_sites([(-3, (0.6, 0.0)), (2, (0.0, 0.8j))]))
@@ -219,8 +224,16 @@ def test_block_size_changes_no_bit(monkeypatch, tmp_path):
         monkeypatch.setattr(core, "BLOCK", block)
         rng = np.random.default_rng(4)
         psd = random_psd_observable(grid, rng)
-        evolved = heisenberg_evolve(random_hermitian_observable(grid, rng), 2.7, coin)
+        herm = random_hermitian_observable(grid, rng)
+        evolved = heisenberg_evolve(herm, 2.7, coin)
         report = positivity_check(psd, 2.7, coin)
+        stream = np.random.default_rng(4)
+        streamed = random_psd_positivity(grid, 2.7, coin, stream)
+        k, sample = random_hermitian_sample(grid, stream, 31)
+        assert stream.bit_generator.state == rng.bit_generator.state
+        assert cli._json_text(streamed) == cli._json_text(report)
+        assert k.tobytes() == grid.nodes[::31].tobytes()
+        assert sample.tobytes() == herm.coefficients[::31].tobytes()
         files = {}
         for name, argv in runs.items():
             out = tmp_path / str(block) / name
@@ -242,13 +255,21 @@ def test_grid_routines_peak_memory(hadamard):
     # tracemalloc sees numpy's buffers, so the peaks are deterministic.  Built
     # for the whole grid at once they were 22.6, 26.8 and 16.8 MB; blocked but
     # with a copy of every fresh coefficient array and positivity_check
-    # evolving the whole grid first, 8.9, 8.9 and 12.9 MB
+    # evolving the whole grid first, 8.9, 8.9 and 12.9 MB.  Drawing the whole
+    # grid's normals first, the random builders peaked at 8.9 (PSD) and 6.3 MB
+    # (Hermitian); drawn per block, at 4.9 and 4.3 MB
     grid = MomentumGrid(65536)
     obs = random_psd_observable(grid, np.random.default_rng(0))
     runs = {
         "heisenberg_evolve": (lambda: heisenberg_evolve(obs, 1.0, hadamard), 8),
         "positivity_check": (lambda: positivity_check(obs, 1.0, hadamard), 6),
-        "random_psd_observable": (lambda: random_psd_observable(grid, np.random.default_rng(0)), 11),
+        "random_psd_observable": (lambda: random_psd_observable(grid, np.random.default_rng(0)), 5.5),
+        "random_hermitian_observable": (
+            lambda: random_hermitian_observable(grid, np.random.default_rng(0)), 5
+        ),
+        "random_psd_positivity": (
+            lambda: random_psd_positivity(grid, 1.0, hadamard, np.random.default_rng(0)), 4.5
+        ),
     }
     for name, (run, limit_mb) in runs.items():
         tracemalloc.start()
