@@ -557,7 +557,7 @@ def cmd_semigroup(config: RunConfig, out_dir: Path) -> list[Path]:
     # the random fibres are drawn and used per block, as if drawn whole:
     # the PSD observable, then the Hermitian one
     rng = np.random.default_rng(config.seed)
-    report = semigroup.random_psd_positivity(grid, t, coin, rng)
+    report = semigroup.positivity_check(grid, t, coin, semigroup.random_psd_fibres(grid, rng))
     k, coeffs = semigroup.random_hermitian_sample(grid, rng, max(1, grid.size // 32))
     residual = semigroup.flow_vs_conjugation_residual(k, coeffs, t, coin)
     report_path = out_dir / "semigroup_report.json"
@@ -695,6 +695,9 @@ def main(argv=None) -> int:
         # a path the run cannot read or write: --config, --out or an output file
         where = "" if exc.filename is None else f"{exc.filename!r}: "
         print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -294,9 +294,12 @@ class WaveFunction:
 
 
 def blocks(size: int, per: int = 1) -> Iterator[slice]:
-    """Slices covering ``range(size)`` of ``max(1, BLOCK // per)`` items, ``per`` values each."""
+    """Slices covering ``range(size)`` of ``max(1, BLOCK // per)`` items, ``per`` values each.
+
+    Each slice stops at ``size`` at the latest, so ``stop - start`` is its length.
+    """
     step = max(1, BLOCK // per)
-    return (slice(i, i + step) for i in range(0, size, step))
+    return (slice(i, min(i + step, size)) for i in range(0, size, step))
 
 
 def require_normalized(psi: WaveFunction, what: str = "state") -> None:

@@ -14,18 +14,15 @@ axis ``h(k - theta1)`` by the angle ``-2 t gamma(k - theta1)``:
 
     a(t) = exp(t * cross_generator(k)) a(0) = pauli_flow(k, t) a(0).
 
-Both functions broadcast over momenta.  The grid-wide routines below run
-them on blocks of ``core.BLOCK`` fibres (:func:`~coinwalk.core.blocks`), so
-their working memory is O(block) beside the ``(M, 4)`` coefficient arrays;
-every fibre's bits are those of one whole-grid call.  The random fibres are
-drawn per block too, in the order of one whole-grid draw, so
-:func:`random_psd_positivity` and :func:`random_hermitian_sample` use them
-without building the observable.  The generator acts on *coefficient*
-vectors; the Pauli basis operators themselves transform by its transpose.
-Correctness of the orientation is pinned by the direct-conjugation oracle,
-not by convention.  Two independent routes compute the rotation: the
-closed Rodrigues form (default) and the complex eigenbasis of the generator
-(cross-check).
+Both functions broadcast over momenta.  The grid-wide routines take and
+give fibres as one kind of stream, ``(block, coefficients)`` pairs over the
+slices of :func:`~coinwalk.core.blocks`, so their working memory is O(block)
+beside the arrays that span the grid; every fibre's bits are those of one
+whole-grid call.  The generator acts on *coefficient* vectors; the Pauli
+basis operators themselves transform by its transpose.  Correctness of the
+orientation is pinned by the direct-conjugation oracle, not by convention.
+Two independent routes compute the rotation: the closed Rodrigues form
+(default) and the complex eigenbasis of the generator (cross-check).
 """
 
 from __future__ import annotations
@@ -53,16 +50,29 @@ __all__ = [
     "heisenberg_evolve",
     "pauli_flow",
     "positivity_check",
-    "random_hermitian_observable",
+    "random_hermitian_fibres",
     "random_hermitian_sample",
-    "random_psd_observable",
-    "random_psd_positivity",
+    "random_psd_fibres",
     "rotation_via_eigenbasis",
 ]
 
 def _hermitian(coeffs: np.ndarray) -> bool:
     """Whether Pauli coefficients describe Hermitian fibres (imaginary parts below 1e-12)."""
     return bool(np.max(np.abs(coeffs.imag)) < 1e-12)
+
+
+def _covering(grid: MomentumGrid, fibres):
+    """``fibres``, checked block by block to cover ``grid`` once, in order, in ``(rows, 4)`` arrays."""
+    end = 0
+    for block, coeffs in fibres:
+        coeffs = np.asarray(coeffs)
+        stop = end + len(coeffs) if coeffs.ndim == 2 else -1
+        if block != slice(end, stop) or not end < stop <= grid.size or coeffs.shape[1:] != (4,):
+            raise ValidationError(f"{block!r} of shape {coeffs.shape} is not (rows, 4) fibres from row {end}")
+        end = stop
+        yield block, coeffs
+    if end != grid.size:
+        raise ValidationError(f"fibre blocks stop at row {end} of {grid.size}")
 
 
 def _frozen(coeffs: np.ndarray) -> np.ndarray:
@@ -108,6 +118,18 @@ class DirectIntegralObservable:
     def constant(cls, grid: MomentumGrid, matrix) -> "DirectIntegralObservable":
         """The same 2x2 operator on every fibre."""
         return cls(grid, _frozen(np.repeat(pauli_decompose(matrix)[None], grid.size, axis=0)))
+
+    @classmethod
+    def from_fibres(cls, grid: MomentumGrid, fibres) -> "DirectIntegralObservable":
+        """Collect a ``(block, coefficients)`` stream as :func:`positivity_check` takes it."""
+        coeffs = np.empty((grid.size, 4), dtype=np.complex128)
+        for block, fibre in _covering(grid, fibres):
+            coeffs[block] = fibre
+        return cls(grid, _frozen(coeffs))
+
+    def fibres(self):
+        """``(block, coefficients[block])`` read-only views over :func:`~coinwalk.core.blocks`."""
+        return ((block, self.coefficients[block]) for block in blocks(self.grid.size))
 
     def matrices(self) -> np.ndarray:
         return pauli_compose(self.coefficients)
@@ -201,23 +223,17 @@ def _evolve_coefficients(k, t: float, coeffs: np.ndarray, coin: Coin) -> np.ndar
     return out
 
 
-def heisenberg_evolve(
-    obs: DirectIntegralObservable, t: float, coin: Coin
-) -> DirectIntegralObservable:
+def heisenberg_evolve(obs: DirectIntegralObservable, t: float, coin: Coin) -> DirectIntegralObservable:
     """Apply the semigroup to every fibre: freeze ``a0``, rotate the vector part.
 
     Agrees node by node with :func:`conjugate_evolve`; the identity is a
-    fixed point exactly at the coefficient level.  The rotations are built
-    one block of fibres at a time, so only the coefficient arrays span the
-    grid; the result's array is new, never shared with ``obs``.  It draws no
-    random numbers.
+    fixed point exactly at the coefficient level.  Each block of
+    ``obs.fibres()`` is evolved in turn and collected by ``from_fibres``, so
+    only the coefficient arrays span the grid and none is shared with ``obs``.
     """
-    coeffs = obs.coefficients
     nodes = obs.grid.nodes
-    out = np.empty_like(coeffs)
-    for block in blocks(obs.grid.size):
-        out[block] = _evolve_coefficients(nodes[block], t, coeffs[block], coin)
-    return DirectIntegralObservable(obs.grid, _frozen(out))
+    evolved = ((block, _evolve_coefficients(nodes[block], t, a, coin)) for block, a in obs.fibres())
+    return DirectIntegralObservable.from_fibres(obs.grid, evolved)
 
 
 def flow_vs_conjugation_residual(k: np.ndarray, coeffs: np.ndarray, t: float, coin: Coin) -> float:
@@ -235,79 +251,63 @@ def flow_vs_conjugation_residual(k: np.ndarray, coeffs: np.ndarray, t: float, co
     return residual
 
 
-def _sized_blocks(size: int):
-    """``(block, rows)`` for each slice of :func:`~coinwalk.core.blocks` over ``range(size)``."""
-    return ((block, len(range(size)[block])) for block in blocks(size))
-
-
-def _hermitian_draws(grid: MomentumGrid, rng: np.random.Generator):
-    """``(block, normals)``: the real Pauli coefficients of Hermitian fibres, drawn per block."""
-    for block, rows in _sized_blocks(grid.size):
-        yield block, rng.normal(size=(rows, 4))
-
-
-def random_hermitian_observable(
-    grid: MomentumGrid, rng: np.random.Generator
-) -> DirectIntegralObservable:
-    """Independent Hermitian fibres: real Gaussian Pauli coefficients, drawn per block."""
-    coeffs = np.empty((grid.size, 4), dtype=np.complex128)
-    for block, normals in _hermitian_draws(grid, rng):
-        coeffs[block] = normals
-    return DirectIntegralObservable(grid, _frozen(coeffs))
+def random_hermitian_fibres(grid: MomentumGrid, rng: np.random.Generator):
+    """``(block, normals)``: real Gaussian Pauli coefficients of independent Hermitian fibres."""
+    for block in blocks(grid.size):
+        yield block, rng.normal(size=(block.stop - block.start, 4))
 
 
 def random_hermitian_sample(
     grid: MomentumGrid, rng: np.random.Generator, stride: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Momenta and coefficients of every ``stride``-th fibre of :func:`random_hermitian_observable`.
+    """Momenta and coefficients of every ``stride``-th fibre of :func:`random_hermitian_fibres`.
 
-    Draws from ``rng`` exactly as that builder does and keeps only the picked rows.
+    Draws from ``rng`` as that stream does and keeps complex copies of the
+    picked rows; the momenta equal ``grid.nodes[::stride]`` bit for bit.
     """
     picked = [
         normals[-block.start % stride :: stride].astype(np.complex128)
-        for block, normals in _hermitian_draws(grid, rng)
+        for block, normals in random_hermitian_fibres(grid, rng)
     ]
-    # a copy, so that the whole-grid nodes array is freed
-    return grid.nodes[::stride].copy(), np.concatenate(picked)
+    return -np.pi + grid.spacing * np.arange(0, grid.size, stride), np.concatenate(picked)
 
 
-def _psd_fibres(grid: MomentumGrid, rng: np.random.Generator):
-    """``(block, coefficients)`` of the fibres ``B B*`` of :func:`random_psd_observable`, per block.
+def random_psd_fibres(grid: MomentumGrid, rng: np.random.Generator):
+    """``(block, coefficients)`` of independent positive fibres ``B B*``, B complex Gaussian.
 
     One whole-grid draw takes every real part of ``B``, then every imaginary
     part.  A copy of ``rng`` replays the real parts while ``rng``, advanced
     past them, draws the imaginary parts; chunked normal draws equal one
-    whole-grid draw bit for bit, so each fibre and the final state of ``rng``
+    whole-grid draw bit for bit, so the fibres and the state ``rng`` ends in
     are those of the whole-grid draw.
     """
     replay = copy.deepcopy(rng)
-    for _, rows in _sized_blocks(grid.size):
-        rng.normal(size=(rows, 2, 2))
-    for block, rows in _sized_blocks(grid.size):
-        B = replay.normal(size=(rows, 2, 2)) + 1j * rng.normal(size=(rows, 2, 2))
+    for block in blocks(grid.size):
+        rng.normal(size=(block.stop - block.start, 2, 2))
+    for block in blocks(grid.size):
+        shape = (block.stop - block.start, 2, 2)
+        B = replay.normal(size=shape) + 1j * rng.normal(size=shape)
         yield block, pauli_decompose(B @ np.conj(np.swapaxes(B, 1, 2)))
 
 
-def random_psd_observable(
-    grid: MomentumGrid, rng: np.random.Generator
-) -> DirectIntegralObservable:
-    """Independent positive-semidefinite fibres ``B B*`` from complex Gaussian B.
+def positivity_check(grid: MomentumGrid, t: float, coin: Coin, fibres) -> dict:
+    """Verify that positive fibres stay positive under the semigroup.
 
-    ``rng`` draws the real parts of every ``B``, then the imaginary parts,
-    whatever the block size; the fibres are formed per block.
+    ``fibres`` is a ``(block, coefficients)`` stream such as
+    :func:`random_psd_fibres` or :meth:`DirectIntegralObservable.fibres`; a
+    block that skips, repeats or mis-sizes rows, or a stream that stops
+    short, raises :class:`ValidationError`.  The fibres must be Hermitian;
+    they count as positive when all eigenvalues are >= -1e-12 and the
+    evolved fibres must stay above -1e-10.  Each block is evolved as
+    :func:`heisenberg_evolve` evolves it (the same bits), diagonalised and dropped.
+
+    Returns a report dict: the node indices (int64), the min-eigenvalue arrays
+    before and after (float64), their worst values and the overall verdict.
     """
-    coeffs = np.empty((grid.size, 4), dtype=np.complex128)
-    for block, fibres in _psd_fibres(grid, rng):
-        coeffs[block] = fibres
-    return DirectIntegralObservable(grid, _frozen(coeffs))
-
-
-def _positivity(grid: MomentumGrid, t: float, coin: Coin, fibres) -> dict:
-    """The report of :func:`positivity_check` on ``(block, coefficients)`` pairs covering the grid."""
     nodes = grid.nodes
     before = np.empty(grid.size)
     after = np.empty(grid.size)
-    for block, coeffs in fibres:
+    for block, coeffs in _covering(grid, fibres):
         if not _hermitian(coeffs):
             raise ValidationError("positivity check requires Hermitian fibres")
         evolved = _evolve_coefficients(nodes[block], t, coeffs, coin)
@@ -324,31 +324,3 @@ def _positivity(grid: MomentumGrid, t: float, coin: Coin, fibres) -> dict:
         "input_psd": input_psd,
         "passed": input_psd and bool(after.min() >= -1e-10),
     }
-
-
-def positivity_check(obs: DirectIntegralObservable, t: float, coin: Coin) -> dict:
-    """Verify that positive fibres stay positive under the semigroup.
-
-    Checks the smallest eigenvalue of every fibre before and after evolution
-    by time ``t``.  Input fibres must be Hermitian; they count as positive
-    when all eigenvalues are >= -1e-12 and the evolved fibres must stay above
-    -1e-10.  Each block of fibres is checked for Hermiticity, evolved as
-    :func:`heisenberg_evolve` evolves it (the same bits), rebuilt as matrices
-    and diagonalised, so no evolved array spans the grid; no random numbers
-    are drawn.
-
-    Returns a report dict with the node indices (an int64 array), the
-    min-eigenvalue arrays before and after (float64 arrays), their worst
-    values, and the overall verdict.
-    """
-    coeffs = obs.coefficients
-    return _positivity(obs.grid, t, coin, ((block, coeffs[block]) for block in blocks(obs.grid.size)))
-
-
-def random_psd_positivity(grid: MomentumGrid, t: float, coin: Coin, rng: np.random.Generator) -> dict:
-    """:func:`positivity_check` of :func:`random_psd_observable` ``(grid, rng)``, bit for bit.
-
-    The fibres are drawn, checked and dropped per block, so only the report's
-    arrays span the grid; ``rng`` ends where the builder leaves it.
-    """
-    return _positivity(grid, t, coin, _psd_fibres(grid, rng))

@@ -514,7 +514,7 @@ def _flow_vs_conjugation(rng, stride):
     grid = MomentumGrid(256)
     k, coeffs = semigroup.random_hermitian_sample(grid, rng, stride)
     worst = max(semigroup.flow_vs_conjugation_residual(k, coeffs, t, coin) for t in (0.1, 1.0, 7.3))
-    return worst, f"t in {{0.1, 1, 7.3}}, {len(range(0, grid.size, stride))} of 256 nodes"
+    return worst, f"t in {{0.1, 1, 7.3}}, {len(k)} of 256 nodes"
 
 
 def _identity_fixed_point(rng, size):
@@ -572,13 +572,14 @@ def _rotation_properties(rng, size):
     return worst, "orthogonal, det 1, axis fixed, period pi/gamma"
 
 
-def _positivity(rng, size):
+def _psd_and_spectra(rng, size):
     coin = hadamard_switched()
     grid = MomentumGrid(128)
-    report = semigroup.random_psd_positivity(grid, 2.3, coin, rng)
+    report = semigroup.positivity_check(grid, 2.3, coin, semigroup.random_psd_fibres(grid, rng))
     worst = 0.0 if report["passed"] else 1.0
 
-    herm = semigroup.random_hermitian_observable(grid, rng)
+    fibres = semigroup.random_hermitian_fibres(grid, rng)
+    herm = semigroup.DirectIntegralObservable.from_fibres(grid, fibres)
     before = np.sort(np.linalg.eigvalsh(herm.matrices()), axis=1)
     after = np.sort(np.linalg.eigvalsh(semigroup.heisenberg_evolve(herm, 1.4, coin).matrices()), axis=1)
     worst = max(worst, float(np.abs(before - after).max()))
@@ -633,7 +634,7 @@ CHECKS: tuple[Check, ...] = (
     Check("semigroup_law", _semigroup_law, 1e-11, criterion=7),
     Check("cross_generator", _cross_generator, 1e-12, criterion=7),
     Check("rotation_properties", _rotation_properties, 1e-12),
-    Check("positivity_and_spectrum", _positivity, 1e-11),
+    Check("positivity_and_spectrum", _psd_and_spectra, 1e-11),
     Check("step_loop_equivalence", _step_loop_equivalence, 0.0, full=300, quick=40),
 )
 

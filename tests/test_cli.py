@@ -615,6 +615,19 @@ def test_config_that_is_not_utf8_exits_1(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
+    # numpy raises MemoryError for an array beyond memory; it is raised here
+    # by hand, because a real huge allocation depends on overcommit
+    message = "Unable to allocate 58.2 TiB for an array with shape (8000000000000,) and data type float64"
+
+    def exhausted(k, coin):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(spectral, "dispersion", exhausted)
+    assert main(["semigroup", "--grid", "64", "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+
+
 @pytest.mark.parametrize("flag", ["--quick", "--bogus"])
 def test_usage_errors_exit_1(tmp_path, capsys, flag):
     assert main(["walk", "--preset", "fig3.1", flag, "--out", str(tmp_path / "o")]) == 1

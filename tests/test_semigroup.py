@@ -23,10 +23,9 @@ from coinwalk import (
 )
 from coinwalk.semigroup import (
     DirectIntegralObservable,
-    random_hermitian_observable,
+    random_hermitian_fibres,
     random_hermitian_sample,
-    random_psd_observable,
-    random_psd_positivity,
+    random_psd_fibres,
     rotation_via_eigenbasis,
 )
 from coinwalk.spectral import dispersion
@@ -134,9 +133,11 @@ def test_observable_validation():
         DirectIntegralObservable.from_matrices(grid, np.zeros((8, 3, 3)))
 
 
-def test_observable_owns_read_only_coefficients(hadamard):
+def test_observable_owns_read_only_coefficients(hadamard, monkeypatch):
     # a caller's array is copied; a builder's fresh array is adopted, and an
-    # evolved observable never shares memory with the one it came from
+    # evolved or collected observable never shares memory with the one it
+    # came from, whose fibres() are views of its coefficients
+    monkeypatch.setattr(core, "BLOCK", 5)
     grid = MomentumGrid(16)
     caller = np.random.default_rng(3).normal(size=(16, 4)).astype(np.complex128)
     kept = caller.copy()
@@ -146,12 +147,19 @@ def test_observable_owns_read_only_coefficients(hadamard):
     assert np.array_equal(obs.coefficients, kept)
     evolved = heisenberg_evolve(obs, 1.1, hadamard)
     assert not np.shares_memory(evolved.coefficients, obs.coefficients)
+    views = list(obs.fibres())
+    assert [b for b, _ in views] == [slice(0, 5), slice(5, 10), slice(10, 15), slice(15, 16)]
+    assert all(np.shares_memory(v, obs.coefficients) for _, v in views)
+    collected = DirectIntegralObservable.from_fibres(grid, iter(views))
+    assert np.array_equal(collected.coefficients, kept)
+    assert not np.shares_memory(collected.coefficients, obs.coefficients)
     rng = np.random.default_rng(1)
     built = [
         obs,
         evolved,
-        random_psd_observable(grid, rng),
-        random_hermitian_observable(grid, rng),
+        collected,
+        DirectIntegralObservable.from_fibres(grid, random_psd_fibres(grid, rng)),
+        DirectIntegralObservable.from_fibres(grid, random_hermitian_fibres(grid, rng)),
         DirectIntegralObservable.from_matrices(grid, np.zeros((16, 2, 2))),
         DirectIntegralObservable.constant(grid, np.eye(2)),
     ]
@@ -194,10 +202,39 @@ def test_positivity_of_psd_and_projectors(hadamard):
 
 
 def test_positivity_check_validation(hadamard):
+    # a stream covers the grid once, in order, in non-empty (rows, 4) blocks;
+    # positivity_check also needs Hermitian fibres in every block
     grid = MomentumGrid(64)
     bad = DirectIntegralObservable.constant(grid, np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValidationError):
-        positivity_check(bad, 1.0, hadamard)
+    with pytest.raises(ValidationError, match="Hermitian"):
+        positivity_check(grid, 1.0, hadamard, bad.fibres())
+    a = DirectIntegralObservable.constant(grid, np.eye(2)).coefficients
+    second_bad = [(slice(0, 32), a[:32]), (slice(32, 64), bad.coefficients[32:])]
+    with pytest.raises(ValidationError, match="Hermitian"):
+        positivity_check(grid, 1.0, hadamard, iter(second_bad))
+    uneven = [(slice(0, 40), a[:40]), (slice(40, 64), a[40:].tolist())]
+    assert positivity_check(grid, 1.0, hadamard, iter(uneven))["passed"]
+    streams = {
+        "skips": [(slice(0, 32), a[:32]), (slice(33, 64), a[33:])],
+        "repeats": [(slice(0, 32), a[:32]), (slice(0, 32), a[:32]), (slice(32, 64), a[32:])],
+        "overlaps": [(slice(0, 40), a[:40]), (slice(32, 64), a[32:])],
+        "starts late": [(slice(1, 64), a[1:])],
+        "too few rows": [(slice(0, 32), a[:31]), (slice(31, 64), a[31:])],
+        "broadcast row": [(slice(0, 32), a[:1]), (slice(32, 64), a[32:])],
+        "empty block": [(slice(0, 0), a[:0]), (slice(0, 64), a)],
+        "past the end": [(slice(0, 65), np.zeros((65, 4)))],
+        "strided": [(slice(0, 64, 2), a[::2])],
+        "not a slice": [(range(0, 64), a)],
+        "wrong width": [(slice(0, 64), np.zeros((64, 3)))],
+        "a scalar": [(slice(0, 64), 1.0)],
+        "stops short": [(slice(0, 32), a[:32])],
+        "nothing": [],
+    }
+    for stream in streams.values():
+        with pytest.raises(ValidationError):
+            positivity_check(grid, 1.0, hadamard, iter(stream))
+        with pytest.raises(ValidationError):
+            DirectIntegralObservable.from_fibres(grid, iter(stream))
 
 
 # --------------------------------------------------------------------------
@@ -208,9 +245,9 @@ def test_positivity_check_validation(hadamard):
 def test_block_size_changes_no_bit(monkeypatch, tmp_path):
     # core.BLOCK sizes every blocked pass: the semigroup fibres and random
     # draws, the limit-law cdf's quadrature nodes, the CSV rows and the JSON
-    # array items.  The streamed positivity report and the sampled Hermitian
-    # fibres match the observables they stand for, and leave rng in the same
-    # state
+    # array items.  The positivity report of the PSD stream and the sampled
+    # Hermitian fibres match those of the collected observables, and leave
+    # rng in the same state
     grid = MomentumGrid(1000)
     coin = seeded_coins(1, seed=11)[0]
     law = limitlaw.weak_limit_law(coin, WaveFunction.from_sites([(-3, (0.6, 0.0)), (2, (0.0, 0.8j))]))
@@ -223,12 +260,12 @@ def test_block_size_changes_no_bit(monkeypatch, tmp_path):
     for block in (1, 7, 1000, 10**9):
         monkeypatch.setattr(core, "BLOCK", block)
         rng = np.random.default_rng(4)
-        psd = random_psd_observable(grid, rng)
-        herm = random_hermitian_observable(grid, rng)
+        psd = DirectIntegralObservable.from_fibres(grid, random_psd_fibres(grid, rng))
+        herm = DirectIntegralObservable.from_fibres(grid, random_hermitian_fibres(grid, rng))
         evolved = heisenberg_evolve(herm, 2.7, coin)
-        report = positivity_check(psd, 2.7, coin)
+        report = positivity_check(grid, 2.7, coin, psd.fibres())
         stream = np.random.default_rng(4)
-        streamed = random_psd_positivity(grid, 2.7, coin, stream)
+        streamed = positivity_check(grid, 2.7, coin, random_psd_fibres(grid, stream))
         k, sample = random_hermitian_sample(grid, stream, 31)
         assert stream.bit_generator.state == rng.bit_generator.state
         assert cli._json_text(streamed) == cli._json_text(report)
@@ -256,19 +293,28 @@ def test_grid_routines_peak_memory(hadamard):
     # for the whole grid at once they were 22.6, 26.8 and 16.8 MB; blocked but
     # with a copy of every fresh coefficient array and positivity_check
     # evolving the whole grid first, 8.9, 8.9 and 12.9 MB.  Drawing the whole
-    # grid's normals first, the random builders peaked at 8.9 (PSD) and 6.3 MB
-    # (Hermitian); drawn per block, at 4.9 and 4.3 MB
+    # grid's normals first, the random observables peaked at 8.9 (PSD) and
+    # 6.3 MB (Hermitian); drawn per block, at 4.9 and 4.3 MB.  The sample
+    # peaked at 1.1 MB while it built every node to keep 32
     grid = MomentumGrid(65536)
-    obs = random_psd_observable(grid, np.random.default_rng(0))
+    obs = DirectIntegralObservable.from_fibres(grid, random_psd_fibres(grid, np.random.default_rng(0)))
+
+    def collect(fibres):
+        return lambda: DirectIntegralObservable.from_fibres(grid, fibres(grid, np.random.default_rng(0)))
+
     runs = {
         "heisenberg_evolve": (lambda: heisenberg_evolve(obs, 1.0, hadamard), 8),
-        "positivity_check": (lambda: positivity_check(obs, 1.0, hadamard), 6),
-        "random_psd_observable": (lambda: random_psd_observable(grid, np.random.default_rng(0)), 5.5),
-        "random_hermitian_observable": (
-            lambda: random_hermitian_observable(grid, np.random.default_rng(0)), 5
+        "positivity_check of an observable": (
+            lambda: positivity_check(grid, 1.0, hadamard, obs.fibres()), 6
         ),
-        "random_psd_positivity": (
-            lambda: random_psd_positivity(grid, 1.0, hadamard, np.random.default_rng(0)), 4.5
+        "from_fibres of random_psd_fibres": (collect(random_psd_fibres), 5.5),
+        "from_fibres of random_hermitian_fibres": (collect(random_hermitian_fibres), 5),
+        "positivity_check of random_psd_fibres": (
+            lambda: positivity_check(grid, 1.0, hadamard, random_psd_fibres(grid, np.random.default_rng(0))),
+            4.5,
+        ),
+        "random_hermitian_sample": (
+            lambda: random_hermitian_sample(grid, np.random.default_rng(0), 2048), 0.6
         ),
     }
     for name, (run, limit_mb) in runs.items():
