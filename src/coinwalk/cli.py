@@ -545,9 +545,8 @@ def cmd_semigroup(config: RunConfig, out_dir: Path) -> list[Path]:
 
     def flow_blocks():
         # the dispersion is elementwise: each block has the bits of one whole-grid call
-        nodes = grid.nodes
         for block in core.blocks(grid.size):
-            k = nodes[block]
+            k = grid.nodes_in(block)
             g, h = spectral.dispersion(k, coin)
             yield k, g, *h.T, 2.0 * g * t
 

@@ -25,6 +25,7 @@ from .core import (
     GRID_MARGIN,
     Coin,
     MomentumGrid,
+    ValidationError,
     WaveFunction,
     fourier_transform,
     inverse_fourier,
@@ -89,22 +90,23 @@ def schrodinger_residual(
     """Largest defect of the momentum-space evolution equation on a trajectory.
 
     ``series`` is a uniformly spaced list of ``(time, state)`` pairs with
-    spacing ``delta <= 1e-3``.  Returns the maximum over interior snapshots
-    and grid nodes of
+    spacing ``delta <= 1e-3``; any other series raises
+    :class:`~coinwalk.core.ValidationError`.  Returns the maximum over
+    interior snapshots and grid nodes of
 
         || (psi_hat_{t+d} - psi_hat_{t-d}) / (2d) - i H(k) psi_hat_t ||
 
     which is O(delta^2) for the exact evolution.
     """
     if len(series) < 3:
-        raise ValueError("need at least 3 snapshots for a centred difference")
+        raise ValidationError("need at least 3 snapshots for a centred difference")
     times = np.array([t for t, _ in series], dtype=np.float64)
     deltas = np.diff(times)
     delta = float(deltas[0])
     if delta <= 0 or np.max(np.abs(deltas - delta)) > 1e-12 * max(1.0, abs(times[-1])):
-        raise ValueError("snapshot times must be uniformly spaced")
+        raise ValidationError("snapshot times must be uniformly spaced")
     if delta > 1e-3 + 1e-15:
-        raise ValueError(f"snapshot spacing {delta} exceeds the 1e-3 bound")
+        raise ValidationError(f"snapshot spacing {delta} exceeds the 1e-3 bound")
 
     hats = np.stack([fourier_transform(psi, grid) for _, psi in series])
     h_psi = np.einsum("mij,tmj->tmi", spectral.hamiltonian(grid.nodes, coin)[0], hats)

@@ -330,7 +330,11 @@ class MomentumGrid:
 
     @property
     def nodes(self) -> np.ndarray:
-        return -math.pi + (2.0 * math.pi / self.size) * np.arange(self.size)
+        return self.nodes_in(slice(None))
+
+    def nodes_in(self, block: slice) -> np.ndarray:
+        """``nodes[block]``, computed for the sliced nodes only, with the same bits."""
+        return -math.pi + self.spacing * np.arange(*block.indices(self.size))
 
     @property
     def spacing(self) -> float:

@@ -12,7 +12,9 @@ squared amplitudes evaluated at the stationary momenta of ``gamma(k) - y*k``
 absorbs the factor pi that would otherwise cancel against the momentum
 normalisation ``1/sqrt(2*pi)`` carried by the initial data inside ``g``;
 total mass one is verified by quadrature.  A density law is a
-:class:`LimitLaw`.
+:class:`LimitLaw`.  Every routine takes the initial state as a
+:class:`~coinwalk.core.WaveFunction` ``psi0`` and evaluates its momentum
+amplitudes ``psi_hat = momentum_state(psi0)`` exactly, off any grid.
 
 Degenerate coins give point masses instead, as a plain
 :class:`~coinwalk.walk.DiscreteLaw`: two atoms at +/-1 when ``l2 = 0`` (the
@@ -20,7 +22,7 @@ walk is ballistic) and a unit atom at 0 when ``l1 = 0`` (the walk oscillates
 in place).  Both law types share one protocol (``support``, ``jump_points``,
 ``mass``, ``cdf``, ``cdf_left``, ``mean``, ``moment``).
 
-For a single-site initial qubit ``(a, b)`` the density collapses to the
+For a single-site initial qubit ``psi0 = (a, b)`` the density collapses to the
 classical closed form ``prefactor * (1 - beta*y)`` with
 
     beta = |a|^2 - |b|^2 + (conj(l1) l2 conj(a) b + l1 conj(l2) a conj(b)) / |l1|^2.
@@ -34,7 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,8 +68,6 @@ __all__ = [
     "stationary_points",
     "weak_limit_law",
 ]
-
-InitialState = Union[WaveFunction, Callable[[np.ndarray], np.ndarray]]
 
 # Largest accepted |mass - 1| of a density law; `coinwalk density` refuses to
 # write a law outside it.
@@ -122,28 +122,17 @@ class StationaryAmplitudes(NamedTuple):
     m_minus_neg_c2: complex
 
 
-def _resolve_initial(psi0: InitialState) -> Callable[[np.ndarray], np.ndarray]:
-    if isinstance(psi0, WaveFunction):
-        return momentum_state(psi0)
-    if callable(psi0):
-        return psi0
-    raise ValidationError(
-        "initial state must be a WaveFunction or a momentum-space callable"
-    )
-
-
 def _check_density_domain(y: np.ndarray, coin: Coin) -> None:
     _require_density(coin)
     if np.any(np.abs(y) >= coin.abs_l1):
         raise DomainError("|y| must be strictly below |l1|")
 
 
-def _amplitude_table(
-    y: np.ndarray, coin: Coin, psi_hat: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
+def _amplitude_table(y: np.ndarray, coin: Coin, psi0: WaveFunction) -> np.ndarray:
     """The eight amplitudes for every ``y``; shape ``(8,) + y.shape``.
 
-    Closed forms with ``s = sqrt((|l1|^2-y^2)/(1-|l1|^2))``,
+    Closed forms in ``psi_hat = momentum_state(psi0)``, with
+    ``s = sqrt((|l1|^2-y^2)/(1-|l1|^2))``,
     ``w = l2 e^{-i theta1}``, ``C = (1-|l1|^2)/(2|l1|)`` and
     ``q = y + i s`` or its conjugate::
 
@@ -163,6 +152,7 @@ def _amplitude_table(
     w = coin.l2 * cmath.exp(-1j * coin.theta1)
     th1 = coin.theta1
     q_plus, q_minus = y + 1j * s, y - 1j * s
+    psi_hat = momentum_state(psi0)
 
     vals_1 = {}
     vals_2 = {}
@@ -197,56 +187,39 @@ def _amplitude_table(
     )
 
 
-def lm_values(y: float, coin: Coin, psi0: InitialState) -> StationaryAmplitudes:
-    """The eight stationary amplitudes at velocity ``y`` (closed forms)."""
+def lm_values(y: float, coin: Coin, psi0: WaveFunction) -> StationaryAmplitudes:
+    """The eight stationary amplitudes of ``psi0`` at velocity ``y`` (closed forms)."""
     y_arr = np.asarray(float(y))
     _check_density_domain(y_arr, coin)
-    table = _amplitude_table(y_arr, coin, _resolve_initial(psi0))
+    table = _amplitude_table(y_arr, coin, psi0)
     return StationaryAmplitudes(*(complex(v) for v in table))
 
 
-def lm_values_numeric(y: float, coin: Coin, psi0: InitialState) -> StationaryAmplitudes:
+def lm_values_numeric(y: float, coin: Coin, psi0: WaveFunction) -> StationaryAmplitudes:
     """The same eight amplitudes through the defining eigenvector route.
 
     Solves ``S(c) xi = psi_hat(c + theta1)`` with the unnormalised
     eigenvector matrix and numerical inversion, then multiplies by the
     eigenvector components: the ``l`` values use the first components
-    ``e^{-ic}``, the ``m`` values the second.  Entirely independent of the
-    closed forms in :func:`lm_values`; the two agree to ~1e-14.
+    ``e^{-ic}``, the ``m`` values the second.  The ``+`` branch takes
+    ``xi``'s first entry at ``c1`` and ``c2``, the ``-`` branch its second
+    at ``-c1`` and ``-c2``.  Entirely independent of the closed forms in
+    :func:`lm_values`; the two agree to ~1e-14.
     """
     y_arr = np.asarray(float(y))
     _check_density_domain(y_arr, coin)
-    psi_hat = _resolve_initial(psi0)
+    psi_hat = momentum_state(psi0)
     pts = stationary_points(float(y), coin)
-    out = {}
-    for name, point, branch in (
-        ("c1", pts.c1, "plus"),
-        ("c2", pts.c2, "plus"),
-        ("nc1", -pts.c1, "minus"),
-        ("nc2", -pts.c2, "minus"),
-    ):
+    l_values, m_values = [], []
+    for point, branch in ((pts.c1, 0), (pts.c2, 0), (-pts.c1, 1), (-pts.c2, 1)):
         S = spectral.eigenvector_matrix(point, coin)
         xi = np.linalg.solve(S, psi_hat(point + coin.theta1))
-        u_component = cmath.exp(-1j * point)
-        if branch == "plus":
-            out[f"l_{name}"] = complex(u_component * xi[0])
-            out[f"m_{name}"] = complex(S[1, 0] * xi[0])
-        else:
-            out[f"l_{name}"] = complex(u_component * xi[1])
-            out[f"m_{name}"] = complex(S[1, 1] * xi[1])
-    return StationaryAmplitudes(
-        l_plus_c1=out["l_c1"],
-        l_plus_c2=out["l_c2"],
-        l_minus_neg_c1=out["l_nc1"],
-        l_minus_neg_c2=out["l_nc2"],
-        m_plus_c1=out["m_c1"],
-        m_plus_c2=out["m_c2"],
-        m_minus_neg_c1=out["m_nc1"],
-        m_minus_neg_c2=out["m_nc2"],
-    )
+        l_values.append(complex(cmath.exp(-1j * point) * xi[branch]))
+        m_values.append(complex(S[1, branch] * xi[branch]))
+    return StationaryAmplitudes(*l_values, *m_values)
 
 
-def g_function(y, coin: Coin, psi0: InitialState):
+def g_function(y, coin: Coin, psi0: WaveFunction):
     """Initial-state factor of the limit density: sum of the eight squared moduli.
 
     Nonnegative by construction; broadcasts over ``y``.  Carries the factor
@@ -255,7 +228,7 @@ def g_function(y, coin: Coin, psi0: InitialState):
     """
     y_arr = np.asarray(y, dtype=np.float64)
     _check_density_domain(y_arr, coin)
-    table = _amplitude_table(y_arr, coin, _resolve_initial(psi0))
+    table = _amplitude_table(y_arr, coin, psi0)
     out = np.sum(np.abs(table) ** 2, axis=0)
     return float(out) if out.ndim == 0 else out
 
@@ -268,8 +241,8 @@ def _edge_guard(y_arr: np.ndarray, a1: float) -> None:
         )
 
 
-def density(y, coin: Coin, psi0: InitialState):
-    """Limit density of ``X_n / n`` at velocity ``y``; zero outside (-|l1|, |l1|).
+def density(y, coin: Coin, psi0: WaveFunction):
+    """Limit density of ``X_n / n`` from ``psi0`` at velocity ``y``; zero outside (-|l1|, |l1|).
 
     ``rho(y) = sqrt(1-|l1|^2) / ((1-y^2) sqrt(|l1|^2-y^2)) * g(y)`` -- the
     prefactor includes the pi that cancels the momentum normalisation inside
@@ -296,27 +269,29 @@ def density(y, coin: Coin, psi0: InitialState):
     return float(out) if out.ndim == 0 else out
 
 
-def asymmetry_coefficient(coin: Coin, a: complex, b: complex) -> float:
-    """The linear tilt ``beta`` of the limit density for an origin qubit ``(a, b)``.
+def asymmetry_coefficient(coin: Coin, psi0: WaveFunction) -> float:
+    """The linear tilt ``beta`` of the limit density for a single-site state ``psi0 = (a, b)``.
 
     ``beta = |a|^2 - |b|^2 + (conj(l1) l2 conj(a) b + l1 conj(l2) a conj(b)) / |l1|^2``;
-    the two cross terms are conjugate, so the result is real.
+    the two cross terms are conjugate, so the result is real.  The site does
+    not matter; a state on more than one site raises :class:`ValidationError`.
     """
     _require_density(coin)
-    a, b = complex(a), complex(b)
+    if psi0.width != 1:
+        raise ValidationError(f"beta needs a single-site state, got {psi0.width} sites")
+    a, b = (complex(v) for v in psi0.amplitudes[0])
     cross = coin.l1.conjugate() * coin.l2 * a.conjugate() * b
     return float(abs(a) ** 2 - abs(b) ** 2 + 2.0 * cross.real / coin.abs_l1**2)
 
 
-def density_localized(y, coin: Coin, a: complex, b: complex):
-    """Limit density for the walk started in a single-site qubit ``(a, b)``.
+def density_localized(y, coin: Coin, psi0: WaveFunction):
+    """Limit density for the walk started in a normalised single-site state ``psi0``.
 
     The closed form ``prefactor * (1 - beta*y)`` on ``(-|l1|, |l1|)``; agrees
     with the general route through :func:`density` to rounding.
     """
-    if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-8:
-        raise ValidationError("qubit amplitudes must satisfy |a|^2 + |b|^2 = 1")
-    beta = asymmetry_coefficient(coin, a, b)
+    require_normalized(psi0, "initial state")
+    beta = asymmetry_coefficient(coin, psi0)
     y_arr = np.asarray(y, dtype=np.float64)
     a1 = coin.abs_l1
     _edge_guard(y_arr, a1)
@@ -362,18 +337,15 @@ class LimitLaw:
     The cdf evaluates its panels in blocks of ``core.BLOCK`` quadrature
     nodes, so its memory is O(block) beyond a few floats per target; the
     moments share one cached evaluation of the integrand on the
-    ``_BASE_PANELS`` base panels.
+    ``_BASE_PANELS`` base panels.  ``beta`` is
+    :func:`asymmetry_coefficient` for a single-site ``psi0``, else ``None``.
     """
 
-    def __init__(
-        self,
-        coin: Coin,
-        psi0_hat: Callable[[np.ndarray], np.ndarray],
-        beta: float | None = None,
-    ) -> None:
+    def __init__(self, coin: Coin, psi0: WaveFunction) -> None:
+        _require_density(coin)
         self.coin = coin
-        self.psi0_hat = psi0_hat
-        self.beta = beta
+        self.psi0 = psi0
+        self.beta = asymmetry_coefficient(coin, psi0) if psi0.width == 1 else None
         self._base_values: np.ndarray | None = None
 
     def _integrand_u(self, nodes: np.ndarray) -> np.ndarray:
@@ -382,7 +354,7 @@ class LimitLaw:
         # flat, so that psi_hat's ``phases @ amps`` is one (nodes, sites)
         # matmul for every block shape; a stacked 2-D matmul need not round alike
         y = a1 * np.sin(nodes.ravel())
-        g = g_function(y, self.coin, self.psi0_hat)
+        g = g_function(y, self.coin, self.psi0)
         return (math.sqrt(1.0 - a1 * a1) / (1.0 - y * y) * g).reshape(nodes.shape)
 
     def _panel_integrals(
@@ -418,7 +390,7 @@ class LimitLaw:
         return np.empty(0)
 
     def pdf(self, y):
-        return density(y, self.coin, self.psi0_hat)
+        return density(y, self.coin, self.psi0)
 
     def mass(self) -> float:
         """Total mass by quadrature (should be 1 within :data:`MASS_TOL`)."""
@@ -464,7 +436,7 @@ def point_mass_law(coin: Coin, psi0: WaveFunction) -> DiscreteLaw:
         return DiscreteLaw(np.array([-1.0, 1.0]), weights)
     if coin.l1 == 0:
         return DiscreteLaw(np.array([0.0]), np.array([float(weights.sum())]))
-    raise ValueError("point-mass laws arise only for coins with l1 = 0 or l2 = 0")
+    raise DomainError("point-mass laws arise only for coins with l1 = 0 or l2 = 0")
 
 
 def weak_limit_law(coin: Coin, psi0: WaveFunction) -> LimitLaw | DiscreteLaw:
@@ -476,8 +448,4 @@ def weak_limit_law(coin: Coin, psi0: WaveFunction) -> LimitLaw | DiscreteLaw:
     require_normalized(psi0, "initial state")
     if not coin.has_density_limit:
         return point_mass_law(coin, psi0)
-    beta = None
-    if psi0.width == 1:
-        a, b = psi0.amplitudes[0]
-        beta = asymmetry_coefficient(coin, a, b)
-    return LimitLaw(coin, momentum_state(psi0), beta=beta)
+    return LimitLaw(coin, psi0)

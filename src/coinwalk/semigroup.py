@@ -15,14 +15,16 @@ axis ``h(k - theta1)`` by the angle ``-2 t gamma(k - theta1)``:
     a(t) = exp(t * cross_generator(k)) a(0) = pauli_flow(k, t) a(0).
 
 Both functions broadcast over momenta.  The grid-wide routines take and
-give fibres as one kind of stream, ``(block, coefficients)`` pairs over the
-slices of :func:`~coinwalk.core.blocks`, so their working memory is O(block)
-beside the arrays that span the grid; every fibre's bits are those of one
-whole-grid call.  The generator acts on *coefficient* vectors; the Pauli
-basis operators themselves transform by its transpose.  Correctness of the
-orientation is pinned by the direct-conjugation oracle, not by convention.
-Two independent routes compute the rotation: the closed Rodrigues form
-(default) and the complex eigenbasis of the generator (cross-check).
+give fibres as one kind of stream: ``(rows, 4)`` coefficient blocks that fill
+the grid in order, the first block from node 0, each next one where the last
+ended.  Their working memory is O(block) beside the arrays that span the
+grid, and every fibre's bits are those of one whole-grid call.
+
+The generator acts on *coefficient* vectors; the Pauli basis operators
+themselves transform by its transpose.  Correctness of the orientation is
+pinned by the direct-conjugation oracle, not by convention.  Two independent
+routes compute the rotation: the closed Rodrigues form (default) and the
+complex eigenbasis of the generator (cross-check).
 """
 
 from __future__ import annotations
@@ -56,21 +58,24 @@ __all__ = [
     "rotation_via_eigenbasis",
 ]
 
-def _hermitian(coeffs: np.ndarray) -> bool:
-    """Whether Pauli coefficients describe Hermitian fibres (imaginary parts below 1e-12)."""
-    return bool(np.max(np.abs(coeffs.imag)) < 1e-12)
+def _filling(grid: MomentumGrid, fibres):
+    """``(block, coefficients)``: each block of ``fibres`` with the slice of ``grid`` it fills.
 
-
-def _covering(grid: MomentumGrid, fibres):
-    """``fibres``, checked block by block to cover ``grid`` once, in order, in ``(rows, 4)`` arrays."""
+    Each block must be a numeric ``(rows, 4)`` array, or convert to one, with
+    at least one row and no more than the grid has left; the blocks must end
+    on the grid's last row.  Anything else raises :class:`ValidationError`.
+    """
     end = 0
-    for block, coeffs in fibres:
-        coeffs = np.asarray(coeffs)
-        stop = end + len(coeffs) if coeffs.ndim == 2 else -1
-        if block != slice(end, stop) or not end < stop <= grid.size or coeffs.shape[1:] != (4,):
-            raise ValidationError(f"{block!r} of shape {coeffs.shape} is not (rows, 4) fibres from row {end}")
-        end = stop
-        yield block, coeffs
+    for coeffs in fibres:
+        try:
+            coeffs = np.asarray(coeffs)
+        except ValueError as error:
+            raise ValidationError(f"the fibres from row {end} are ragged") from error
+        rows = len(coeffs) if coeffs.shape[1:] == (4,) else 0
+        if not 0 < rows <= grid.size - end or not np.issubdtype(coeffs.dtype, np.number):
+            raise ValidationError(f"fibres from row {end} of {grid.size} are not a numeric (rows, 4) array")
+        yield slice(end, end + rows), coeffs
+        end += rows
     if end != grid.size:
         raise ValidationError(f"fibre blocks stop at row {end} of {grid.size}")
 
@@ -110,33 +115,24 @@ class DirectIntegralObservable:
         object.__setattr__(self, "coefficients", coeffs)
 
     @classmethod
-    def from_matrices(cls, grid: MomentumGrid, matrices) -> "DirectIntegralObservable":
-        """Fibres of shape ``(grid.size, 2, 2)``, stored by :func:`pauli_decompose`."""
-        return cls(grid, _frozen(pauli_decompose(matrices)))
-
-    @classmethod
     def constant(cls, grid: MomentumGrid, matrix) -> "DirectIntegralObservable":
         """The same 2x2 operator on every fibre."""
         return cls(grid, _frozen(np.repeat(pauli_decompose(matrix)[None], grid.size, axis=0)))
 
     @classmethod
     def from_fibres(cls, grid: MomentumGrid, fibres) -> "DirectIntegralObservable":
-        """Collect a ``(block, coefficients)`` stream as :func:`positivity_check` takes it."""
+        """Collect a fibre stream, as :func:`positivity_check` takes it, into a new array."""
         coeffs = np.empty((grid.size, 4), dtype=np.complex128)
-        for block, fibre in _covering(grid, fibres):
+        for block, fibre in _filling(grid, fibres):
             coeffs[block] = fibre
         return cls(grid, _frozen(coeffs))
 
     def fibres(self):
-        """``(block, coefficients[block])`` read-only views over :func:`~coinwalk.core.blocks`."""
-        return ((block, self.coefficients[block]) for block in blocks(self.grid.size))
+        """The stream of read-only views ``coefficients[block]`` over :func:`~coinwalk.core.blocks`."""
+        return (self.coefficients[block] for block in blocks(self.grid.size))
 
     def matrices(self) -> np.ndarray:
         return pauli_compose(self.coefficients)
-
-    @property
-    def is_hermitian(self) -> bool:
-        return _hermitian(self.coefficients)
 
     def sup_norm(self) -> float:
         """Largest operator norm over the fibres."""
@@ -227,13 +223,17 @@ def heisenberg_evolve(obs: DirectIntegralObservable, t: float, coin: Coin) -> Di
     """Apply the semigroup to every fibre: freeze ``a0``, rotate the vector part.
 
     Agrees node by node with :func:`conjugate_evolve`; the identity is a
-    fixed point exactly at the coefficient level.  Each block of
-    ``obs.fibres()`` is evolved in turn and collected by ``from_fibres``, so
-    only the coefficient arrays span the grid and none is shared with ``obs``.
+    fixed point exactly at the coefficient level.  The coefficients are
+    evolved one block of :func:`~coinwalk.core.blocks` at a time and
+    collected by ``from_fibres``, so only the coefficient arrays span the
+    grid and none is shared with ``obs``.
     """
-    nodes = obs.grid.nodes
-    evolved = ((block, _evolve_coefficients(nodes[block], t, a, coin)) for block, a in obs.fibres())
-    return DirectIntegralObservable.from_fibres(obs.grid, evolved)
+    grid = obs.grid
+    evolved = (
+        _evolve_coefficients(grid.nodes_in(block), t, obs.coefficients[block], coin)
+        for block in blocks(grid.size)
+    )
+    return DirectIntegralObservable.from_fibres(grid, evolved)
 
 
 def flow_vs_conjugation_residual(k: np.ndarray, coeffs: np.ndarray, t: float, coin: Coin) -> float:
@@ -252,9 +252,9 @@ def flow_vs_conjugation_residual(k: np.ndarray, coeffs: np.ndarray, t: float, co
 
 
 def random_hermitian_fibres(grid: MomentumGrid, rng: np.random.Generator):
-    """``(block, normals)``: real Gaussian Pauli coefficients of independent Hermitian fibres."""
+    """Real Gaussian Pauli coefficients of independent Hermitian fibres, a block of normals at a time."""
     for block in blocks(grid.size):
-        yield block, rng.normal(size=(block.stop - block.start, 4))
+        yield rng.normal(size=(block.stop - block.start, 4))
 
 
 def random_hermitian_sample(
@@ -263,17 +263,17 @@ def random_hermitian_sample(
     """Momenta and coefficients of every ``stride``-th fibre of :func:`random_hermitian_fibres`.
 
     Draws from ``rng`` as that stream does and keeps complex copies of the
-    picked rows; the momenta equal ``grid.nodes[::stride]`` bit for bit.
+    picked rows; the momenta are ``grid.nodes_in(slice(None, None, stride))``.
     """
     picked = [
         normals[-block.start % stride :: stride].astype(np.complex128)
-        for block, normals in random_hermitian_fibres(grid, rng)
+        for block, normals in _filling(grid, random_hermitian_fibres(grid, rng))
     ]
-    return -np.pi + grid.spacing * np.arange(0, grid.size, stride), np.concatenate(picked)
+    return grid.nodes_in(slice(None, None, stride)), np.concatenate(picked)
 
 
 def random_psd_fibres(grid: MomentumGrid, rng: np.random.Generator):
-    """``(block, coefficients)`` of independent positive fibres ``B B*``, B complex Gaussian.
+    """Pauli coefficients of independent positive fibres ``B B*``, B complex Gaussian, per block.
 
     One whole-grid draw takes every real part of ``B``, then every imaginary
     part.  A copy of ``rng`` replays the real parts while ``rng``, advanced
@@ -287,30 +287,31 @@ def random_psd_fibres(grid: MomentumGrid, rng: np.random.Generator):
     for block in blocks(grid.size):
         shape = (block.stop - block.start, 2, 2)
         B = replay.normal(size=shape) + 1j * rng.normal(size=shape)
-        yield block, pauli_decompose(B @ np.conj(np.swapaxes(B, 1, 2)))
+        yield pauli_decompose(B @ np.conj(np.swapaxes(B, 1, 2)))
 
 
 def positivity_check(grid: MomentumGrid, t: float, coin: Coin, fibres) -> dict:
     """Verify that positive fibres stay positive under the semigroup.
 
-    ``fibres`` is a ``(block, coefficients)`` stream such as
-    :func:`random_psd_fibres` or :meth:`DirectIntegralObservable.fibres`; a
-    block that skips, repeats or mis-sizes rows, or a stream that stops
-    short, raises :class:`ValidationError`.  The fibres must be Hermitian;
-    they count as positive when all eigenvalues are >= -1e-12 and the
-    evolved fibres must stay above -1e-10.  Each block is evolved as
+    ``fibres`` is a stream of ``(rows, 4)`` coefficient blocks that fill
+    ``grid`` in order, such as :func:`random_psd_fibres` or
+    :meth:`DirectIntegralObservable.fibres`; a block that is not a numeric
+    ``(rows, 4)`` array or runs past the grid, or a stream that stops short,
+    raises :class:`ValidationError`, and so does a block with an imaginary
+    part of 1e-12 or more: the fibres must be Hermitian.  They count as
+    positive when all eigenvalues are >= -1e-12, and the evolved fibres must
+    stay above -1e-10.  Each block is evolved as
     :func:`heisenberg_evolve` evolves it (the same bits), diagonalised and dropped.
 
     Returns a report dict: the node indices (int64), the min-eigenvalue arrays
     before and after (float64), their worst values and the overall verdict.
     """
-    nodes = grid.nodes
     before = np.empty(grid.size)
     after = np.empty(grid.size)
-    for block, coeffs in _covering(grid, fibres):
-        if not _hermitian(coeffs):
+    for block, coeffs in _filling(grid, fibres):
+        if not np.max(np.abs(coeffs.imag)) < 1e-12:
             raise ValidationError("positivity check requires Hermitian fibres")
-        evolved = _evolve_coefficients(nodes[block], t, coeffs, coin)
+        evolved = _evolve_coefficients(grid.nodes_in(block), t, coeffs, coin)
         matrices = np.stack([pauli_compose(coeffs), pauli_compose(evolved)])
         before[block], after[block] = np.linalg.eigvalsh(matrices).min(axis=-1)
     input_psd = bool(before.min() >= -1e-12)

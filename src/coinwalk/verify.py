@@ -430,8 +430,9 @@ def _localized_closed_form(rng, size):
     for coin in coins:
         ys = np.linspace(-0.98, 0.98, 200) * coin.abs_l1
         for a, b in qubits:
-            general = limitlaw.density(ys, coin, momentum_state(WaveFunction.qubit(a, b)))
-            closed = limitlaw.density_localized(ys, coin, a, b)
+            psi0 = WaveFunction.qubit(a, b)
+            general = limitlaw.density(ys, coin, psi0)
+            closed = limitlaw.density_localized(ys, coin, psi0)
             worst = max(worst, np.abs(general - closed).max())
     return worst, "5 coins x 5 qubits, 200 samples"
 
@@ -496,11 +497,9 @@ def _ks_convergence(rng, ns):
 
 def _beta0_symmetry(rng, size):
     coin = hadamard_switched()
-    hat = momentum_state(WaveFunction.qubit(S2, 1j * S2))
+    psi0 = WaveFunction.qubit(S2, 1j * S2)
     ys = np.linspace(0.0, 0.95, 50) * coin.abs_l1
-    gap = np.abs(
-        limitlaw.density(ys, coin, hat) - limitlaw.density(-ys, coin, hat)
-    ).max()
+    gap = np.abs(limitlaw.density(ys, coin, psi0) - limitlaw.density(-ys, coin, psi0)).max()
     return gap, "rho(y) = rho(-y) when beta = 0"
 
 

@@ -27,7 +27,6 @@ from . import continuous
 from .core import (
     TRIM_TOL,
     Coin,
-    MomentumGrid,
     ValidationError,
     WaveFunction,
     position_distribution,
@@ -162,18 +161,17 @@ def _state(x_min: int, window: np.ndarray) -> WaveFunction:
     return WaveFunction(x_min, np.ascontiguousarray(window.T))
 
 
-def fourier_evolve(
-    psi0: WaveFunction, coin: Coin, n: int, grid: MomentumGrid | None = None
-) -> WaveFunction:
+def fourier_evolve(psi0: WaveFunction, coin: Coin, n: int) -> WaveFunction:
     """Evolve ``n`` steps through momentum space (independent of :func:`evolve`).
 
     The walk is diagonal in momentum, ``U(k)^n = exp(i n H(k))``, so this is
     :func:`~coinwalk.continuous.evolve_continuous` at ``t = n``: one
-    closed-form propagator per grid node, whatever ``n``, between two FFTs.
+    closed-form propagator per node of ``MomentumGrid.for_walk(psi0, n)``,
+    whatever ``n``, between two FFTs.
     """
     if n < 0:
         raise ValidationError(f"step count must be nonnegative, got {n}")
-    return continuous.evolve_continuous(psi0, float(n), coin, grid)
+    return continuous.evolve_continuous(psi0, float(n), coin)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,15 +1,17 @@
 """Coins, lattice states, Fourier transforms, and the Pauli algebra."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coinwalk
 from coinwalk import (
     AliasingError,
-    DirectIntegralObservable,
     MomentumGrid,
     ValidationError,
     WaveFunction,
@@ -21,6 +23,7 @@ from coinwalk import (
     pauli_compose,
     pauli_decompose,
     position_distribution,
+    positivity_check,
     step,
 )
 from coinwalk.core import GRID_MARGIN, SQRT_2PI
@@ -226,7 +229,17 @@ def test_pauli_round_trip(entries):
     assert np.abs(pauli_compose(pauli_decompose(A)) - A).max() < 1e-13
 
 
-def test_pauli_hermitian_flag():
+def test_pauli_hermitian_flag(hadamard):
+    # positivity_check takes Hermitian fibres, those with real Pauli coefficients, only
     grid = MomentumGrid(1)
-    assert DirectIntegralObservable.constant(grid, [[1.0, 2j], [-2j, -1.0]]).is_hermitian
-    assert not DirectIntegralObservable.constant(grid, [[1.0, 1.0], [0.0, 1.0]]).is_hermitian
+    hermitian, skew = pauli_decompose([[[1.0, 2j], [-2j, -1.0]], [[1.0, 1.0], [0.0, 1.0]]])
+    assert not positivity_check(grid, 0.5, hadamard, [hermitian[None]])["input_psd"]
+    with pytest.raises(ValidationError, match="Hermitian"):
+        positivity_check(grid, 0.5, hadamard, [skew[None]])
+
+
+def test_package_raises_only_its_own_errors():
+    # CoinWalkError is the base of every error the package raises
+    for path in Path(coinwalk.__file__).parent.glob("*.py"):
+        raised = [n.exc for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.Raise) and n.exc]
+        assert "ValueError" not in {ast.unparse(getattr(e, "func", e)) for e in raised}, path.name

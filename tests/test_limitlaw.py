@@ -27,7 +27,6 @@ from coinwalk import (
     hadamard_switched,
     ks_distance,
     lm_values,
-    momentum_state,
     normalize_phase,
     point_mass_law,
     stationary_points,
@@ -105,9 +104,8 @@ def test_lm_domain_errors(hadamard):
 
 
 def test_g_function_nonnegative(hadamard):
-    hat = momentum_state(spread_state())
     ys = np.linspace(-0.95, 0.95, 41) * hadamard.abs_l1
-    assert np.all(g_function(ys, hadamard, hat) >= 0.0)
+    assert np.all(g_function(ys, hadamard, spread_state()) >= 0.0)
 
 
 @pytest.mark.parametrize("psi0", [WaveFunction.qubit(0.6, 0.8j), spread_state()], ids=["qubit", "two_site"])
@@ -116,10 +114,9 @@ def test_g_function_bits_do_not_depend_on_call_length(psi0):
     # give the bits of many short ones; slices stay >= 16 points, because one
     # point sums its eight squared moduli pairwise rather than in sequence
     coin = seeded_coins(1, seed=3)[0]
-    hat = momentum_state(psi0)
     ys = np.linspace(-0.999, 0.999, 20480) * coin.abs_l1
-    whole = g_function(ys, coin, hat)
-    sliced = np.concatenate([g_function(ys[i : i + 1024], coin, hat) for i in range(0, ys.size, 1024)])
+    whole = g_function(ys, coin, psi0)
+    sliced = np.concatenate([g_function(ys[i : i + 1024], coin, psi0) for i in range(0, ys.size, 1024)])
     assert np.count_nonzero(whole != sliced) == 0
 
 
@@ -129,33 +126,34 @@ def test_g_function_bits_do_not_depend_on_call_length(psi0):
 
 
 def test_asymmetry_coefficient_reference_values(hadamard):
-    assert asymmetry_coefficient(hadamard, 1.0, 0.0) == pytest.approx(1.0)
-    assert asymmetry_coefficient(hadamard, 0.0, 1.0) == pytest.approx(-1.0)
+    assert asymmetry_coefficient(hadamard, WaveFunction.qubit(1.0, 0.0)) == pytest.approx(1.0)
+    assert asymmetry_coefficient(hadamard, WaveFunction.qubit(0.0, 1.0, site=4)) == pytest.approx(-1.0)
     # the cross terms are purely imaginary for this qubit and cancel
-    assert asymmetry_coefficient(hadamard, S2, 1j * S2) == pytest.approx(0.0, abs=1e-15)
+    assert asymmetry_coefficient(hadamard, WaveFunction.qubit(S2, 1j * S2)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_beta_one_density_shape(hadamard):
     # beta = 1 gives rho proportional to (1 - y) over the prefactor
     ys = np.linspace(-0.6, 0.6, 13)
-    rho = density_localized(ys, hadamard, 1.0, 0.0)
+    rho = density_localized(ys, hadamard, WaveFunction.qubit(1.0, 0.0))
     base = math.sqrt(0.5) / (math.pi * (1 - ys**2) * np.sqrt(0.5 - ys**2))
     assert np.allclose(rho, base * (1 - ys), atol=1e-14)
 
 
 def test_density_zero_outside_support_and_endpoint_guard(hadamard):
-    hat = momentum_state(WaveFunction.qubit(1.0, 0.0))
-    assert density(0.9, hadamard, hat) == 0.0
-    assert density(-0.95, hadamard, hat) == 0.0
+    psi0 = WaveFunction.qubit(1.0, 0.0)
+    assert density(0.9, hadamard, psi0) == 0.0
+    assert density(-0.95, hadamard, psi0) == 0.0
     with pytest.raises(DomainError):
-        density(hadamard.abs_l1, hadamard, hat)
+        density(hadamard.abs_l1, hadamard, psi0)
     with pytest.raises(DomainError):
-        density_localized(-hadamard.abs_l1, hadamard, 1.0, 0.0)
+        density_localized(-hadamard.abs_l1, hadamard, psi0)
 
 
 def test_density_localized_validates_qubit(hadamard):
-    with pytest.raises(ValidationError):
-        density_localized(0.0, hadamard, 1.0, 1.0)
+    for psi0 in (WaveFunction.qubit(1.0, 1.0), spread_state()):
+        with pytest.raises(ValidationError):
+            density_localized(0.0, hadamard, psi0)
 
 
 def test_density_mass_against_scipy_quad():
@@ -164,9 +162,8 @@ def test_density_mass_against_scipy_quad():
         a1 = coin.abs_l1
         for psi0 in (WaveFunction.qubit(0.0, 1.0), spread_state()):
             law = weak_limit_law(coin, psi0)
-            hat = momentum_state(psi0)
             mass, err = quad(
-                lambda u: float(density(a1 * math.sin(u), coin, hat)) * a1 * math.cos(u),
+                lambda u: float(density(a1 * math.sin(u), coin, psi0)) * a1 * math.cos(u),
                 -math.pi / 2,
                 math.pi / 2,
                 limit=200,
@@ -178,11 +175,10 @@ def test_density_mass_against_scipy_quad():
 def test_cdf_against_scipy_quad(hadamard):
     psi0 = WaveFunction.qubit(1.0, 0.0)
     law = weak_limit_law(hadamard, psi0)
-    hat = momentum_state(psi0)
     a1 = hadamard.abs_l1
     for target in (-0.5, -0.1, 0.0, 0.33, 0.64):
         expected, _ = quad(
-            lambda u: float(density(a1 * math.sin(u), hadamard, hat)) * a1 * math.cos(u),
+            lambda u: float(density(a1 * math.sin(u), hadamard, psi0)) * a1 * math.cos(u),
             -math.pi / 2,
             math.asin(target / a1),
             limit=200,
@@ -205,17 +201,16 @@ def test_point_mass_ballistic_qubit():
 
 
 def test_point_mass_rejects_generic_coin(hadamard):
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         point_mass_law(hadamard, WaveFunction.qubit(1.0, 0.0))
 
 
 def test_weak_limit_law_routing(hadamard):
-    assert isinstance(weak_limit_law(hadamard, WaveFunction.qubit(1.0, 0.0)), LimitLaw)
+    law = weak_limit_law(hadamard, WaveFunction.qubit(1.0, 0.0))
+    assert isinstance(law, LimitLaw) and law.beta == pytest.approx(1.0)
     assert isinstance(
         weak_limit_law(normalize_phase(np.eye(2)), WaveFunction.qubit(1.0, 0.0)), DiscreteLaw
     )
-    law = weak_limit_law(hadamard, WaveFunction.qubit(1.0, 0.0))
-    assert law.beta == pytest.approx(1.0)
     assert weak_limit_law(hadamard, spread_state()).beta is None
 
 
@@ -311,3 +306,4 @@ def test_law_method_signatures():
             assert name in vars(cls), f"{cls.__name__}.{name}"
             assert " ".join(inspect.signature(vars(cls)[name]).parameters) == params, name
     assert " ".join(inspect.signature(g_function).parameters) == "y coin psi0"
+    assert " ".join(inspect.signature(LimitLaw).parameters) == "coin psi0"

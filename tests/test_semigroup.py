@@ -18,6 +18,7 @@ from coinwalk import (
     hamiltonian,
     heisenberg_evolve,
     limitlaw,
+    pauli_decompose,
     pauli_flow,
     positivity_check,
 )
@@ -121,7 +122,7 @@ def test_observable_round_trip():
     grid = MomentumGrid(32)
     rng = np.random.default_rng(9)
     mats = rng.normal(size=(32, 2, 2)) + 1j * rng.normal(size=(32, 2, 2))
-    obs = DirectIntegralObservable.from_matrices(grid, mats)
+    obs = DirectIntegralObservable.from_fibres(grid, [pauli_decompose(mats)])
     assert np.abs(obs.matrices() - mats).max() < 1e-13
 
 
@@ -130,7 +131,7 @@ def test_observable_validation():
     with pytest.raises(ValidationError):
         DirectIntegralObservable(grid, np.zeros((4, 4)))
     with pytest.raises(ValidationError):
-        DirectIntegralObservable.from_matrices(grid, np.zeros((8, 3, 3)))
+        DirectIntegralObservable.from_fibres(grid, [pauli_decompose(np.zeros((8, 3, 3)))])
 
 
 def test_observable_owns_read_only_coefficients(hadamard, monkeypatch):
@@ -148,8 +149,8 @@ def test_observable_owns_read_only_coefficients(hadamard, monkeypatch):
     evolved = heisenberg_evolve(obs, 1.1, hadamard)
     assert not np.shares_memory(evolved.coefficients, obs.coefficients)
     views = list(obs.fibres())
-    assert [b for b, _ in views] == [slice(0, 5), slice(5, 10), slice(10, 15), slice(15, 16)]
-    assert all(np.shares_memory(v, obs.coefficients) for _, v in views)
+    assert [len(v) for v in views] == [5, 5, 5, 1]
+    assert all(np.shares_memory(v, obs.coefficients) for v in views)
     collected = DirectIntegralObservable.from_fibres(grid, iter(views))
     assert np.array_equal(collected.coefficients, kept)
     assert not np.shares_memory(collected.coefficients, obs.coefficients)
@@ -160,7 +161,6 @@ def test_observable_owns_read_only_coefficients(hadamard, monkeypatch):
         collected,
         DirectIntegralObservable.from_fibres(grid, random_psd_fibres(grid, rng)),
         DirectIntegralObservable.from_fibres(grid, random_hermitian_fibres(grid, rng)),
-        DirectIntegralObservable.from_matrices(grid, np.zeros((16, 2, 2))),
         DirectIntegralObservable.constant(grid, np.eye(2)),
     ]
     for o in built:
@@ -172,7 +172,6 @@ def test_observable_sup_norm():
     grid = MomentumGrid(4)
     obs = DirectIntegralObservable.constant(grid, np.diag([3.0, -1.0]))
     assert obs.sup_norm() == pytest.approx(3.0)
-    assert obs.is_hermitian
 
 
 def test_constant_sigma3_traces_circles(hadamard):
@@ -194,7 +193,7 @@ def test_positivity_of_psd_and_projectors(hadamard):
     vecs = rng.normal(size=(grid.size, 2)) + 1j * rng.normal(size=(grid.size, 2))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
     projectors = np.einsum("mi,mj->mij", vecs, vecs.conj())
-    proj_obs = DirectIntegralObservable.from_matrices(grid, projectors)
+    proj_obs = DirectIntegralObservable.from_fibres(grid, [pauli_decompose(projectors)])
     evolved = heisenberg_evolve(proj_obs, 4.4, hadamard)
     eigs = np.sort(np.linalg.eigvalsh(evolved.matrices()), axis=1)
     assert np.abs(eigs[:, 0]).max() < 1e-11
@@ -202,33 +201,29 @@ def test_positivity_of_psd_and_projectors(hadamard):
 
 
 def test_positivity_check_validation(hadamard):
-    # a stream covers the grid once, in order, in non-empty (rows, 4) blocks;
-    # positivity_check also needs Hermitian fibres in every block
+    # a stream fills the grid in order with non-empty numeric (rows, 4)
+    # blocks; positivity_check also needs Hermitian fibres in every block
     grid = MomentumGrid(64)
     bad = DirectIntegralObservable.constant(grid, np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValidationError, match="Hermitian"):
-        positivity_check(grid, 1.0, hadamard, bad.fibres())
     a = DirectIntegralObservable.constant(grid, np.eye(2)).coefficients
-    second_bad = [(slice(0, 32), a[:32]), (slice(32, 64), bad.coefficients[32:])]
     with pytest.raises(ValidationError, match="Hermitian"):
-        positivity_check(grid, 1.0, hadamard, iter(second_bad))
-    uneven = [(slice(0, 40), a[:40]), (slice(40, 64), a[40:].tolist())]
-    assert positivity_check(grid, 1.0, hadamard, iter(uneven))["passed"]
+        positivity_check(grid, 1.0, hadamard, iter([a[:32], bad.coefficients[32:]]))
+    # slices follow from row counts: blocks of 1, 7 and the rest give obs.fibres()'s report
+    obs = DirectIntegralObservable.from_fibres(grid, random_psd_fibres(grid, np.random.default_rng(2)))
+    uneven = iter([obs.coefficients[:1], obs.coefficients[1:8], obs.coefficients[8:].tolist()])
+    whole = positivity_check(grid, 0.9, hadamard, obs.fibres())
+    assert cli._json_text(positivity_check(grid, 0.9, hadamard, uneven)) == cli._json_text(whole)
     streams = {
-        "skips": [(slice(0, 32), a[:32]), (slice(33, 64), a[33:])],
-        "repeats": [(slice(0, 32), a[:32]), (slice(0, 32), a[:32]), (slice(32, 64), a[32:])],
-        "overlaps": [(slice(0, 40), a[:40]), (slice(32, 64), a[32:])],
-        "starts late": [(slice(1, 64), a[1:])],
-        "too few rows": [(slice(0, 32), a[:31]), (slice(31, 64), a[31:])],
-        "broadcast row": [(slice(0, 32), a[:1]), (slice(32, 64), a[32:])],
-        "empty block": [(slice(0, 0), a[:0]), (slice(0, 64), a)],
-        "past the end": [(slice(0, 65), np.zeros((65, 4)))],
-        "strided": [(slice(0, 64, 2), a[::2])],
-        "not a slice": [(range(0, 64), a)],
-        "wrong width": [(slice(0, 64), np.zeros((64, 3)))],
-        "a scalar": [(slice(0, 64), 1.0)],
-        "stops short": [(slice(0, 32), a[:32])],
+        "wrong width": [np.zeros((64, 3))],
+        "a scalar": [1.0],
+        "empty block": [a[:0], a],
+        "past the end": [np.zeros((65, 4))],
+        "stops short": [a[:32]],
         "nothing": [],
+        # rejected by the package, not by numpy's ValueError
+        "a (slice, coefficients) pair": [(slice(0, 64), a)],
+        "ragged": [[[1.0, 0.0, 0.0, 0.0]] * 63 + [[1.0, 0.0, 0.0]]],
+        "an object array": [a.astype(object)],
     }
     for stream in streams.values():
         with pytest.raises(ValidationError):
@@ -270,6 +265,8 @@ def test_block_size_changes_no_bit(monkeypatch, tmp_path):
         assert stream.bit_generator.state == rng.bit_generator.state
         assert cli._json_text(streamed) == cli._json_text(report)
         assert k.tobytes() == grid.nodes[::31].tobytes()
+        for part in (slice(0, 7), slice(993, None), slice(5, 900, 31)):
+            assert grid.nodes_in(part).tobytes() == grid.nodes[part].tobytes()
         assert sample.tobytes() == herm.coefficients[::31].tobytes()
         files = {}
         for name, argv in runs.items():

@@ -9,7 +9,6 @@ import pytest
 import coinwalk.cli as cli
 from coinwalk import (
     DiscreteLaw,
-    MomentumGrid,
     ValidationError,
     WalkRun,
     WaveFunction,
@@ -64,13 +63,6 @@ def test_norm_conservation(hadamard, origin_right):
     for _, psi in iter_evolution(WalkRun(hadamard, origin_right, 400)):
         worst = max(worst, abs(psi.norm() - 1.0))
     assert worst < 1e-12
-
-
-def test_fourier_route_accepts_explicit_grid(origin_right, hadamard):
-    grid = MomentumGrid(128)
-    a = fourier_evolve(origin_right, hadamard, 20, grid)
-    b = evolve(WalkRun(hadamard, origin_right, 20))
-    assert sup_norm_difference(a, b) < 1e-10
 
 
 def test_ballistic_coin_exact_shift_formula():
