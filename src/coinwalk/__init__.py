@@ -49,7 +49,6 @@ from .spectral import (
 from .continuous import evolve_continuous, schrodinger_residual
 from .limitlaw import (
     LimitLaw,
-    StationaryPoints,
     asymmetry_coefficient,
     density,
     density_localized,
@@ -57,7 +56,6 @@ from .limitlaw import (
     lm_values,
     lm_values_numeric,
     point_mass_law,
-    stationary_points,
     weak_limit_law,
 )
 from .semigroup import (
@@ -81,7 +79,6 @@ __all__ = [
     "DomainError",
     "LimitLaw",
     "MomentumGrid",
-    "StationaryPoints",
     "ValidationError",
     "WalkRun",
     "WaveFunction",
@@ -116,7 +113,6 @@ __all__ = [
     "random_coin",
     "s_inverse_closed_form",
     "schrodinger_residual",
-    "stationary_points",
     "step",
     "unitary_S",
     "weak_limit_law",

@@ -46,7 +46,6 @@ import numpy as np
 
 from . import _csvtext, continuous, core, limitlaw, semigroup, spectral, walk
 from .core import (
-    VALIDATE_TOL,
     Coin,
     CoinWalkError,
     MomentumGrid,
@@ -228,9 +227,7 @@ def _parse_initial(spec) -> WaveFunction:
             raise ValidationError(f"config field 'initial.sites': {exc}") from exc
     else:
         raise ValidationError("config field 'initial': needs 'qubit' or 'sites'")
-    nrm = psi.norm()
-    if abs(nrm - 1.0) > VALIDATE_TOL:
-        raise ValidationError(f"config field 'initial': state norm is {nrm!r}, expected 1")
+    core.require_normalized(psi, "config field 'initial': the state")
     return psi
 
 
@@ -395,11 +392,6 @@ def _json_chunks(value, pad: str = ""):
     yield "\n" + pad + brackets[1] if opened else brackets
 
 
-def _json_text(value) -> str:
-    """The whole text :func:`_write_json` writes for ``value``, less its final newline."""
-    return "".join(_json_chunks(value))
-
-
 def _write_json(path: Path, payload: dict) -> None:
     """Write ``payload`` as ``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline.
 
@@ -499,7 +491,7 @@ def cmd_density(config: RunConfig, out_dir: Path) -> list[Path]:
     psi0 = config.initial_state()
     law = limitlaw.weak_limit_law(coin, psi0)
     mass = law.mass()
-    if abs(mass - 1.0) > limitlaw.MASS_TOL:
+    if not abs(mass - 1.0) <= limitlaw.MASS_TOL:
         raise CoinWalkError(
             f"limit law mass defect |mass - 1| = {abs(mass - 1.0):.3e} exceeds "
             f"{limitlaw.MASS_TOL:g}; the quadrature cannot resolve this coin"

@@ -169,8 +169,8 @@ def normalize_phase(matrix) -> Coin:
     Raises
     ------
     ValidationError
-        If the matrix is not 2x2 or not unitary; the message names the
-        violated row relation.
+        If the matrix is not 2x2 or not unitary (a NaN or infinite entry
+        counts as not unitary); the message names the worst row relation.
     """
     U = np.asarray(matrix, dtype=np.complex128)
     if U.shape != (2, 2):
@@ -182,8 +182,9 @@ def normalize_phase(matrix) -> Coin:
         ("row 2 is not unit norm", abs(np.vdot(row1, row1).real - 1.0)),
         ("rows 1 and 2 are not orthogonal", abs(np.vdot(row0, row1))),
     ]
-    name, defect = max(checks, key=lambda item: item[1])
-    if defect > VALIDATE_TOL:
+    # a NaN defect (from a NaN or infinite entry) counts as the worst
+    name, defect = max(checks, key=lambda item: math.inf if math.isnan(item[1]) else item[1])
+    if not defect <= VALIDATE_TOL:
         raise ValidationError(f"matrix is not unitary: {name} (defect {defect:.3e})")
 
     det = U[0, 0] * U[1, 1] - U[0, 1] * U[1, 0]
@@ -220,14 +221,16 @@ class WaveFunction:
 
     ``amplitudes`` has shape ``(N, 2)``: row ``i`` holds the (left, right)
     chirality amplitudes at site ``x_min + i``.  Amplitudes outside the
-    support are identically zero by construction.
+    support are identically zero by construction.  They are held as a
+    row-major copy of the input, whatever its layout, so that sums over them
+    (the norm) add in one order.
     """
 
     x_min: int
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=np.complex128, copy=True)
+        amps = np.array(self.amplitudes, dtype=np.complex128, copy=True, order="C")
         if amps.ndim != 2 or amps.shape[1] != 2 or amps.shape[0] < 1:
             raise ValidationError(f"amplitudes must have shape (N, 2), got {amps.shape}")
         amps.setflags(write=False)
@@ -303,9 +306,9 @@ def blocks(size: int, per: int = 1) -> Iterator[slice]:
 
 
 def require_normalized(psi: WaveFunction, what: str = "state") -> None:
-    """Raise :class:`ValidationError` unless ``psi`` has unit norm to input tolerance."""
+    """Raise :class:`ValidationError` unless ``psi`` has unit norm to input tolerance; NaN fails."""
     nrm = psi.norm()
-    if abs(nrm - 1.0) > VALIDATE_TOL:
+    if not abs(nrm - 1.0) <= VALIDATE_TOL:
         raise ValidationError(f"{what} must be normalised, got norm {nrm!r}")
 
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -57,7 +56,6 @@ __all__ = [
     "MASS_TOL",
     "LimitLaw",
     "StationaryAmplitudes",
-    "StationaryPoints",
     "asymmetry_coefficient",
     "density",
     "density_localized",
@@ -65,7 +63,6 @@ __all__ = [
     "lm_values",
     "lm_values_numeric",
     "point_mass_law",
-    "stationary_points",
     "weak_limit_law",
 ]
 
@@ -80,33 +77,6 @@ def _require_density(coin: Coin) -> None:
             "the scaling limit has a density only when l1*l2 != 0; "
             "use point_mass_law for degenerate coins"
         )
-
-
-@dataclass(frozen=True)
-class StationaryPoints:
-    """The two stationary momenta driving the scaling limit at velocity ``y``."""
-
-    y: float
-    c1: float
-    c2: float
-
-
-def stationary_points(y: float, coin: Coin) -> StationaryPoints:
-    """Solve ``gamma'(c) = y``: ``c1`` in (-pi/2, pi/2) and ``c2 = pi - c1``.
-
-    ``c1 = arcsin( y sqrt(1-|l1|^2) / (|l1| sqrt(1-y^2)) )`` is nonnegative
-    for ``y >= 0`` and takes negative values for ``y < 0``; the same closed
-    form covers both signs.  At the solution,
-
-        |l1| sin(c1) = y sin(gamma(c1)),
-        sin^2(gamma(c1)) = (1-|l1|^2)/(1-y^2),
-        cos^2(gamma(c1)) = (|l1|^2-y^2)/(1-y^2).
-
-    Requires ``0 < |l1| < 1`` and ``|y| < |l1|``.
-    """
-    _require_density(coin)
-    c1 = spectral.stationary_angle(float(y), coin.abs_l1)
-    return StationaryPoints(y=float(y), c1=c1, c2=math.pi - c1)
 
 
 class StationaryAmplitudes(NamedTuple):
@@ -143,7 +113,10 @@ def _amplitude_table(y: np.ndarray, coin: Coin, psi0: WaveFunction) -> np.ndarra
     with ``q = y+is`` at ``c1``, ``q = y-is`` at ``c2``; the mirrored points
     ``-c1, -c2`` take the conjugated factors (``y-is`` and ``y+is``
     respectively), as dictated by ``e^{2i c1}(y+is) = -(y-is)`` and pinned by
-    the numerical eigenvector route.
+    the numerical eigenvector route.  ``c1`` is
+    :func:`~coinwalk.spectral.stationary_angle`'s formula through ``np.arcsin``,
+    kept apart on purpose: its last bit can differ from ``math.asin``'s, and
+    the bits of every density depend on it.
     """
     a1 = coin.abs_l1
     s = np.sqrt((a1 * a1 - y * y) / (1.0 - a1 * a1))
@@ -198,7 +171,8 @@ def lm_values(y: float, coin: Coin, psi0: WaveFunction) -> StationaryAmplitudes:
 def lm_values_numeric(y: float, coin: Coin, psi0: WaveFunction) -> StationaryAmplitudes:
     """The same eight amplitudes through the defining eigenvector route.
 
-    Solves ``S(c) xi = psi_hat(c + theta1)`` with the unnormalised
+    At ``c1 = spectral.stationary_angle(y, |l1|)`` and ``c2 = pi - c1``,
+    solves ``S(c) xi = psi_hat(c + theta1)`` with the unnormalised
     eigenvector matrix and numerical inversion, then multiplies by the
     eigenvector components: the ``l`` values use the first components
     ``e^{-ic}``, the ``m`` values the second.  The ``+`` branch takes
@@ -209,9 +183,10 @@ def lm_values_numeric(y: float, coin: Coin, psi0: WaveFunction) -> StationaryAmp
     y_arr = np.asarray(float(y))
     _check_density_domain(y_arr, coin)
     psi_hat = momentum_state(psi0)
-    pts = stationary_points(float(y), coin)
+    c1 = spectral.stationary_angle(float(y), coin.abs_l1)
+    c2 = math.pi - c1
     l_values, m_values = [], []
-    for point, branch in ((pts.c1, 0), (pts.c2, 0), (-pts.c1, 1), (-pts.c2, 1)):
+    for point, branch in ((c1, 0), (c2, 0), (-c1, 1), (-c2, 1)):
         S = spectral.eigenvector_matrix(point, coin)
         xi = np.linalg.solve(S, psi_hat(point + coin.theta1))
         l_values.append(complex(cmath.exp(-1j * point) * xi[branch]))

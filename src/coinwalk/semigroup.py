@@ -134,10 +134,6 @@ class DirectIntegralObservable:
     def matrices(self) -> np.ndarray:
         return pauli_compose(self.coefficients)
 
-    def sup_norm(self) -> float:
-        """Largest operator norm over the fibres."""
-        return float(np.linalg.svd(self.matrices(), compute_uv=False).max())
-
 
 def conjugate_evolve(k: float, t: float, matrix, coin: Coin) -> np.ndarray:
     """Direct Heisenberg conjugation ``exp(itH(k)) A exp(-itH(k))`` on one fibre.

@@ -11,9 +11,9 @@ the phase of ``l1``.  Diagonalising ``U(k)`` yields a Hermitian generator
 ``H(k)`` with ``U(k) = exp(i H(k))``; ``H(k)`` equals ``gamma`` times a unit
 Pauli vector, which makes all matrix exponentials closed-form.
 
-This module also provides the closed-form inverses of the eigenvector matrix
-at the stationary points of ``gamma(k) - y*k``, which drive the long-time
-scaling limit of the walk.
+This module also provides the stationary momenta of ``gamma(k) - y*k``
+(:func:`stationary_angle`), which drive the long-time scaling limit of the
+walk, and the closed-form inverses of the eigenvector matrix there.
 
 Everything is pure and stateless; array arguments broadcast where noted.
 """
@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DEGENERATE_TOL, Coin, DegenerateCoinError, DomainError, pauli_compose
+from .core import Coin, DegenerateCoinError, DomainError, pauli_compose
 
 __all__ = [
     "StationaryInverses",
@@ -44,7 +44,7 @@ __all__ = [
 
 
 def _require_spectral(coin: Coin) -> None:
-    if coin.abs_l2 < DEGENERATE_TOL:
+    if coin.is_degenerate:
         raise DegenerateCoinError(
             "coin has |l2| below the degeneracy threshold and the eigenvector formulas divide by l2"
         )
@@ -212,8 +212,18 @@ class StationaryInverses(NamedTuple):
 def stationary_angle(y: float, abs_l1: float) -> float:
     """The stationary momentum ``c1(y)`` with ``gamma'(c1) = y``, in (-pi/2, pi/2).
 
-    ``c1 = arcsin( y sqrt(1 - |l1|^2) / (|l1| sqrt(1 - y^2)) )``; nonnegative
-    for ``y >= 0``.  The second stationary point is ``c2 = pi - c1``.
+    ``c1 = arcsin( y sqrt(1 - |l1|^2) / (|l1| sqrt(1 - y^2)) )`` has the sign
+    of ``y``; the second stationary point of ``gamma(k) - y*k`` is
+    ``c2 = pi - c1``.  At the solution,
+
+        |l1| sin(c1) = y sin(gamma(c1)),
+        sin^2(gamma(c1)) = (1-|l1|^2)/(1-y^2),
+        cos^2(gamma(c1)) = (|l1|^2-y^2)/(1-y^2).
+
+    The package's one scalar formula for the stationary momenta; the limit
+    density's amplitude table keeps a vectorised copy on purpose (see
+    ``limitlaw._amplitude_table``).  Requires ``0 < |l1| < 1`` and
+    ``|y| < |l1|``, else raises :class:`DomainError`.
     """
     if abs_l1 <= 0.0 or abs_l1 >= 1.0:
         raise DomainError("stationary points require 0 < |l1| < 1")
@@ -236,11 +246,10 @@ def s_inverse_closed_form(y: float, coin: Coin) -> StationaryInverses:
     from the identity ``e^{2 i c1} (y + i s) = -(y - i s)`` and is pinned by
     agreement with direct numerical inversion.
 
-    Requires ``l1 l2 != 0`` and ``|y| < |l1|``.
+    Requires ``l1 l2 != 0`` and ``|y| < |l1|``; :func:`stationary_angle`
+    raises the :class:`DomainError` of ``l1 = 0``.
     """
     _require_spectral(coin)
-    if coin.l1 == 0:
-        raise DomainError("closed-form inverses require l1 != 0")
     a1 = coin.abs_l1
     c1 = stationary_angle(float(y), a1)
     c2 = math.pi - c1

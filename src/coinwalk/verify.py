@@ -132,9 +132,10 @@ def _phase_invariance(rng, count):
     for _ in range(count):
         phase = np.exp(1j * rng.uniform(-math.pi, math.pi))
         rotated = normalize_phase(phase * base.matrix)
-        a = walk.evolve(walk.WalkRun(base, psi0, 40))
-        b = walk.evolve(walk.WalkRun(rotated, psi0, 40))
-        worst = max(worst, walk.distribution_difference(a, b))
+        a, b = walk._union_window(
+            [walk.evolve(walk.WalkRun(coin, psi0, 40)) for coin in (base, rotated)]
+        )
+        worst = max(worst, float(np.max(np.abs(a - b))))
     return worst, "distribution unchanged by e^{i phi} U"
 
 
@@ -307,13 +308,9 @@ def _s_inverse_closed_form(rng, size):
         a1 = coin.abs_l1
         for frac in (-0.9, -0.5, 0.0, 0.5, 0.9):
             inv = spectral.s_inverse_closed_form(frac * a1, coin)
-            pts = limitlaw.stationary_points(frac * a1, coin)
-            for M, arg in (
-                (inv.at_c1, pts.c1),
-                (inv.at_c2, pts.c2),
-                (inv.at_neg_c1, -pts.c1),
-                (inv.at_neg_c2, -pts.c2),
-            ):
+            c1 = spectral.stationary_angle(frac * a1, a1)
+            c2 = math.pi - c1
+            for M, arg in ((inv.at_c1, c1), (inv.at_c2, c2), (inv.at_neg_c1, -c1), (inv.at_neg_c2, -c2)):
                 numeric = np.linalg.inv(spectral.eigenvector_matrix(arg, coin))
                 worst = max(worst, np.abs(M - numeric).max())
     return worst, "four stationary points, y<0 included"

@@ -36,7 +36,6 @@ from .core import (
 __all__ = [
     "DiscreteLaw",
     "WalkRun",
-    "distribution_difference",
     "empirical_scaled_law",
     "evolve",
     "fourier_evolve",
@@ -91,7 +90,8 @@ def _live_windows(run: WalkRun) -> Iterator[tuple[int, np.ndarray]]:
     :meth:`WaveFunction.trimmed` does, zeroing what it drops.  Every state
     therefore equals the one a loop of :func:`step` reaches, bit for bit, at
     O(width) work and no new arrays per step.  ``window`` is the ``(2, width)``
-    view of the live sites; the next step overwrites it.
+    view of the live sites; the next step overwrites it, and
+    ``WaveFunction(x_min, window.T)`` copies it row-major, like step()'s states.
     """
     psi0, coin, n = run.psi0, run.coin, run.n
     buffer = np.zeros((2, psi0.width + 2 * n), dtype=np.complex128)
@@ -139,7 +139,7 @@ def iter_evolution(run: WalkRun) -> Iterator[tuple[int, WaveFunction]]:
     """
     yield 0, run.psi0
     for i, (x_min, window) in enumerate(_live_windows(run), 1):
-        yield i, _state(x_min, window)
+        yield i, WaveFunction(x_min, window.T)
 
 
 def evolve(run: WalkRun) -> WaveFunction:
@@ -152,13 +152,7 @@ def evolve(run: WalkRun) -> WaveFunction:
     last = None
     for last in _live_windows(run):
         pass
-    return run.psi0 if last is None else _state(*last)
-
-
-def _state(x_min: int, window: np.ndarray) -> WaveFunction:
-    # row-major like step()'s states, so sums over the amplitudes (the norm)
-    # add in the same order
-    return WaveFunction(x_min, np.ascontiguousarray(window.T))
+    return run.psi0 if last is None else WaveFunction(last[0], last[1].T)
 
 
 def fourier_evolve(psi0: WaveFunction, coin: Coin, n: int) -> WaveFunction:
@@ -274,10 +268,4 @@ def _union_window(states, values=position_distribution) -> list[np.ndarray]:
 def sup_norm_difference(psi_a: WaveFunction, psi_b: WaveFunction) -> float:
     """Largest amplitude difference between two states on their union support."""
     a, b = _union_window((psi_a, psi_b), lambda psi: psi.amplitudes)
-    return float(np.max(np.abs(a - b)))
-
-
-def distribution_difference(psi_a: WaveFunction, psi_b: WaveFunction) -> float:
-    """Sup-norm difference of the two position distributions on the union support."""
-    a, b = _union_window((psi_a, psi_b))
     return float(np.max(np.abs(a - b)))

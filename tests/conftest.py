@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coinwalk import WaveFunction, hadamard_switched, random_coin
+from coinwalk import WaveFunction, cli, hadamard_switched, random_coin
 from coinwalk.verify import run_verification
 
 
@@ -25,3 +25,8 @@ def origin_right():
 def seeded_coins(count, seed=0, min_mix=0.05):
     rng = np.random.default_rng(seed)
     return [random_coin(rng, min_mix=min_mix) for _ in range(count)]
+
+
+def written_json(value):
+    """The whole text ``cli._write_json`` writes for ``value``, less its final newline."""
+    return "".join(cli._json_chunks(value))

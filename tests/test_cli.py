@@ -18,6 +18,8 @@ from coinwalk.core import position_distribution
 from coinwalk.cli import PRESETS, main, parse_config, serialize_config
 from coinwalk.verify import CHECKS, _coin_with_l2
 
+from conftest import written_json
+
 
 def read_csv(path):
     lines = Path(path).read_text().strip().splitlines()
@@ -300,7 +302,7 @@ json_value = st.recursive(
 @settings(max_examples=100, deadline=None)
 @given(json_value)
 def test_json_text_equals_stdlib_indent_2(value):
-    assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert written_json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 ARRAY_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1, -2.5]
@@ -324,7 +326,7 @@ def test_json_arrays_stream_as_their_lists(tmp_path, monkeypatch, chunk):
     for n in sorted({0, 1, edge - 1, edge, edge + 1}):
         payload[f"floats_{n}"] = np.resize(np.array(ARRAY_FLOATS), n)
         payload["nested"][f"ints_{n}"] = np.resize(np.array(ARRAY_INTS, dtype=np.int64), n)
-    text = cli._json_text(payload)
+    text = written_json(payload)
     assert text == json.dumps(_as_lists(payload), indent=2, sort_keys=True)
     cli._write_json(tmp_path / "out.json", payload)
     assert (tmp_path / "out.json").read_bytes().decode("utf-8") == text + "\n"
@@ -544,6 +546,14 @@ def test_density_refuses_a_law_with_a_mass_defect(tmp_path, capsys):
     assert "mass defect" in capsys.readouterr().err
     assert not (tmp_path / "o" / "law.json").exists()
     assert not (tmp_path / "o" / "density.csv").exists()
+
+
+def test_density_refuses_a_nan_mass(tmp_path, monkeypatch, capsys):
+    # a NaN mass is no mass within MASS_TOL
+    monkeypatch.setattr(limitlaw.LimitLaw, "mass", lambda self: math.nan)
+    assert main(["density", "--preset", "fig3.2", "--out", str(tmp_path / "o")]) == 1
+    assert "mass defect" in capsys.readouterr().err
+    assert list((tmp_path / "o").iterdir()) == []
 
 
 def test_semigroup_outputs(tmp_path):

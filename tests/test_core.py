@@ -1,6 +1,7 @@
 """Coins, lattice states, Fourier transforms, and the Pauli algebra."""
 
 import ast
+import importlib
 import math
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from coinwalk import (
     MomentumGrid,
     ValidationError,
     WaveFunction,
+    evolve_continuous,
     fourier_transform,
     hadamard_switched,
     inverse_fourier,
@@ -25,6 +27,7 @@ from coinwalk import (
     position_distribution,
     positivity_check,
     step,
+    weak_limit_law,
 )
 from coinwalk.core import GRID_MARGIN, SQRT_2PI
 
@@ -74,6 +77,11 @@ def test_non_unitary_matrix_rejected_with_named_relation():
         normalize_phase(np.array([[1.0, 0.0], [1.0, 0.0]]) * math.sqrt(0.5) * np.sqrt(2))
     with pytest.raises(ValidationError, match="2x2"):
         normalize_phase(np.eye(3))
+    # a NaN or infinite entry makes a defect NaN, which no gate may read as small
+    nan, inf = math.nan, math.inf
+    for bad in ([[nan, 0], [0, 1]], [[inf, 0], [0, 1]], np.full((2, 2), nan), [[1, 0], [0, nan]]):
+        with pytest.raises(ValidationError, match="not unitary"):
+            normalize_phase(bad)
 
 
 def test_theta_conventions():
@@ -133,6 +141,21 @@ def test_wavefunction_validation_and_trim():
     trimmed = WaveFunction(-2, amps).trimmed()
     assert trimmed.x_min == trimmed.x_max == 0
     assert not trimmed.amplitudes.flags.writeable
+
+
+def test_wavefunction_holds_row_major_amplitudes():
+    # a transposed view is copied row-major, so its norm adds in the row-major order
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(2, 4099)) + 1j * rng.normal(size=(2, 4099))
+    psi = WaveFunction(0, a.T)
+    assert psi.amplitudes.flags.c_contiguous
+    assert psi.norm() == WaveFunction(0, np.ascontiguousarray(a.T)).norm()
+
+
+def test_normalization_gate_refuses_a_nan_state(hadamard):
+    for route in (weak_limit_law, lambda coin, psi0: evolve_continuous(psi0, 1.0, coin)):
+        with pytest.raises(ValidationError, match="normalised"):
+            route(hadamard, WaveFunction.qubit(math.nan, 0.0))
 
 
 def test_from_sites_fills_gaps():
@@ -243,3 +266,21 @@ def test_package_raises_only_its_own_errors():
     for path in Path(coinwalk.__file__).parent.glob("*.py"):
         raised = [n.exc for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.Raise) and n.exc]
         assert "ValueError" not in {ast.unparse(getattr(e, "func", e)) for e in raised}, path.name
+
+
+def test_tolerance_gates_fail_closed():
+    # `defect > TOL` lets a NaN defect pass; a gate reads `not defect <= TOL`
+    for path in Path(coinwalk.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            for op, right in zip(node.ops, node.comparators) if isinstance(node, ast.Compare) else ():
+                name = getattr(right, "id", None) or getattr(right, "attr", "")
+                assert not (isinstance(op, ast.Gt) and name.endswith("TOL")), f"{path.name}:{node.lineno}"
+
+
+def test_every_listed_name_resolves():
+    # a stale __all__ entry breaks `from ... import *` and any tool that reads the list
+    package = Path(coinwalk.__file__).parent
+    modules = [coinwalk] + [importlib.import_module(f"coinwalk.{p.stem}") for p in package.glob("[!_]*.py")]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"

@@ -29,10 +29,10 @@ from coinwalk import (
     lm_values,
     normalize_phase,
     point_mass_law,
-    stationary_points,
     weak_limit_law,
 )
 from coinwalk import limitlaw
+from coinwalk.spectral import stationary_angle
 
 from conftest import seeded_coins
 
@@ -49,15 +49,13 @@ def spread_state():
 
 
 def test_stationary_points_at_zero(hadamard):
-    pts = stationary_points(0.0, hadamard)
-    assert pts.c1 == 0.0
-    assert pts.c2 == pytest.approx(math.pi)
+    assert stationary_angle(0.0, hadamard.abs_l1) == 0.0
 
 
 def test_stationary_point_hadamard_half(hadamard):
-    pts = stationary_points(0.5, hadamard)
-    assert pts.c1 == pytest.approx(math.asin(1.0 / math.sqrt(3.0)))
-    assert pts.c2 == pytest.approx(math.pi - pts.c1)
+    c1 = stationary_angle(0.5, hadamard.abs_l1)
+    assert c1 == pytest.approx(math.asin(1.0 / math.sqrt(3.0)))
+    assert gamma(math.pi - c1, hadamard) == pytest.approx(math.pi - gamma(c1, hadamard))
 
 
 @settings(max_examples=40, deadline=None)
@@ -65,22 +63,15 @@ def test_stationary_point_hadamard_half(hadamard):
 def test_stationary_identities(frac, seed):
     coin = seeded_coins(1, seed=seed)[0]
     y = frac * coin.abs_l1
-    pts = stationary_points(y, coin)
     a1 = coin.abs_l1
-    g1 = gamma(pts.c1, coin)
-    assert a1 * math.sin(pts.c1) == pytest.approx(y * math.sin(g1), abs=1e-12)
+    c1 = stationary_angle(y, a1)
+    g1 = gamma(c1, coin)
+    assert a1 * math.sin(c1) == pytest.approx(y * math.sin(g1), abs=1e-12)
     assert math.sin(g1) ** 2 == pytest.approx((1 - a1**2) / (1 - y**2), abs=1e-12)
     assert math.cos(g1) ** 2 == pytest.approx((a1**2 - y**2) / (1 - y**2), abs=1e-12)
     # the stationary condition itself: gamma'(c1) = y
-    slope = a1 * math.sin(pts.c1) / math.sin(g1)
+    slope = a1 * math.sin(c1) / math.sin(g1)
     assert slope == pytest.approx(y, abs=1e-12)
-
-
-def test_stationary_points_domain(hadamard):
-    with pytest.raises(DomainError):
-        stationary_points(hadamard.abs_l1, hadamard)
-    with pytest.raises(DegenerateCoinError):
-        stationary_points(0.1, normalize_phase(np.eye(2)))
 
 
 # --------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from coinwalk.semigroup import (
 )
 from coinwalk.spectral import dispersion
 
-from conftest import seeded_coins
+from conftest import seeded_coins, written_json
 
 
 def rodrigues(axis, angle):
@@ -168,12 +168,6 @@ def test_observable_owns_read_only_coefficients(hadamard, monkeypatch):
             o.coefficients[0, 0] = 1.0
 
 
-def test_observable_sup_norm():
-    grid = MomentumGrid(4)
-    obs = DirectIntegralObservable.constant(grid, np.diag([3.0, -1.0]))
-    assert obs.sup_norm() == pytest.approx(3.0)
-
-
 def test_constant_sigma3_traces_circles(hadamard):
     grid = MomentumGrid(48)
     obs = DirectIntegralObservable.constant(grid, np.diag([1.0, -1.0]))
@@ -212,7 +206,7 @@ def test_positivity_check_validation(hadamard):
     obs = DirectIntegralObservable.from_fibres(grid, random_psd_fibres(grid, np.random.default_rng(2)))
     uneven = iter([obs.coefficients[:1], obs.coefficients[1:8], obs.coefficients[8:].tolist()])
     whole = positivity_check(grid, 0.9, hadamard, obs.fibres())
-    assert cli._json_text(positivity_check(grid, 0.9, hadamard, uneven)) == cli._json_text(whole)
+    assert written_json(positivity_check(grid, 0.9, hadamard, uneven)) == written_json(whole)
     streams = {
         "wrong width": [np.zeros((64, 3))],
         "a scalar": [1.0],
@@ -263,7 +257,7 @@ def test_block_size_changes_no_bit(monkeypatch, tmp_path):
         streamed = positivity_check(grid, 2.7, coin, random_psd_fibres(grid, stream))
         k, sample = random_hermitian_sample(grid, stream, 31)
         assert stream.bit_generator.state == rng.bit_generator.state
-        assert cli._json_text(streamed) == cli._json_text(report)
+        assert written_json(streamed) == written_json(report)
         assert k.tobytes() == grid.nodes[::31].tobytes()
         for part in (slice(0, 7), slice(993, None), slice(5, 900, 31)):
             assert grid.nodes_in(part).tobytes() == grid.nodes[part].tobytes()
@@ -277,7 +271,7 @@ def test_block_size_changes_no_bit(monkeypatch, tmp_path):
             (
                 psd.coefficients.tobytes(),
                 evolved.coefficients.tobytes(),
-                cli._json_text(report),
+                written_json(report),
                 law.cdf(targets).tobytes(),
                 files,
             )

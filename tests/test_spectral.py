@@ -17,7 +17,6 @@ from coinwalk import (
     hadamard_switched,
     normalize_phase,
     s_inverse_closed_form,
-    stationary_points,
     unitary_S,
 )
 from coinwalk.spectral import (
@@ -166,12 +165,13 @@ def test_s_inverse_matches_numerical_inversion():
         for frac in (0.0, 0.5, -0.5, 0.9, -0.31):
             y = frac * a1
             closed = s_inverse_closed_form(y, coin)
-            pts = stationary_points(y, coin)
+            c1 = stationary_angle(y, a1)
+            c2 = math.pi - c1
             pairs = (
-                (closed.at_c1, pts.c1),
-                (closed.at_c2, pts.c2),
-                (closed.at_neg_c1, -pts.c1),
-                (closed.at_neg_c2, -pts.c2),
+                (closed.at_c1, c1),
+                (closed.at_c2, c2),
+                (closed.at_neg_c1, -c1),
+                (closed.at_neg_c2, -c2),
             )
             for M, arg in pairs:
                 assert np.linalg.det(M @ eigenvector_matrix(arg, coin)) == pytest.approx(
@@ -196,6 +196,9 @@ def test_s_inverse_domain_errors(hadamard):
     degenerate = normalize_phase(np.eye(2))
     with pytest.raises(DegenerateCoinError):
         s_inverse_closed_form(0.1, degenerate)
+    # l1 = 0: stationary_angle refuses |l1| = 0
+    with pytest.raises(DomainError, match="0 < \\|l1\\| < 1"):
+        s_inverse_closed_form(0.0, normalize_phase(np.array([[0.0, 1.0], [-1.0, 0.0]])))
 
 
 def test_stationary_angle_domain():

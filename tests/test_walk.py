@@ -20,7 +20,7 @@ from coinwalk import (
     position_distribution,
     step,
 )
-from coinwalk.walk import distribution_difference, iter_evolution, sup_norm_difference
+from coinwalk.walk import iter_evolution, sup_norm_difference
 
 
 def test_one_step_amplitudes(hadamard, origin_right):
@@ -114,13 +114,6 @@ def test_ks_distance_basics():
     assert ks_distance(delta_minus, delta_plus) == ks_distance(delta_plus, delta_minus)
     half = DiscreteLaw(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
     assert ks_distance(delta_minus, half) == pytest.approx(0.5)
-
-
-def test_distribution_difference_helper(hadamard, origin_right):
-    a = evolve(WalkRun(hadamard, origin_right, 4))
-    assert distribution_difference(a, a) == 0.0
-    b = evolve(WalkRun(hadamard, origin_right, 6))
-    assert distribution_difference(a, b) > 0.0
 
 
 # --------------------------------------------------------------------------
