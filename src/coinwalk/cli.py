@@ -364,10 +364,11 @@ def _json_chunks(value, pad: str = ""):
 
     A dict (string keys) recurses key by key.  A 1-D numeric numpy array is
     written as its ``tolist()``, converted and encoded ``core.BLOCK`` items at
-    a time, so no piece and no list spans the whole array.  Any other value is
-    one ``json.dumps`` call re-indented by one ``str.replace``: the encoder
-    escapes newlines inside strings, so its text breaks lines only between
-    items.
+    a time, so no piece and no list spans the whole array; the item separator
+    carries the newline and indent, so each block is one ``json.dumps``.  Any
+    other value is one ``json.dumps`` call re-indented by one ``str.replace``:
+    the encoder escapes newlines inside strings, so its text breaks lines only
+    between items.
     """
     inner = pad + "  "
     if isinstance(value, dict):
@@ -378,7 +379,7 @@ def _json_chunks(value, pad: str = ""):
             raise TypeError(f"only 1-D arrays are written as JSON, got shape {value.shape}")
         brackets = "[]"
         members = (
-            (json.dumps(value[block].tolist())[1:-1].replace(", ", ",\n" + inner),)
+            (json.dumps(value[block].tolist(), separators=(",\n" + inner, ": "))[1:-1],)
             for block in core.blocks(len(value))
         )
     else:

@@ -410,15 +410,25 @@ def momentum_state(psi: WaveFunction) -> Callable[[np.ndarray], np.ndarray]:
 
     Returns a callable mapping momenta of any shape to amplitudes of shape
     ``(..., 2)``; no grid or interpolation is involved, so the values are
-    exact at arbitrary momenta (as needed at stationary points).
+    exact at arbitrary momenta (as needed at stationary points).  The phases
+    ``exp(i k x)`` are one zeroed complex buffer whose imaginary part takes
+    ``k x`` and which ``exp`` overwrites in place; the sum over sites is one
+    matmul, scaled through its real view by ``1/SQRT_2PI``.  That product
+    has the bits of dividing by ``SQRT_2PI``: numpy divides a complex number
+    by a real one as a product with the rounded reciprocal.
     """
     sites = psi.sites.astype(np.float64)
     amps = psi.amplitudes
 
     def evaluate(k) -> np.ndarray:
         k_arr = np.asarray(k, dtype=np.float64)
-        phases = np.exp(1j * np.multiply.outer(k_arr, sites))
-        return (phases @ amps) / SQRT_2PI
+        phases = np.zeros(k_arr.shape + sites.shape, dtype=np.complex128)
+        np.multiply.outer(k_arr, sites, out=phases.imag)
+        np.exp(phases, out=phases)
+        values = phases @ amps
+        parts = values.view(np.float64)
+        parts *= 1.0 / SQRT_2PI
+        return values
 
     return evaluate
 

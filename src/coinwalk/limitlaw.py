@@ -94,12 +94,13 @@ class StationaryAmplitudes(NamedTuple):
 
 def _check_density_domain(y: np.ndarray, coin: Coin) -> None:
     _require_density(coin)
-    if np.any(np.abs(y) >= coin.abs_l1):
-        raise DomainError("|y| must be strictly below |l1|")
+    # written to fail closed: a NaN meets no comparison, so it is refused too
+    if not np.all(np.abs(y) < coin.abs_l1):
+        raise DomainError("|y| must be strictly below |l1| (and not NaN)")
 
 
-def _amplitude_table(y: np.ndarray, coin: Coin, psi0: WaveFunction) -> np.ndarray:
-    """The eight amplitudes for every ``y``; shape ``(8,) + y.shape``.
+def _amplitude_table(y: np.ndarray, coin: Coin, psi0: WaveFunction) -> list[np.ndarray]:
+    """The eight amplitudes for every ``y``, each of ``y``'s shape, in :class:`StationaryAmplitudes` order.
 
     Closed forms in ``psi_hat = momentum_state(psi0)``, with
     ``s = sqrt((|l1|^2-y^2)/(1-|l1|^2))``,
@@ -117,6 +118,11 @@ def _amplitude_table(y: np.ndarray, coin: Coin, psi0: WaveFunction) -> np.ndarra
     :func:`~coinwalk.spectral.stationary_angle`'s formula through ``np.arcsin``,
     kept apart on purpose: its last bit can differ from ``math.asin``'s, and
     the bits of every density depend on it.
+
+    The factors ``(1-y)/w``, ``q/|l1|``, ``-q/w`` and ``|l1|(1+y)/(1-|l1|^2)``
+    are each computed once and shared by the points that use them; every
+    amplitude keeps the operations and operand order of its formula, so the
+    bits are those of evaluating each one on its own.
     """
     a1 = coin.abs_l1
     s = np.sqrt((a1 * a1 - y * y) / (1.0 - a1 * a1))
@@ -124,40 +130,32 @@ def _amplitude_table(y: np.ndarray, coin: Coin, psi0: WaveFunction) -> np.ndarra
     c2 = math.pi - c1
     w = coin.l2 * cmath.exp(-1j * coin.theta1)
     th1 = coin.theta1
-    q_plus, q_minus = y + 1j * s, y - 1j * s
+    # y + is and y - is, part by part, with the signed zeros of the complex sums
+    q_plus, q_minus = np.empty(y.shape, np.complex128), np.empty(y.shape, np.complex128)
+    np.add(y, 0.0, out=q_plus.real)
+    q_plus.imag = s
+    q_minus.real = y
+    np.subtract(0.0, s, out=q_minus.imag)
     psi_hat = momentum_state(psi0)
 
-    vals_1 = {}
-    vals_2 = {}
-    for name, point in (("c1", c1), ("c2", c2), ("nc1", -c1), ("nc2", -c2)):
-        data = psi_hat(point + th1)
-        vals_1[name], vals_2[name] = data[..., 0], data[..., 1]
-
+    one_minus_y_over_w = (1.0 - y) / w
+    scaled_one_plus_y = a1 / (1.0 - a1 * a1) * (1.0 + y)
     big_c = (1.0 - a1 * a1) / (2.0 * a1)
-    big_d = a1 / (1.0 - a1 * a1)
+    # (q/|l1| of l, -q/w of m) at a point; m takes the conjugate of l's q
+    with_plus = (q_plus / a1, -q_minus / w)
+    with_minus = (q_minus / a1, -q_plus / w)
 
-    def l_value(name: str, q: np.ndarray) -> np.ndarray:
+    l_values, m_values = [], []
+    for point, (q_l, q_m) in ((c1, with_plus), (c2, with_minus), (-c1, with_minus), (-c2, with_plus)):
+        data = psi_hat(point + th1)
+        psi_1, psi_2 = data[..., 0], data[..., 1]
         # Not ``(w / 2.0) * (...)``: numpy runs a complex scalar times a
         # temporary of >= 256 KiB in place as ``temp * scalar``, and its
         # complex multiply (FMA) is not bitwise commutative, so the bits would
         # depend on how many points one call evaluates.
-        return np.multiply(w / 2.0, (1.0 - y) / w * vals_1[name] - q / a1 * vals_2[name])
-
-    def m_value(name: str, q: np.ndarray) -> np.ndarray:
-        return big_c * (-q / w * vals_1[name] + big_d * (1.0 + y) * vals_2[name])
-
-    return np.stack(
-        [
-            l_value("c1", q_plus),
-            l_value("c2", q_minus),
-            l_value("nc1", q_minus),
-            l_value("nc2", q_plus),
-            m_value("c1", q_minus),
-            m_value("c2", q_plus),
-            m_value("nc1", q_plus),
-            m_value("nc2", q_minus),
-        ]
-    )
+        l_values.append(np.multiply(w / 2.0, one_minus_y_over_w * psi_1 - q_l * psi_2))
+        m_values.append(big_c * (q_m * psi_1 + scaled_one_plus_y * psi_2))
+    return l_values + m_values
 
 
 def lm_values(y: float, coin: Coin, psi0: WaveFunction) -> StationaryAmplitudes:
@@ -199,20 +197,30 @@ def g_function(y, coin: Coin, psi0: WaveFunction):
 
     Nonnegative by construction; broadcasts over ``y``.  Carries the factor
     ``1/pi`` inherited from the momentum normalisation of the initial data
-    (for a single-site qubit, ``g(y) = (1 - beta*y) / pi``).
+    (for a single-site qubit, ``g(y) = (1 - beta*y) / pi``).  The squared
+    moduli are summed without stacking the eight amplitudes, in the order
+    ``numpy.sum`` gives their stack (pairwise for one point, in sequence for
+    more), so the bits are those of that sum; a NaN ``y`` raises
+    :class:`DomainError`.
     """
     y_arr = np.asarray(y, dtype=np.float64)
     _check_density_domain(y_arr, coin)
-    table = _amplitude_table(y_arr, coin, psi0)
-    out = np.sum(np.abs(table) ** 2, axis=0)
+    squares = [np.square(np.abs(v)) for v in _amplitude_table(y_arr, coin, psi0)]
+    if y_arr.size < 2:
+        out = np.sum(squares, axis=0)
+    else:
+        out = squares[0]
+        for square in squares[1:]:
+            out += square
     return float(out) if out.ndim == 0 else out
 
 
 def _edge_guard(y_arr: np.ndarray, a1: float) -> None:
-    if np.any(np.abs(np.abs(y_arr) - a1) == 0.0):
+    # written to fail closed: a NaN meets no comparison, so it is refused too
+    if not np.all(np.abs(np.abs(y_arr) - a1) > 0.0):
         raise DomainError(
             "the density diverges at y = +/-|l1| (integrable endpoint "
-            "singularity); evaluate strictly inside the support"
+            "singularity) and is undefined at NaN; evaluate at numbers off the endpoints"
         )
 
 
@@ -223,7 +231,8 @@ def density(y, coin: Coin, psi0: WaveFunction):
     prefactor includes the pi that cancels the momentum normalisation inside
     ``g``, so the density integrates to one.  Evaluation exactly at the
     endpoints raises :class:`DomainError` (the singularity is integrable but
-    the pointwise value is infinite).
+    the pointwise value is infinite), and so does a NaN ``y``; ``+/-inf`` lie
+    outside the support.
     """
     _require_density(coin)
     y_arr = np.asarray(y, dtype=np.float64)
@@ -263,7 +272,8 @@ def density_localized(y, coin: Coin, psi0: WaveFunction):
     """Limit density for the walk started in a normalised single-site state ``psi0``.
 
     The closed form ``prefactor * (1 - beta*y)`` on ``(-|l1|, |l1|)``; agrees
-    with the general route through :func:`density` to rounding.
+    with the general route through :func:`density` to rounding, and refuses
+    the endpoints and NaN as it does.
     """
     require_normalized(psi0, "initial state")
     beta = asymmetry_coefficient(coin, psi0)
@@ -271,15 +281,10 @@ def density_localized(y, coin: Coin, psi0: WaveFunction):
     a1 = coin.abs_l1
     _edge_guard(y_arr, a1)
     inside = np.abs(y_arr) < a1
-    out = np.zeros(y_arr.shape, dtype=np.float64)
-    pref = np.zeros_like(out)
-    np.divide(
-        math.sqrt(1.0 - a1 * a1),
-        math.pi * (1.0 - y_arr * y_arr) * np.sqrt(np.maximum(a1 * a1 - y_arr * y_arr, 0.0)),
-        out=pref,
-        where=inside,
-    )
-    out = np.where(inside, pref * (1.0 - beta * y_arr), 0.0)
+    # points outside the support (+/-inf too) are evaluated at 0 and dropped
+    y_in = np.where(inside, y_arr, 0.0)
+    pref = math.sqrt(1.0 - a1 * a1) / (math.pi * (1.0 - y_in * y_in) * np.sqrt(a1 * a1 - y_in * y_in))
+    out = np.where(inside, pref * (1.0 - beta * y_in), 0.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -372,7 +377,10 @@ class LimitLaw:
         return self.moment(0)
 
     def cdf(self, y):
+        """0 up to ``-|l1|``, the mass from ``|l1|`` on; a NaN ``y`` raises :class:`DomainError`."""
         y_arr = np.atleast_1d(np.asarray(y, dtype=np.float64))
+        if np.isnan(y_arr).any():
+            raise DomainError("the distribution function is undefined at NaN")
         a1 = self.coin.abs_l1
         u = np.arcsin(np.clip(y_arr / a1, -1.0, 1.0))
         order = np.argsort(u)

@@ -45,7 +45,8 @@ __all__ = [
     "sup_norm_difference",
 ]
 
-# Size of the uniform grid ks_distance probes when a law has a continuous part.
+# Size of the uniform grid ks_distance probes when neither law has jumps; a
+# law with jumps is compared exactly, at its jump points, and needs no grid.
 KS_PROBE_POINTS = 4097
 
 
@@ -235,22 +236,29 @@ def ks_distance(law_a, law_b) -> float:
     """Kolmogorov-Smirnov distance ``sup_y |F_a(y) - F_b(y)|``.
 
     Laws must expose ``cdf``, ``cdf_left``, ``jump_points`` and ``support``
-    (satisfied by :class:`DiscreteLaw` and the limit laws).  The supremum is
-    evaluated on the merged jump points of both laws, including left limits;
-    when either law has a continuous part a uniform probe grid over the union
-    of supports is merged in as well.  Symmetric, zero only for laws with
-    identical distribution functions on the merged grid.
+    (satisfied by :class:`DiscreteLaw` and the limit laws); a law without
+    jump points is continuous.  When either law has jumps, the supremum is
+    exact: it is taken over the merged jump points of both laws and the two
+    ends of the union of supports, at right values and left limits.  Between
+    two consecutive such points a step cdf is constant and a continuous cdf
+    monotone, so ``|F_a - F_b|`` peaks at an end of the interval, where the
+    right value and the left limit are its one-sided limits; beyond the ends
+    both cdfs are constant.  Only when neither law has jumps is the
+    supremum approximated, on a uniform grid of ``KS_PROBE_POINTS`` over the
+    union of supports.  Symmetric, and zero for laws with identical
+    distribution functions.
     """
-    points = [law_a.jump_points(), law_b.jump_points()]
-    if any(p.size == 0 for p in points):
-        lo = min(law_a.support()[0], law_b.support()[0])
-        hi = max(law_a.support()[1], law_b.support()[1])
-        points.append(np.linspace(lo, hi, KS_PROBE_POINTS))
-    ys = np.unique(np.concatenate([p for p in points if p.size]))
+    jumps_a, jumps_b = law_a.jump_points(), law_b.jump_points()
+    lo = min(law_a.support()[0], law_b.support()[0])
+    hi = max(law_a.support()[1], law_b.support()[1])
+    if jumps_a.size or jumps_b.size:
+        ys = np.unique(np.concatenate([jumps_a, jumps_b, [lo, hi]]))
+    else:
+        ys = np.linspace(lo, hi, KS_PROBE_POINTS)
     right_a, right_b = np.asarray(law_a.cdf(ys)), np.asarray(law_b.cdf(ys))
     # a law without jumps is continuous, so its left limits are its values
-    left_a = np.asarray(law_a.cdf_left(ys)) if points[0].size else right_a
-    left_b = np.asarray(law_b.cdf_left(ys)) if points[1].size else right_b
+    left_a = np.asarray(law_a.cdf_left(ys)) if jumps_a.size else right_a
+    left_b = np.asarray(law_b.cdf_left(ys)) if jumps_b.size else right_b
     return float(max(np.abs(right_a - right_b).max(), np.abs(left_a - left_b).max()))
 
 

@@ -1,5 +1,6 @@
 """The scaling limit: stationary amplitudes, densities, point masses, moments."""
 
+import cmath
 import inspect
 import math
 import tracemalloc
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from coinwalk import (
+    Coin,
     DegenerateCoinError,
     DiscreteLaw,
     DomainError,
@@ -32,6 +34,7 @@ from coinwalk import (
     weak_limit_law,
 )
 from coinwalk import limitlaw
+from coinwalk.core import SQRT_2PI, momentum_state
 from coinwalk.spectral import stationary_angle
 
 from conftest import seeded_coins
@@ -112,6 +115,126 @@ def test_g_function_bits_do_not_depend_on_call_length(psi0):
 
 
 # --------------------------------------------------------------------------
+# the integrand against its stacked formulas, bit for bit
+# --------------------------------------------------------------------------
+
+
+def stacked_momentum_state(psi):
+    """``momentum_state`` as first written: phases from ``exp(1j * k x)``, then a division."""
+    sites = psi.sites.astype(np.float64)
+
+    def evaluate(k):
+        phases = np.exp(1j * np.multiply.outer(np.asarray(k, dtype=np.float64), sites))
+        return (phases @ psi.amplitudes) / SQRT_2PI
+
+    return evaluate
+
+
+def stacked_amplitude_table(y, coin, psi0):
+    """The eight amplitudes as first written: each from its own factors, stacked."""
+    a1 = coin.abs_l1
+    s = np.sqrt((a1 * a1 - y * y) / (1.0 - a1 * a1))
+    c1 = np.arcsin(y * math.sqrt(1.0 - a1 * a1) / (a1 * np.sqrt(1.0 - y * y)))
+    c2 = math.pi - c1
+    w = coin.l2 * cmath.exp(-1j * coin.theta1)
+    q_plus, q_minus = y + 1j * s, y - 1j * s
+    psi_hat = stacked_momentum_state(psi0)
+    data = {name: psi_hat(point + coin.theta1) for name, point in (("c1", c1), ("c2", c2), ("nc1", -c1), ("nc2", -c2))}
+    big_c = (1.0 - a1 * a1) / (2.0 * a1)
+    big_d = a1 / (1.0 - a1 * a1)
+
+    def l_value(name, q):
+        v1, v2 = data[name][..., 0], data[name][..., 1]
+        return np.multiply(w / 2.0, (1.0 - y) / w * v1 - q / a1 * v2)
+
+    def m_value(name, q):
+        v1, v2 = data[name][..., 0], data[name][..., 1]
+        return big_c * (-q / w * v1 + big_d * (1.0 + y) * v2)
+
+    return np.stack(
+        [
+            l_value("c1", q_plus),
+            l_value("c2", q_minus),
+            l_value("nc1", q_minus),
+            l_value("nc2", q_plus),
+            m_value("c1", q_minus),
+            m_value("c2", q_plus),
+            m_value("nc1", q_plus),
+            m_value("nc2", q_minus),
+        ]
+    )
+
+
+def stacked_g_function(y, coin, psi0):
+    y_arr = np.asarray(y, dtype=np.float64)
+    limitlaw._check_density_domain(y_arr, coin)
+    out = np.sum(np.abs(stacked_amplitude_table(y_arr, coin, psi0)) ** 2, axis=0)
+    return float(out) if out.ndim == 0 else out
+
+
+def integrand_cases():
+    """Seeded coins and two with a real ``w = l2 e^{-i theta1}``, with 1-5-site states.
+
+    The states mix complex, real and zero chirality components on sites on
+    both sides of 0, so that the signed zeros of the products show.
+    """
+    rng = np.random.default_rng(22)
+    coins = [hadamard_switched(), Coin(S2, S2, -S2, S2), *seeded_coins(3, seed=22)]
+    states = [WaveFunction.qubit(1.0, 0.0), WaveFunction.qubit(0.6, -0.8, site=-2), WaveFunction.qubit(S2, 1j * S2, site=3)]
+    for width in range(1, 6):
+        amps = rng.normal(size=(width, 2)) + 1j * rng.normal(size=(width, 2))
+        amps[rng.random((width, 2)) < 0.3] = 0.0
+        amps[0, 0] = amps[0, 0] or 1.0
+        x_min = int(rng.integers(-4, 2))
+        states.append(WaveFunction(x_min, amps / np.linalg.norm(amps)))
+    for coin in coins:
+        a1 = coin.abs_l1
+        inside = math.nextafter(a1, 0.0)
+        ys = np.concatenate([[0.0, -0.0, inside, -inside], rng.uniform(-a1, a1, 60)])
+        for psi0 in states:
+            yield coin, psi0, ys
+
+
+def test_momentum_state_matches_the_divided_formula_bitwise():
+    rng = np.random.default_rng(5)
+    ks = np.concatenate([[0.0, -0.0, math.pi, -math.pi], rng.uniform(-7.0, 7.0, 200)])
+    for _, psi0, _ in integrand_cases():
+        new, old = momentum_state(psi0), stacked_momentum_state(psi0)
+        assert new(ks).tobytes() == old(ks).tobytes()
+        for k in ks[:12]:
+            assert new(k).tobytes() == old(k).tobytes()
+
+
+def test_integrand_matches_the_stacked_formulas_bitwise(monkeypatch):
+    # the limit-law routines as they are, then with the stacked references
+    # patched into the module (each routine looks the others up there)
+    def routines(coin, psi0, ys):
+        law = limitlaw.LimitLaw(coin, psi0)
+        values = [
+            limitlaw.g_function(ys, coin, psi0),
+            limitlaw.density(ys, coin, psi0),
+            # not at +/-(one ulp inside |l1|): a quadrature node there maps
+            # onto |l1| itself, which g_function refuses
+            law.cdf(np.delete(ys, [2, 3])),
+            law.mass(),
+            law.mean(),
+        ]
+        for y in ys[:8]:
+            values.append(limitlaw.g_function(y, coin, psi0))
+            values.append(limitlaw.density(y, coin, psi0))
+            values.extend(limitlaw.lm_values(y, coin, psi0))
+        return [np.asarray(v).tobytes() for v in values]
+
+    cases = list(integrand_cases())
+    new = [routines(*case) for case in cases]
+    monkeypatch.setattr(limitlaw, "momentum_state", stacked_momentum_state)
+    monkeypatch.setattr(limitlaw, "_amplitude_table", stacked_amplitude_table)
+    monkeypatch.setattr(limitlaw, "g_function", stacked_g_function)
+    old = [routines(*case) for case in cases]
+    assert new == old
+
+
+# --------------------------------------------------------------------------
 # densities
 # --------------------------------------------------------------------------
 
@@ -139,6 +262,30 @@ def test_density_zero_outside_support_and_endpoint_guard(hadamard):
         density(hadamard.abs_l1, hadamard, psi0)
     with pytest.raises(DomainError):
         density_localized(-hadamard.abs_l1, hadamard, psi0)
+
+
+def test_nan_velocities_fail_closed(hadamard):
+    psi0, qubit = spread_state(), WaveFunction.qubit(1.0, 0.0)
+    law = weak_limit_law(hadamard, psi0)
+    two = np.array([0.1, math.nan])
+    for call in (
+        lambda: g_function(math.nan, hadamard, psi0),
+        lambda: g_function(two, hadamard, psi0),
+        lambda: lm_values(math.nan, hadamard, psi0),
+        lambda: density(math.nan, hadamard, psi0),
+        lambda: density(two, hadamard, psi0),
+        lambda: density_localized(math.nan, hadamard, qubit),
+        lambda: density_localized(two, hadamard, qubit),
+        lambda: law.cdf(np.array([0.0, math.nan])),
+        lambda: law.cdf_left(math.nan),
+    ):
+        with pytest.raises(DomainError):
+            call()
+    # the infinities keep their meaning: outside the support, at the cdf's limits
+    ends = np.array([-math.inf, math.inf])
+    assert density(ends, hadamard, psi0).tolist() == [0.0, 0.0]
+    assert density_localized(ends, hadamard, qubit).tolist() == [0.0, 0.0]
+    assert law.cdf(ends).tolist() == [0.0, law.mass()]
 
 
 def test_density_localized_validates_qubit(hadamard):

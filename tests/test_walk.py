@@ -19,8 +19,11 @@ from coinwalk import (
     normalize_phase,
     position_distribution,
     step,
+    weak_limit_law,
 )
-from coinwalk.walk import iter_evolution, sup_norm_difference
+from coinwalk.walk import KS_PROBE_POINTS, iter_evolution, sup_norm_difference
+
+from conftest import seeded_coins
 
 
 def test_one_step_amplitudes(hadamard, origin_right):
@@ -114,6 +117,61 @@ def test_ks_distance_basics():
     assert ks_distance(delta_minus, delta_plus) == ks_distance(delta_plus, delta_minus)
     half = DiscreteLaw(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
     assert ks_distance(delta_minus, half) == pytest.approx(0.5)
+
+
+def probe_grid_ks(law_a, law_b):
+    """The KS distance by the earlier rule: merged jumps, plus a probe grid when a law has none."""
+    points = [law_a.jump_points(), law_b.jump_points()]
+    if any(p.size == 0 for p in points):
+        lo = min(law_a.support()[0], law_b.support()[0])
+        hi = max(law_a.support()[1], law_b.support()[1])
+        points.append(np.linspace(lo, hi, KS_PROBE_POINTS))
+    ys = np.unique(np.concatenate([p for p in points if p.size]))
+    right_a, right_b = np.asarray(law_a.cdf(ys)), np.asarray(law_b.cdf(ys))
+    left_a = np.asarray(law_a.cdf_left(ys)) if points[0].size else right_a
+    left_b = np.asarray(law_b.cdf_left(ys)) if points[1].size else right_b
+    return float(max(np.abs(right_a - right_b).max(), np.abs(left_a - left_b).max()))
+
+
+def test_ks_at_the_jumps_matches_the_probe_grid():
+    # the supremum over the empirical law's jumps is exact, so the denser
+    # probe grid finds nothing more; only the cdf's panel split moves the bits
+    rng = np.random.default_rng(11)
+    for width, coin in enumerate(seeded_coins(3, seed=11), 1):
+        amps = rng.normal(size=(width, 2)) + 1j * rng.normal(size=(width, 2))
+        psi0 = WaveFunction(int(rng.integers(-2, 3)), amps / np.linalg.norm(amps))
+        law = weak_limit_law(coin, psi0)
+        for n in (50, 200, 500):
+            empirical = empirical_scaled_law(WalkRun(coin, psi0, n))
+            reference = probe_grid_ks(empirical, law)
+            assert abs(ks_distance(empirical, law) - reference) <= 1e-12
+            assert abs(ks_distance(law, empirical) - reference) <= 1e-12
+
+
+def test_ks_between_two_discrete_or_two_continuous_laws_is_unchanged(hadamard):
+    rng = np.random.default_rng(12)
+    for size_a, size_b in ((1, 1), (3, 7), (40, 25)):
+        law_a = DiscreteLaw(rng.uniform(-1, 1, size_a), rng.dirichlet(np.ones(size_a)))
+        law_b = DiscreteLaw(rng.uniform(-1, 1, size_b), rng.dirichlet(np.ones(size_b)))
+        assert ks_distance(law_a, law_b) == probe_grid_ks(law_a, law_b)
+
+    probed = []
+
+    class Recorded:
+        def __init__(self, law):
+            self.law = law
+
+        def __getattr__(self, name):
+            return getattr(self.law, name)
+
+        def cdf(self, y):
+            probed.append(np.size(y))
+            return self.law.cdf(y)
+
+    law_a = Recorded(weak_limit_law(hadamard, WaveFunction.qubit(1.0, 0.0)))
+    law_b = Recorded(weak_limit_law(hadamard, WaveFunction.qubit(0.6, 0.8j)))
+    assert ks_distance(law_a, law_b) == probe_grid_ks(law_a, law_b)
+    assert probed == [KS_PROBE_POINTS] * 4
 
 
 # --------------------------------------------------------------------------
