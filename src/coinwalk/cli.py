@@ -34,6 +34,7 @@ Exit codes: 0 ok, 1 validation, usage or file error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -642,7 +643,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = _ArgumentParser(
         prog="coinwalk", description="one-dimensional coined quantum walk toolkit"
     )

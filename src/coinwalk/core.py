@@ -57,7 +57,7 @@ VALIDATE_TOL = 1e-8
 # Coins with |l2| below this get the point-mass limit law and are refused by the
 # eigenvector formulas, which divide by l2; the generator needs no threshold.
 DEGENERATE_TOL = 1e-8
-# Squared-modulus threshold below which fringe amplitudes are trimmed.
+# site_weight threshold below which fringe sites are trimmed.
 TRIM_TOL = 1e-30
 # Sites added on each side of the light cone by MomentumGrid.for_walk: the
 # continuous-time light cone is not sharp, so fractional t leaks past it.
@@ -284,9 +284,8 @@ class WaveFunction:
         return np.zeros(2, dtype=np.complex128)
 
     def trimmed(self) -> "WaveFunction":
-        """Drop leading/trailing sites whose squared modulus is below the trim threshold."""
-        weight = np.sum(np.abs(self.amplitudes) ** 2, axis=1)
-        alive = np.nonzero(weight >= TRIM_TOL)[0]
+        """Drop leading/trailing sites whose :func:`site_weight` is below the trim threshold."""
+        alive = np.nonzero(site_weight(self.amplitudes[:, 0], self.amplitudes[:, 1]) >= TRIM_TOL)[0]
         if alive.size == 0:
             # keep a single (numerically zero) site rather than an empty state
             return WaveFunction(self.x_min, self.amplitudes[:1])
@@ -294,6 +293,20 @@ class WaveFunction:
         if lo == 0 and hi == self.width - 1:
             return self
         return WaveFunction(self.x_min + lo, self.amplitudes[lo : hi + 1])
+
+
+def site_weight(left, right):
+    """The squared modulus ``|left|^2 + |right|^2`` of a site's two chiralities.
+
+    Written as ``re*re + im*im`` per chirality, which rounds alike for Python
+    complexes and for numpy arrays; ``abs(z) ** 2`` does not (numpy's array
+    ``abs`` and ``**`` need not round as the scalar ``hypot`` and ``pow`` do).
+    So the step loop's edge test and :meth:`WaveFunction.trimmed` agree on
+    every weight, also one ulp from ``TRIM_TOL``.
+    """
+    return (left.real * left.real + left.imag * left.imag) + (
+        right.real * right.real + right.imag * right.imag
+    )
 
 
 def blocks(size: int, per: int = 1) -> Iterator[slice]:

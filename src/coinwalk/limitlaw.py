@@ -329,11 +329,18 @@ class LimitLaw:
         self._base_values: np.ndarray | None = None
 
     def _integrand_u(self, nodes: np.ndarray) -> np.ndarray:
-        """Density times dy/du after y = |l1| sin(u): the singular factors cancel."""
+        """Density times dy/du after y = |l1| sin(u): the singular factors cancel.
+
+        A node within an ulp of +/-pi/2 can round to ``|y| == |l1|``, outside
+        ``g_function``'s domain though the integrand is finite there; such a
+        node is moved one ulp inside, and no other node moves.
+        """
         a1 = self.coin.abs_l1
         # flat, so that psi_hat's ``phases @ amps`` is one (nodes, sites)
         # matmul for every block shape; a stacked 2-D matmul need not round alike
         y = a1 * np.sin(nodes.ravel())
+        inside = math.nextafter(a1, 0.0)
+        np.clip(y, -inside, inside, out=y)
         g = g_function(y, self.coin, self.psi0)
         return (math.sqrt(1.0 - a1 * a1) / (1.0 - y * y) * g).reshape(nodes.shape)
 

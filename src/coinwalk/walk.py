@@ -3,13 +3,13 @@ Exact discrete-time evolution of the coined walk.
 
 One step maps ``psi(x)`` to ``L psi(x+1) + R psi(x-1)`` where ``L`` and ``R``
 are the top- and bottom-row blocks of the coin; :func:`step` defines it.
-:func:`evolve` and :func:`iter_evolution` run ``n`` steps in place on one
-light-cone buffer, O(width) work per step, and reach the same states as a
-loop of :func:`step` bit for bit (the verify check ``step_loop_equivalence``
-compares the two).  The same evolution is implemented a second, independent
-way through momentum space: the walk is diagonal there, so ``n`` steps cost
-one closed-form rotation per momentum node regardless of ``n``.  The two
-routes serve as oracles for each other.
+:func:`evolve` and :func:`iter_evolution` run ``n`` steps on two light-cone
+buffers used in turn, O(width) work and no copy per step, and reach the same
+states as a loop of :func:`step` bit for bit (the verify check
+``step_loop_equivalence`` compares the two).  The same evolution is
+implemented a second, independent way through momentum space: the walk is
+diagonal there, so ``n`` steps cost one closed-form rotation per momentum
+node regardless of ``n``.  The two routes serve as oracles for each other.
 
 Also here: the empirical law of the scaled position ``X_n / n`` and the
 Kolmogorov-Smirnov distance used to monitor its convergence to the scaling
@@ -22,15 +22,18 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import continuous
 from .core import (
     TRIM_TOL,
     Coin,
+    DomainError,
     ValidationError,
     WaveFunction,
     position_distribution,
     require_normalized,
+    site_weight,
 )
 
 __all__ = [
@@ -80,56 +83,84 @@ class WalkRun:
         require_normalized(self.psi0, "initial state")
 
 
-def _live_windows(run: WalkRun) -> Iterator[tuple[int, np.ndarray]]:
-    """Run the walk in place; after each step yield ``(x_min, window)``.
+def _live_windows(run: WalkRun) -> Iterator[tuple[int, np.ndarray, slice]]:
+    """Run the walk on two light-cone buffers; after each step yield ``(x_min, rows, live)``.
 
-    The state lives in one light-cone buffer: rows ``L`` and ``R`` hold the
-    two chiralities over ``psi0.width + 2n`` sites, the widest the walk can
-    spread, and only the live window ``[lo, hi]`` is nonzero.  A step applies
-    :func:`step`'s arithmetic to the window in the same operand order, writes
-    the results back shifted by one site, then trims the window edges as
-    :meth:`WaveFunction.trimmed` does, zeroing what it drops.  Every state
-    therefore equals the one a loop of :func:`step` reaches, bit for bit, at
-    O(width) work and no new arrays per step.  ``window`` is the ``(2, width)``
-    view of the live sites; the next step overwrites it, and
-    ``WaveFunction(x_min, window.T)`` copies it row-major, like step()'s states.
+    Each buffer holds the two chiralities, rows ``L`` and ``R``, over
+    ``psi0.width + 2n`` sites, the widest the walk can spread.  A step reads
+    the live window ``[lo, hi]`` of one buffer and applies :func:`step`'s
+    arithmetic to it, with the same ufuncs in the same operand order.  The sum
+    goes straight into the other buffer through a fixed strided view whose
+    ``R`` row starts two sites after its ``L`` row, so the shift by one site
+    costs no copy.  That buffer still holds the state of two steps before; it
+    is zeroed only where that state's span sticks out past what the step
+    writes.  The window edges are then trimmed as :meth:`WaveFunction.trimmed`
+    trims, by :func:`~coinwalk.core.site_weight` of the edge cells read as
+    Python complexes.  Every state therefore equals the one a loop of
+    :func:`step` reaches, bit for bit, at O(width) work and no new arrays per
+    step.  The state is the ``(2, width)`` view ``rows[:, live]``; the step
+    after next overwrites it, and ``WaveFunction(x_min, rows[:, live].T)``
+    copies it row-major, like step()'s states.
     """
     psi0, coin, n = run.psi0, run.coin, run.n
-    buffer = np.zeros((2, psi0.width + 2 * n), dtype=np.complex128)
-    L, R = buffer
-    # buffer column i holds site psi0.x_min - n + i
+    if n == 0:
+        return
+    size = psi0.width + 2 * n
+    pair = np.zeros((2, 2, size), dtype=np.complex128)
+    term = np.empty((2, size), dtype=np.complex128)
+    # column i of either buffer holds site psi0.x_min - n + i
     lo, hi = n, n + psi0.width - 1
-    buffer[:, lo : hi + 1] = psi0.amplitudes.T
+    pair[0, :, lo : hi + 1] = psi0.amplitudes.T
     # rows (l1 L + l2 R, r1 L + r2 R): the new L and R before the shift
     from_left = np.array([[coin.l1], [coin.r1]], dtype=np.complex128)
     from_right = np.array([[coin.l2], [coin.r2]], dtype=np.complex128)
-    new, term = np.empty_like(buffer), np.empty_like(buffer)
-
-    def dead(i: int) -> bool:
-        return abs(L[i]) ** 2 + abs(R[i]) ** 2 < TRIM_TOL
-
+    # shifted[:, j] is (L[j], R[j + 2]), where the sum for source site j + 1 goes
+    row, col = pair.strides[1:]
+    source, target = (
+        (rows, *rows, as_strided(rows, shape=(2, size - 2), strides=(row + 2 * col, col)))
+        for rows in pair
+    )
+    # spans [a, b] of the target and [c, d] of the source: outside its span a
+    # buffer is zero, and so are R on the span's first two sites and L on its
+    # last two, as a step leaves them; psi0 gets the span of such a step
+    a, b, c, d = size, -1, lo - 2, hi + 2
+    x0 = psi0.x_min - n
+    # looked up once: a step is a few microseconds, much of it in these calls
+    multiply, add = np.multiply, np.add
     for _ in range(n):
-        out, t = new[:, : hi - lo + 1], term[:, : hi - lo + 1]
-        np.multiply(from_left, L[lo : hi + 1], out=out)
-        np.add(out, np.multiply(from_right, R[lo : hi + 1], out=t), out=out)
-        L[lo - 1 : hi], L[hi] = out[0], 0.0
-        R[lo + 1 : hi + 2], R[lo] = out[1], 0.0
+        rows, L, R, shifted = target
+        # the step writes L on [lo-1, hi-1] and R on [lo+1, hi+1]; the rest of
+        # [lo-1, hi+1] and all outside it must be zero, which the span ensures
+        # unless the target's old span sticks out past [lo-1, hi+1]
+        if a < lo - 1:
+            rows[:, a : lo + 1] = 0.0
+        if b > hi + 1:
+            rows[:, hi : b + 1] = 0.0
+        out, t = shifted[:, lo - 1 : hi], term[:, : hi - lo + 1]
+        multiply(from_left, source[1][lo : hi + 1], out=out)
+        add(out, multiply(from_right, source[2][lo : hi + 1], out=t), out=out)
         lo, hi = lo - 1, hi + 1
-        # trim inward from each edge only
+        a, b, c, d = c, d, lo, hi
+        # trim inward from each edge only.  R[lo] and L[hi] are zero, so the
+        # edge cells weigh site_weight(z, 0.0), which is z.real**2 + z.imag**2
+        # to the bit; a step mostly tests these two cells and no more
         first, last = lo, hi
-        while first <= hi and dead(first):
+        z = L.item(lo)
+        if z.real * z.real + z.imag * z.imag < TRIM_TOL:
             first += 1
-        if first > hi:
-            # nothing alive: keep one (numerically zero) site, as trimmed() does
-            first = last = lo
-        while last > first and dead(last):
+            while first <= hi and site_weight(L.item(first), R.item(first)) < TRIM_TOL:
+                first += 1
+            if first > hi:
+                # nothing alive: keep one (numerically zero) site, as trimmed() does
+                first = last = lo
+        z = R.item(hi)
+        if last > first and z.real * z.real + z.imag * z.imag < TRIM_TOL:
             last -= 1
-        if first > lo:
-            buffer[:, lo:first] = 0.0
-        if last < hi:
-            buffer[:, last + 1 : hi + 1] = 0.0
+            while last > first and site_weight(L.item(last), R.item(last)) < TRIM_TOL:
+                last -= 1
         lo, hi = first, last
-        yield psi0.x_min - n + lo, buffer[:, lo : hi + 1]
+        source, target = target, source
+        yield x0 + lo, rows, slice(lo, hi + 1)
 
 
 def iter_evolution(run: WalkRun) -> Iterator[tuple[int, WaveFunction]]:
@@ -139,21 +170,24 @@ def iter_evolution(run: WalkRun) -> Iterator[tuple[int, WaveFunction]]:
     yield, so a caller that streams them holds one at a time.
     """
     yield 0, run.psi0
-    for i, (x_min, window) in enumerate(_live_windows(run), 1):
-        yield i, WaveFunction(x_min, window.T)
+    for i, (x_min, rows, live) in enumerate(_live_windows(run), 1):
+        yield i, WaveFunction(x_min, rows[:, live].T)
 
 
 def evolve(run: WalkRun) -> WaveFunction:
     """The state after ``run.n`` applications of :func:`step`.
 
     The light-cone buffer loop runs the steps and builds one state at the
-    end.  It equals a loop of :func:`step` bit for bit; the verify check
-    ``step_loop_equivalence`` holds it to that.
+    end, from the last step's live window.  It equals a loop of :func:`step`
+    bit for bit; the verify check ``step_loop_equivalence`` holds it to that.
     """
     last = None
     for last in _live_windows(run):
         pass
-    return run.psi0 if last is None else WaveFunction(last[0], last[1].T)
+    if last is None:
+        return run.psi0
+    x_min, rows, live = last
+    return WaveFunction(x_min, rows[:, live].T)
 
 
 def fourier_evolve(psi0: WaveFunction, coin: Coin, n: int) -> WaveFunction:
@@ -181,8 +215,9 @@ class DiscreteLaw:
         weights = np.asarray(self.weights, dtype=np.float64)
         if atoms.ndim != 1 or atoms.shape != weights.shape:
             raise ValidationError("atoms and weights must be 1-d arrays of equal length")
-        if np.any(weights < 0):
-            raise ValidationError("weights must be nonnegative")
+        # written to fail closed: a NaN meets no comparison, so it is refused too
+        if np.isnan(atoms).any() or not np.all(weights >= 0):
+            raise ValidationError("atoms must not be NaN, and weights must be nonnegative")
         order = np.argsort(atoms)
         atoms, weights = atoms[order], weights[order]
         atoms.setflags(write=False)
@@ -200,16 +235,19 @@ class DiscreteLaw:
         return float(np.dot(self.atoms**order, self.weights))
 
     def cdf(self, y) -> np.ndarray:
-        """Right-continuous distribution function, vectorised."""
-        cum = np.cumsum(self.weights)
-        idx = np.searchsorted(self.atoms, np.asarray(y, dtype=np.float64), side="right")
-        return np.concatenate(([0.0], cum))[idx]
+        """Right-continuous distribution function, vectorised; a NaN ``y`` raises :class:`DomainError`."""
+        return self._distribution(y, "right")
 
     def cdf_left(self, y) -> np.ndarray:
-        """Left limit of the distribution function, vectorised."""
+        """Left limit of the distribution function, vectorised; a NaN ``y`` raises :class:`DomainError`."""
+        return self._distribution(y, "left")
+
+    def _distribution(self, y, side: str) -> np.ndarray:
+        y_arr = np.asarray(y, dtype=np.float64)
+        if np.isnan(y_arr).any():
+            raise DomainError("the distribution function is undefined at NaN")
         cum = np.cumsum(self.weights)
-        idx = np.searchsorted(self.atoms, np.asarray(y, dtype=np.float64), side="left")
-        return np.concatenate(([0.0], cum))[idx]
+        return np.concatenate(([0.0], cum))[np.searchsorted(self.atoms, y_arr, side=side)]
 
     def jump_points(self) -> np.ndarray:
         return self.atoms

@@ -644,6 +644,25 @@ def test_usage_errors_exit_1(tmp_path, capsys, flag):
     assert flag in capsys.readouterr().err
 
 
+def test_one_parser_serves_successive_runs(tmp_path, capsys):
+    # main parses every argv with the one parser of the process; a usage
+    # error, a bad preset and a good run leave nothing behind for the next
+    runs = [
+        (["walk", "--bogus"], 1, "", "error: unrecognized arguments: --bogus\n"),
+        (["walk", "--preset", "nope"], 1, "", "error: unknown preset 'nope'; available: "),
+        (["walk", "--preset", "fig3.1", "--steps", "3", "--out", str(tmp_path)], 0, "wrote ", ""),
+    ]
+    seen = []
+    for _ in range(2):
+        for argv, code, out, err in runs:
+            assert main(argv) == code
+            captured = capsys.readouterr()
+            assert captured.out.startswith(out) and captured.err.startswith(err)
+            seen.append((captured.out, captured.err))
+    assert seen[:3] == seen[3:]
+    assert cli._build_parser() is cli._build_parser()
+
+
 @pytest.mark.parametrize("target", ["file", "file/sub"])
 def test_unusable_output_directory_exits_1(tmp_path, capsys, target):
     (tmp_path / "file").write_text("")

@@ -213,9 +213,7 @@ def test_integrand_matches_the_stacked_formulas_bitwise(monkeypatch):
         values = [
             limitlaw.g_function(ys, coin, psi0),
             limitlaw.density(ys, coin, psi0),
-            # not at +/-(one ulp inside |l1|): a quadrature node there maps
-            # onto |l1| itself, which g_function refuses
-            law.cdf(np.delete(ys, [2, 3])),
+            law.cdf(ys),
             law.mass(),
             law.mean(),
         ]
@@ -286,6 +284,23 @@ def test_nan_velocities_fail_closed(hadamard):
     assert density(ends, hadamard, psi0).tolist() == [0.0, 0.0]
     assert density_localized(ends, hadamard, qubit).tolist() == [0.0, 0.0]
     assert law.cdf(ends).tolist() == [0.0, law.mass()]
+
+
+def test_cdf_one_ulp_inside_the_support_edges():
+    # such a target splits its panel so finely that a quadrature node rounds
+    # onto |l1|, where the substituted integrand is still finite
+    for coin, psi0, _ in integrand_cases():
+        law = LimitLaw(coin, psi0)
+        a1, mass = coin.abs_l1, law.mass()
+        inside = math.nextafter(a1, 0.0)
+        ys = np.array([-a1, -inside, math.nextafter(-inside, 0.0), -inside + 1e-9, 0.0,
+                       inside - 1e-9, math.nextafter(inside, 0.0), inside, a1])
+        values = law.cdf(ys)
+        assert np.all(np.isfinite(values)), (coin, psi0)
+        assert np.all((values >= 0.0) & (values <= mass)), (coin, psi0)
+        assert np.all(np.diff(values) >= 0.0), (coin, psi0)
+        for target in (-inside, inside):
+            assert 0.0 <= law.cdf(target) <= mass
 
 
 def test_density_localized_validates_qubit(hadamard):

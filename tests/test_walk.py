@@ -5,10 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coinwalk.cli as cli
 from coinwalk import (
+    Coin,
     DiscreteLaw,
+    DomainError,
     ValidationError,
     WalkRun,
     WaveFunction,
@@ -21,6 +25,8 @@ from coinwalk import (
     step,
     weak_limit_law,
 )
+from coinwalk.core import TRIM_TOL, site_weight
+from coinwalk.verify import _coin_with_l2
 from coinwalk.walk import KS_PROBE_POINTS, iter_evolution, sup_norm_difference
 
 from conftest import seeded_coins
@@ -119,6 +125,20 @@ def test_ks_distance_basics():
     assert ks_distance(delta_minus, half) == pytest.approx(0.5)
 
 
+def test_discrete_law_fails_closed_on_nan():
+    for atoms, weights in (([math.nan, 1.0], [0.3, 0.7]), ([-1.0, 1.0], [math.nan, 1.0]), ([0.0], [-0.5])):
+        with pytest.raises(ValidationError):
+            DiscreteLaw(np.array(atoms), np.array(weights))
+    law = DiscreteLaw(np.array([-1.0, 1.0]), np.array([0.3, 0.7]))
+    for call in (law.cdf, law.cdf_left):
+        for y in (math.nan, np.array([0.0, math.nan])):
+            with pytest.raises(DomainError):
+                call(y)
+    # the infinities keep their meaning: the cdf's limits
+    ends = np.array([-math.inf, math.inf])
+    assert law.cdf(ends).tolist() == law.cdf_left(ends).tolist() == [0.0, 1.0]
+
+
 def probe_grid_ks(law_a, law_b):
     """The KS distance by the earlier rule: merged jumps, plus a probe grid when a law has none."""
     points = [law_a.jump_points(), law_b.jump_points()]
@@ -212,3 +232,73 @@ def test_walk_route_signatures():
         (step, "psi coin"),
     ):
         assert " ".join(inspect.signature(fn).parameters) == names, fn.__name__
+
+
+# cells whose weight lies within an ulp of TRIM_TOL, and on opposite sides of
+# it by numpy's scalar abs(z) ** 2 and its array np.abs(z) ** 2 (numpy 2.4 on
+# x86-64 with AVX-512): the first is below by the scalar rule, the second by
+# the array rule
+STRADDLING = [
+    complex(float.fromhex("-0x1.6e74cf359c360p-51"), float.fromhex("0x1.bcfda35b5d13cp-51")),
+    complex(float.fromhex("-0x1.203a43f2a71c9p-50"), float.fromhex("-0x1.43e44de5f3b98p-58")),
+]
+
+
+def test_site_weight_rounds_alike_on_arrays_and_complexes():
+    rng = np.random.default_rng(23)
+    scale = 10.0 ** rng.uniform(-17, -13, size=(2, 4000))
+    left, right = (s * np.exp(1j * rng.uniform(-math.pi, math.pi, 4000)) for s in scale)
+    left[:2], right[:2] = STRADDLING, 0.0
+    on_arrays = site_weight(left, right)
+    one_by_one = [site_weight(complex(a), complex(b)) for a, b in zip(left, right)]
+    assert on_arrays.tobytes() == np.array(one_by_one).tobytes()
+    assert abs(on_arrays[:2] / TRIM_TOL - 1.0).max() < 1e-15
+
+
+def test_loop_and_trimmed_weigh_an_edge_alike():
+    # the identity coin copies every cell exactly, so each straddling cell
+    # reaches an edge of the window with its weight unchanged
+    shift = Coin(1.0, 0.0, 0.0, 1.0)
+    for z in STRADDLING:
+        psi0 = WaveFunction.from_sites([(-1, (z, 0.0)), (0, (0.6, 0.8)), (1, (0.0, z))])
+        psi = psi0
+        for i, fast in iter_evolution(WalkRun(shift, psi0, 3)):
+            if i:
+                psi = step(psi, shift)
+            assert (fast.x_min, fast.amplitudes.tobytes()) == (psi.x_min, psi.amplitudes.tobytes())
+
+
+phases = st.floats(-math.pi, math.pi)
+# random_coin's mixing plus l2 = 0, |l2| where rho^2 underflows, |l2| below
+# DEGENERATE_TOL, and l1 = 0
+walk_coins = st.builds(
+    _coin_with_l2, st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1e-200, 1e-9, 1.0])), phases, phases
+)
+
+
+@st.composite
+def walk_states(draw):
+    """1-6 sites, some of them zero, with optional fringes of weight below TRIM_TOL."""
+    width = draw(st.integers(1, 6))
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=4 * width, max_size=4 * width))
+    amps = (np.array(parts[0::2]) + 1j * np.array(parts[1::2])).reshape(width, 2)
+    amps[np.array(draw(st.lists(st.booleans(), min_size=width, max_size=width)))] = 0.0
+    if np.linalg.norm(amps) < 1e-3:
+        amps[0, 0] = 1.0
+    amps /= np.linalg.norm(amps)
+    fringe = np.array([[1e-17, -3e-16j]])
+    if draw(st.booleans()):
+        amps = np.vstack([fringe, amps])
+    if draw(st.booleans()):
+        amps = np.vstack([amps, fringe[:, ::-1]])
+    return WaveFunction(draw(st.integers(-5, 5)), amps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coin=walk_coins, psi0=walk_states(), n=st.integers(0, 150))
+def test_iter_evolution_equals_a_step_loop(coin, psi0, n):
+    psi = psi0
+    for i, fast in iter_evolution(WalkRun(coin, psi0, n)):
+        if i:
+            psi = step(psi, coin)
+        assert (fast.x_min, fast.amplitudes.tobytes()) == (psi.x_min, psi.amplitudes.tobytes()), i
