@@ -1,8 +1,13 @@
-"""CSV row text for ``cli._write_table``, rendered by numpy with ``%``-format bytes.
+"""Array text for ``cli._write_table`` and ``cli._write_json``, rendered by numpy.
 
-``render(columns)`` returns the bytes of the rows ``"%d"`` and ``"%.17g"``
+``render(columns)`` returns the bytes of the CSV rows ``"%d"`` and ``"%.17g"``
 give: an integer column prints each value as ``"%d" % v`` and a float64
 column as ``"%.17g" % x``, fields joined by ``,`` and rows ended by ``\\n``.
+``json_items(values, separator)`` returns the items of
+``json.dumps(values.tolist())`` joined by ``separator``: an integer as
+``"%d"``, a float as its ``repr``.  Both refuse NaN and infinities with a
+:class:`~coinwalk.core.CoinWalkError`, at the cost of one ``np.isfinite``
+pass; scalars, such as verify's residuals, never come here.
 
 Every field is laid out in a 32-byte slot of one ``uint8`` matrix with unused
 bytes 0, and deleting the zero bytes (``bytes.translate``, a little faster than
@@ -17,20 +22,32 @@ the double nearest ``10**(16 - E)``, plus ``|x|`` times the double nearest the
 remainder, both built once from exact rationals.  That leaves ``D``'s
 fraction within ``2**-45`` of the exact one, so ``D`` is the correctly
 rounded integer whenever the fraction is farther than ``2**-30`` from one
-half.  Three kinds of value go to ``"%.17g" % x`` one at a time instead: such
-near-ties (the exact ties ``%.17g`` breaks to even, like ``2**-25``), values
-outside ``[1e-280, 1e280]``, where the remainder doubles would lose bits, and
-non-finite values.  Zeros stay in the kernel.  The digits come four at a time
-from ``// 10000`` by a scalar and a table of 10000 four-byte strings; the
-text then follows ``%g``: fixed notation for ``-4 <= E < 17``, otherwise
-``d.ddde±XX``, trailing zeros stripped.
+half.  Two kinds of value go to ``"%.17g" % x`` one at a time instead: such
+near-ties (the exact ties ``%.17g`` breaks to even, like ``2**-25``), and
+values outside ``[1e-280, 1e280]``, where the remainder doubles would lose
+bits (non-finite ones too, when a test calls the kernel directly).  Zeros
+stay in the kernel.  The digits come four at a time from ``// 10000`` by a
+scalar and a table of 10000 four-byte strings; the text then follows
+``%g``: fixed notation for ``-4 <= E < 17``, otherwise ``d.ddde±XX``,
+trailing zeros stripped.
+
+``repr`` keeps the fewest digits that read back as ``x``.  Half an ulp of
+``x``, from its exponent field, is scaled like ``D``; the nearest number of
+16 digits, and then of 15 (or fewer, with trailing zeros), replaces ``D``
+when it lies within that half ulp (see ``_repr_slots``).  The layout is ``repr``'s: fixed notation for
+``-4 <= E < 16``, and ``.0`` on an integral value, so zeros print as
+``0.0`` and ``-0.0``.  ``json.dumps(x)`` takes single values instead:
+near-ties, powers of two and values outside ``[1e-280, 1e280]``.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
+
+from .core import CoinWalkError
 
 SLOT = 32  # bytes per field; the last one holds the ',' or '\n'
 
@@ -124,17 +141,25 @@ _HEAD = _words(
     _U64,
 )
 _LEAD = _words([b"\0" * 7 + b"%d" % q for q in range(10)], _U64)
-_TAIL = _words(
-    [
-        b"\0" * 8 if -4 <= x < 17 else (b"\0\0e%+03d" % x).ljust(8, b"\0")
-        for x in _XS
-    ],
-    _U64,
-)
-# fixed notation keeps the integer digits d0..dX even when they are zeros
-_MIN_DIGITS = np.array([x + 1 if 0 <= x < 17 else 1 for x in _XS])
 _NO_POINT = 16
-_POINT = np.array([x if 0 <= x < 17 else _NO_POINT if -4 <= x < 0 else 0 for x in _XS])
+
+
+def _notation(fixed_stop: int, dot_zero: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per decimal exponent, the exponent text, the fewest digits and the '.' position.
+
+    Fixed notation covers ``-4 <= X < fixed_stop``; there the integer digits
+    d0..dX are kept even when they are zeros, and with ``dot_zero`` one more
+    digit, the ``0`` of ``.0``, so an integral value keeps its point.
+    """
+    fixed = range(-4, fixed_stop)
+    tail = _words([b"\0" * 8 if x in fixed else (b"\0\0e%+03d" % x).ljust(8, b"\0") for x in _XS], _U64)
+    min_digits = np.array([x + 1 + dot_zero if 0 <= x < fixed_stop else 1 for x in _XS])
+    point = np.array([x if 0 <= x < fixed_stop else _NO_POINT if x in fixed else 0 for x in _XS])
+    return tail, min_digits, point
+
+
+_PERCENT_G = _notation(17, False)  # "%.17g": fixed for -4 <= X < 17, zeros stripped
+_REPR = _notation(16, True)  # repr: fixed for -4 <= X < 16, and 1.0 keeps its ".0"
 # masks on d1..d16 (two words): the first n digits kept; the region below a
 # '.' at P, the '.' itself, and the region above it shifted up one byte
 _KEEP = _words([(b"\xff" * n).ljust(16, b"\0") for n in range(17)], _U64).reshape(17, 2).T.copy()
@@ -147,13 +172,22 @@ _ABOVE = _words(
 ).reshape(17, 2).T.copy()
 _SIGN = _words([b"\0" * 8, b"-" + b"\0" * 7], _U64)
 
+# a decision this close to a tie (in units of the last of 17 digits) is left
+# to the per-value format; the double-double error is below 2**-45
+_NEAR = 2.0**-30
+_MANTISSA = np.uint64(2**52 - 1)
 
-def _float_slots(x: np.ndarray, out: np.ndarray) -> int:
-    """Write ``"%.17g"`` of each ``x`` into the rows of ``out``; returns the fallback count."""
+
+def _scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(fast, ei, n, t)`` with ``|x| * 10**(16 - E) = n + t``, ``n`` an integer and ``0 <= t < 1``.
+
+    ``ei`` is the decimal exponent ``E`` as a table index, ``E - _E_MIN``;
+    ``fast`` marks the ``|x|`` in ``[1e-280, 1e280]``, and the other rows
+    hold the figures of ``1.0``.
+    """
     a = np.abs(x)
     fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
     a = np.where(fast, a, 1.0)
-    # ei: the decimal exponent E as a table index, E - _E_MIN
     ei = np.floor(np.log10(a)).astype(np.intp)
     ei -= _E_MIN
     # np.log10 can be off by an ulp near a power of ten, either way
@@ -172,19 +206,70 @@ def _float_slots(x: np.ndarray, out: np.ndarray) -> int:
     t += a * _SCALE_LO.take(ei)
     whole = np.floor(t)
     t -= whole
-    d = p.astype(np.int64)
-    d += whole.astype(np.int64)
-    d += t > 0.5
+    n = p.astype(np.int64)
+    n += whole.astype(np.int64)
+    return fast, ei, n, t
+
+
+def _float_slots(x: np.ndarray, out: np.ndarray) -> int:
+    """Write ``"%.17g"`` of each ``x`` into the rows of ``out``; returns the fallback count."""
+    fast, ei, n, t = _scaled(x)
+    n += t > 0.5
+    fallback = np.abs(t - 0.5) < _NEAR
+    fallback |= ~fast
+    return _layout(x, n, ei, fallback, out, _PERCENT_G, lambda v: b"%.17g" % v)
+
+
+def _repr_slots(x: np.ndarray, out: np.ndarray) -> int:
+    """Write ``json.dumps`` of each finite ``x`` (its ``repr``) into the rows of ``out``; returns the fallback count.
+
+    ``repr`` gives the fewest digits that read back as ``x``, and of those the
+    nearest.  Half an ulp of ``x``, ``h``, scales like ``n + t``; a number
+    reads back when it lies closer than ``h``.  ``h`` lies between 0.55 and
+    11.2, so the 17 digits of ``"%.17g"`` always read back; the nearest
+    16-digit number (a multiple of 10) replaces them when it reads back, and
+    the nearest 15-digit one (a multiple of 100) replaces that.  ``2h`` is
+    below 23, so at most one multiple of 100 lies within ``h``: when any
+    number of 15 digits or fewer reads back, it is that one, and the layout
+    strips its trailing zeros.  Per-value ``json.dumps`` takes near-ties,
+    powers of two (whose lower neighbour is half as far) and values outside
+    the fast range.
+    """
+    fast, ei, n, t = _scaled(x)
+    bits = x.view(_U64)
+    h = np.ldexp(_SCALE.take(ei), ((bits >> 52) & 0x7FF).astype(np.intc) - 1076)
+    d = n + (t > 0.5)
+    tie = np.abs(t - 0.5) < _NEAR
+    fallback = (bits & _MANTISSA) == 0
+    fallback |= ~fast
+    for g in (10, 100):  # 16 digits, then 15 or fewer
+        q = n // g
+        s = (n - q * g) + t  # n + t is s past the multiple q * g
+        up = s > g / 2
+        dist = np.where(up, g - s, s)
+        fits = dist < h
+        fallback |= np.abs(dist - h) < _NEAR
+        q += up
+        q *= g
+        d = np.where(fits, q, d)
+        tie = np.where(fits, np.abs(s - g / 2) < _NEAR, tie)
+    fallback |= tie
+    return _layout(x, d, ei, fallback, out, _REPR, lambda v: json.dumps(v).encode())
+
+
+def _layout(x, d, ei, fallback, out, notation, text) -> int:
+    """Write the 17-digit ``d`` of each ``x`` (``E`` at index ``ei``) in ``notation``; returns the fallback count.
+
+    The ``fallback`` rows get ``text(v)`` of their value ``v`` instead; zeros
+    are laid out here.
+    """
+    tail, min_digits, point_at = notation
     carry = d == 10**17
     d[carry] = 10**16
     ei += carry
-
-    fallback = np.abs(t - 0.5) < 2.0**-30
-    fallback |= ~fast
-    zero = x == 0
+    zero = x == 0  # its E is 0, as for 1.0
     fallback &= ~zero
     d[zero] = 0
-    ei[~fast] = -_E_MIN  # X = 0: a zero prints as "0", the rest is overwritten
 
     digits = np.empty((len(x), 4), _U32)
     ndigits = np.ones(len(x), np.intp)
@@ -194,8 +279,8 @@ def _float_slots(x: np.ndarray, out: np.ndarray) -> int:
         digits[:, j] = _GROUP.take(r)
         np.maximum(ndigits, _NDIGITS[j].take(r), out=ndigits)
         d = q
-    np.maximum(ndigits, _MIN_DIGITS.take(ei), out=ndigits)
-    point = _POINT.take(ei)
+    np.maximum(ndigits, min_digits.take(ei), out=ndigits)
+    point = point_at.take(ei)
     point[ndigits <= point + 1] = _NO_POINT  # no digit after it
     keep = ndigits - 1
     w = digits.view(_U64)
@@ -210,13 +295,13 @@ def _float_slots(x: np.ndarray, out: np.ndarray) -> int:
     words[:, 1] = (w1 & _BELOW[0].take(point)) | (up1 & _ABOVE[0].take(point)) | _DOT[0].take(point)
     words[:, 2] = (w2 & _BELOW[1].take(point)) | (up2 & _ABOVE[1].take(point)) | _DOT[1].take(point)
     words[:, 3] = (w2 >> 56) * (point != _NO_POINT)
-    words[:, 3] |= _TAIL.take(ei)
+    words[:, 3] |= tail.take(ei)
 
     rows = np.flatnonzero(fallback)
     for i in rows.tolist():
-        text = b"%.17g" % x[i]
+        value = text(float(x[i]))
         out[i, :] = 0
-        out[i, : len(text)] = np.frombuffer(text, np.uint8)
+        out[i, : len(value)] = np.frombuffer(value, np.uint8)
     return len(rows)
 
 
@@ -250,15 +335,39 @@ def column(values) -> np.ndarray:
     return values.astype(np.int64 if kind == "i" else np.uint64 if kind == "u" else np.float64, copy=False)
 
 
+def _require_finite(values: np.ndarray) -> None:
+    if values.dtype.kind == "f" and not np.isfinite(values).all():
+        raise CoinWalkError("an output array holds NaN or an infinity; the writers take finite numbers only")
+
+
 def render(columns) -> bytes:
     """The CSV rows of equal-length nonempty ``columns`` (as made by ``column``).
 
-    One kernel call per column, so ``cli._write_table`` passes ``core.BLOCK`` rows at most.
+    A NaN or an infinity raises :class:`~coinwalk.core.CoinWalkError`.  One
+    kernel call per column, so ``cli._write_table`` passes ``core.BLOCK`` rows at most.
     """
     m = np.empty((len(columns), len(columns[0]), SLOT), np.uint8)  # a column's slots are contiguous
     for values, slots in zip(columns, m):
+        _require_finite(values)
         kernel = _float_slots if values.dtype.kind == "f" else _int_slots
         kernel(values, slots)
     m[:, :, -1] = ord(",")
     m[-1, :, -1] = ord("\n")
     return m.transpose(1, 0, 2).tobytes().translate(None, b"\0")
+
+
+def json_items(values: np.ndarray, separator: bytes) -> bytes:
+    """The items of ``json.dumps(values.tolist())`` joined by ``separator``, for a nonempty ``column``.
+
+    A float is its ``repr``, an integer its ``"%d"``; a NaN or an infinity
+    raises :class:`~coinwalk.core.CoinWalkError`.  Each row of one matrix
+    holds the separator, right-aligned in whole words, then the item's slot.
+    """
+    _require_finite(values)
+    width = -(-len(separator) // 8) * 8
+    m = np.empty((len(values), width + SLOT), np.uint8)
+    m.view(_U64)[:, : width // 8] = _words([separator.rjust(width, b"\0")], _U64)
+    m[0, :width] = 0  # no separator before the first item
+    kernel = _repr_slots if values.dtype.kind == "f" else _int_slots
+    kernel(values, m[:, width:])
+    return m.tobytes().translate(None, b"\0")

@@ -39,6 +39,7 @@ import json
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -321,8 +322,9 @@ def _write_table(path: Path, header: str, blocks) -> None:
     round-trips a float64; the bytes are exactly those of the ``%`` format.
     The blocks stream to the file, regrouped into chunks of ``core.BLOCK``
     rows, and ``_csvtext.render`` turns each chunk into text with numpy: an
-    exact vectorised ``%.17g`` with a per-value ``%`` fallback for near-ties,
-    values outside [1e-280, 1e280] and non-finite values.
+    exact vectorised ``%.17g`` with a per-value ``%`` fallback for near-ties
+    and values outside [1e-280, 1e280].  A NaN or an infinity raises
+    :class:`CoinWalkError`.
     """
     with path.open("wb") as fh:
         fh.write(header.encode() + b"\n")
@@ -364,9 +366,10 @@ def _json_chunks(value, pad: str = ""):
     """Pieces of ``json.dumps(value, indent=2, sort_keys=True)``, nested at indent ``pad``.
 
     A dict (string keys) recurses key by key.  A 1-D numeric numpy array is
-    written as its ``tolist()``, converted and encoded ``core.BLOCK`` items at
-    a time, so no piece and no list spans the whole array; the item separator
-    carries the newline and indent, so each block is one ``json.dumps``.  Any
+    written as its ``tolist()`` would be, ``core.BLOCK`` items at a time, so
+    no piece and no list spans the whole array; ``_csvtext.json_items``
+    renders each block with numpy, joined by the item separator that carries
+    the newline and indent, and refuses NaN and infinities.  Any
     other value is one ``json.dumps`` call re-indented by one ``str.replace``:
     the encoder escapes newlines inside strings, so its text breaks lines only
     between items.
@@ -376,11 +379,13 @@ def _json_chunks(value, pad: str = ""):
         brackets = "{}"
         members = (chain((f"{json.dumps(key)}: ",), _json_chunks(value[key], inner)) for key in sorted(value))
     elif isinstance(value, np.ndarray):
-        if value.ndim != 1:
-            raise TypeError(f"only 1-D arrays are written as JSON, got shape {value.shape}")
+        if value.ndim != 1 or value.dtype.kind not in "iuf":
+            raise TypeError(f"only 1-D numeric arrays are written as JSON, got {value.dtype} {value.shape}")
         brackets = "[]"
+        separator = (",\n" + inner).encode()
+        values = _csvtext.column(value)
         members = (
-            (json.dumps(value[block].tolist(), separators=(",\n" + inner, ": "))[1:-1],)
+            (_csvtext.json_items(values[block], separator).decode(),)
             for block in core.blocks(len(value))
         )
     else:
@@ -532,10 +537,82 @@ def cmd_density(config: RunConfig, out_dir: Path) -> list[Path]:
     return written
 
 
+_FLOW_HEADER = "k,gamma,h1,h2,h3,angle"
+# the widest text of a float64, in "%.17g" and in repr alike (24 characters)
+_WIDEST_FLOAT = -2.2250738585072014e-308
+# working memory of a request beside its grid-wide arrays: per row of a
+# block, and a fixed part
+_BLOCK_ROW_BYTES = 2048
+_FIXED_BYTES = 2**20
+
+
+def _semigroup_payload(config: RunConfig, grid: MomentumGrid, positivity: dict, residual: float) -> dict:
+    return {
+        "mode": "semigroup",
+        "time": config.time,
+        "grid": grid.size,
+        "seed": config.seed,
+        "positivity": positivity,
+        "flow_vs_conjugation_max_residual": residual,
+        "config": serialize_config(config),
+    }
+
+
+def _semigroup_needs(config: RunConfig, grid: MomentumGrid) -> tuple[int, int, int]:
+    """Upper bounds on the flow table's bytes, the report's bytes and the request's memory.
+
+    A table row holds six floats of at most 24 characters, each with its
+    separator.  The report is written with one and with two of the widest
+    items in each array; every further item adds at most their difference.
+    The memory is the report's three grid-wide arrays, 8 bytes an item, the
+    working arrays of one block and a fixed part.
+    """
+    size = grid.size
+    flow = len(_FLOW_HEADER) + 1 + size * 6 * (len(repr(_WIDEST_FLOAT)) + 1)
+
+    def report(items: int) -> int:
+        widest = [_WIDEST_FLOAT] * items
+        positivity = {
+            "nodes": [size - 1] * items,
+            "time": _WIDEST_FLOAT,
+            "min_eigenvalue_before": widest,
+            "min_eigenvalue_after": widest,
+            "worst_before": _WIDEST_FLOAT,
+            "worst_after": _WIDEST_FLOAT,
+            "input_psd": False,
+            "passed": False,
+        }
+        payload = _semigroup_payload(config, grid, positivity, _WIDEST_FLOAT)
+        return len(json.dumps(payload, indent=2, sort_keys=True)) + 1
+
+    one = report(1)
+    memory = 24 * size + _BLOCK_ROW_BYTES * min(size, core.BLOCK) + _FIXED_BYTES
+    return flow, one + (size - 1) * (report(2) - one), memory
+
+
+def _require_room(config: RunConfig, grid: MomentumGrid, out_dir: Path) -> None:
+    """Raise :class:`CoinWalkError` unless the disk and the memory can hold a ``semigroup`` request."""
+    flow, report, memory = _semigroup_needs(config, grid)
+    disk = os.statvfs(out_dir)
+    free = disk.f_bavail * disk.f_frsize
+    if flow + report > free:
+        raise CoinWalkError(
+            f"semigroup grid {grid.size}: writing the flow table and the report needs "
+            f"{flow + report} bytes, but {str(out_dir)!r} has {free} bytes free"
+        )
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if memory > physical:
+        raise CoinWalkError(
+            f"semigroup grid {grid.size}: holding the report's arrays needs {memory} bytes, "
+            f"more than the {physical} bytes of physical memory"
+        )
+
+
 def cmd_semigroup(config: RunConfig, out_dir: Path) -> list[Path]:
     coin = config.coin()
     grid = MomentumGrid(config.grid_size or 256)
     t = config.time
+    _require_room(config, grid, out_dir)
 
     def flow_blocks():
         # the dispersion is elementwise: each block has the bits of one whole-grid call
@@ -545,27 +622,33 @@ def cmd_semigroup(config: RunConfig, out_dir: Path) -> list[Path]:
             yield k, g, *h.T, 2.0 * g * t
 
     flow_path = out_dir / f"flow_t{t:g}.csv"
-    _write_table(flow_path, "k,gamma,h1,h2,h3,angle", flow_blocks())
+    failed = []
 
-    # the random fibres are drawn and used per block, as if drawn whole:
-    # the PSD observable, then the Hermitian one
-    rng = np.random.default_rng(config.seed)
-    report = semigroup.positivity_check(grid, t, coin, semigroup.random_psd_fibres(grid, rng))
-    k, coeffs = semigroup.random_hermitian_sample(grid, rng, max(1, grid.size // 32))
-    residual = semigroup.flow_vs_conjugation_residual(k, coeffs, t, coin)
-    report_path = out_dir / "semigroup_report.json"
-    _write_json(
-        report_path,
-        {
-            "mode": "semigroup",
-            "time": t,
-            "grid": grid.size,
-            "seed": config.seed,
-            "positivity": report,
-            "flow_vs_conjugation_max_residual": residual,
-            "config": serialize_config(config),
-        },
-    )
+    def write_flow():
+        try:
+            _write_table(flow_path, _FLOW_HEADER, flow_blocks())
+        except BaseException as exc:
+            failed.append(exc)
+
+    # One worker thread writes the flow table, which takes only ufuncs and
+    # `take`, while this thread checks positivity and writes the report.
+    # Every BLAS/LAPACK call (eigvalsh, matmul) stays on this thread: two
+    # such calls at once on two threads ran slower than one after the other.
+    worker = threading.Thread(target=write_flow, name="coinwalk-flow-table")
+    worker.start()
+    try:
+        # the random fibres are drawn and used per block, as if drawn whole:
+        # the PSD observable, then the Hermitian one
+        rng = np.random.default_rng(config.seed)
+        report = semigroup.positivity_check(grid, t, coin, semigroup.random_psd_fibres(grid, rng))
+        k, coeffs = semigroup.random_hermitian_sample(grid, rng, max(1, grid.size // 32))
+        residual = semigroup.flow_vs_conjugation_residual(k, coeffs, t, coin)
+        report_path = out_dir / "semigroup_report.json"
+        _write_json(report_path, _semigroup_payload(config, grid, report, residual))
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
     return [flow_path, report_path]
 
 

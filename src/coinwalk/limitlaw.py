@@ -384,7 +384,14 @@ class LimitLaw:
         return self.moment(0)
 
     def cdf(self, y):
-        """0 up to ``-|l1|``, the mass from ``|l1|`` on; a NaN ``y`` raises :class:`DomainError`."""
+        """0 up to ``-|l1|``, the mass from ``|l1|`` on; a NaN ``y`` raises :class:`DomainError`.
+
+        All targets of one call split the quadrature panels together, so the
+        value at a target depends, in its last bits, on the other targets of
+        the same call: ``cdf(t)`` and ``cdf(ys)[i]`` with ``ys[i] == t`` can
+        differ by an ulp or so.  Compare values from one call, as
+        :func:`~coinwalk.walk.ks_distance` does.
+        """
         y_arr = np.atleast_1d(np.asarray(y, dtype=np.float64))
         if np.isnan(y_arr).any():
             raise DomainError("the distribution function is undefined at NaN")

@@ -216,8 +216,8 @@ class DiscreteLaw:
         if atoms.ndim != 1 or atoms.shape != weights.shape:
             raise ValidationError("atoms and weights must be 1-d arrays of equal length")
         # written to fail closed: a NaN meets no comparison, so it is refused too
-        if np.isnan(atoms).any() or not np.all(weights >= 0):
-            raise ValidationError("atoms must not be NaN, and weights must be nonnegative")
+        if not (np.isfinite(atoms).all() and np.all((weights >= 0) & (weights < np.inf))):
+            raise ValidationError("atoms must be finite, and weights finite and nonnegative")
         order = np.argsort(atoms)
         atoms, weights = atoms[order], weights[order]
         atoms.setflags(write=False)

@@ -3,6 +3,8 @@
 import json
 import math
 import re
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -13,8 +15,8 @@ from hypothesis import strategies as st
 
 import coinwalk.cli as cli
 import coinwalk.core as core
-from coinwalk import MomentumGrid, ValidationError, continuous, limitlaw, spectral, walk
-from coinwalk.core import position_distribution
+from coinwalk import MomentumGrid, ValidationError, continuous, limitlaw, semigroup, spectral, walk
+from coinwalk.core import CoinWalkError, position_distribution
 from coinwalk.cli import PRESETS, main, parse_config, serialize_config
 from coinwalk.verify import CHECKS, _coin_with_l2
 
@@ -305,7 +307,8 @@ def test_json_text_equals_stdlib_indent_2(value):
     assert written_json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
-ARRAY_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1, -2.5]
+# the array writers refuse NaN and infinities (test_writers_refuse_non_finite_values)
+ARRAY_FLOATS = [1.7976931348623157e308, 2.2250738585072014e-308, 1e22, -0.0, 5e-324, 1e16, 1e-5, 0.1, -2.5]
 ARRAY_INTS = [2**63 - 1, -(2**63 - 1), 0, -7]
 
 
@@ -384,13 +387,16 @@ def edge_block(rng, length):
     i64 = np.iinfo(np.int64)
     ints = rng.integers(i64.min, i64.max, size=length, endpoint=True, dtype=np.int64)
     uints = rng.integers(0, 2**64 - 1, size=length, endpoint=True, dtype=np.uint64)
-    # every bit pattern: subnormals, huge exponents, signed zeros, NaN payloads
-    bits = rng.integers(0, 2**64 - 1, size=length, endpoint=True, dtype=np.uint64).view(np.float64)
+    # every finite bit pattern: subnormals, huge exponents, signed zeros; the
+    # writers refuse NaN and infinities, so their patterns lose an exponent bit
+    raw = rng.integers(0, 2**64 - 1, size=length, endpoint=True, dtype=np.uint64)
+    raw[(raw >> 52) & 0x7FF == 0x7FF] ^= 1 << 62
+    bits = raw.view(np.float64)
     floats = rng.standard_normal(length) * 10.0 ** rng.integers(-300, 300, size=length)
     for column, edges in (
         (ints, [i64.min, i64.max, 0, -1]),
         (uints, [0, 2**64 - 1]),
-        (floats, EDGE_FLOATS),
+        (floats, [x for x in EDGE_FLOATS if math.isfinite(x)]),
     ):
         k = min(length, len(edges))
         column[rng.choice(length, size=k, replace=False)] = edges[:k]
@@ -404,6 +410,17 @@ def test_write_table_matches_per_row_format(tmp_path):
     path = tmp_path / "t.csv"
     cli._write_table(path, "i,u,f,b", blocks)
     assert_same_lines(path.read_text(encoding="utf-8"), reference_table("i,u,f,b", blocks))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_writers_refuse_non_finite_values(tmp_path, bad):
+    floats = np.array([0.5, bad, 2.0])
+    with pytest.raises(CoinWalkError, match="NaN or an infinity"):
+        cli._write_table(tmp_path / "t.csv", "i,f", [(np.arange(3), floats)])
+    with pytest.raises(CoinWalkError, match="NaN or an infinity"):
+        cli._write_json(tmp_path / "t.json", {"ok": 1.5, "values": floats})
+    # a scalar still goes through json.dumps, which writes NaN and Infinity
+    assert written_json({"residual": bad}) == json.dumps({"residual": bad}, indent=2)
 
 
 def test_write_table_streams_many_small_blocks(tmp_path):
@@ -595,6 +612,91 @@ def test_semigroup_request_peak_memory(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert peak <= 5e6, peak
+
+
+def on_the_worker(function, instead):
+    """``function``, except on a thread other than the main one, where ``instead`` runs."""
+
+    def chosen(*args):
+        on_main = threading.current_thread() is threading.main_thread()
+        return (function if on_main else instead)(*args)
+
+    return chosen
+
+
+def test_a_flow_table_error_reaches_main(tmp_path, monkeypatch, capsys):
+    # the worker thread writes the flow table; its NaN gamma is refused there
+    threads = threading.active_count()
+    dispersion = spectral.dispersion
+
+    def nan_gamma(k, coin):
+        g, h = dispersion(k, coin)
+        return np.where(k > 0, np.nan, g), h
+
+    monkeypatch.setattr(spectral, "dispersion", on_the_worker(dispersion, nan_gamma))
+    assert main(["semigroup", "--grid", "4096", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: an output array holds NaN or an infinity")
+    assert threading.active_count() == threads
+
+
+def test_a_main_thread_error_waits_for_the_flow_table(tmp_path, monkeypatch, capsys):
+    # positivity_check fails while the worker has the whole table still to write
+    threads = threading.active_count()
+    failed = threading.Event()
+    dispersion = spectral.dispersion
+
+    def late(k, coin):
+        assert failed.wait(10.0)
+        time.sleep(0.002)
+        return dispersion(k, coin)
+
+    def positivity_check(*args):
+        failed.set()
+        raise ValidationError("positivity check failed")
+
+    monkeypatch.setattr(spectral, "dispersion", on_the_worker(dispersion, late))
+    monkeypatch.setattr(semigroup, "positivity_check", positivity_check)
+    assert main(["semigroup", "--grid", "8192", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: positivity check failed\n"
+    assert threading.active_count() == threads
+    assert len((tmp_path / "flow_t1.csv").read_bytes().splitlines()) == 8193
+    assert not (tmp_path / "semigroup_report.json").exists()
+
+
+@pytest.mark.parametrize("grid", [1, 2047, 65536])
+def test_semigroup_predictions_bound_the_request(tmp_path, capsys, grid):
+    config = parse_config({"mode": "semigroup", "grid": grid, "seed": 3})
+    flow, report, memory = cli._semigroup_needs(config, MomentumGrid(grid))
+    argv = ["semigroup", "--grid", str(grid), "--seed", "3", "--out", str(tmp_path)]
+    assert main(argv) == 0  # the first request of a process also fills caches
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert flow >= (tmp_path / "flow_t1.csv").stat().st_size
+    assert report >= (tmp_path / "semigroup_report.json").stat().st_size
+    assert memory >= peak
+
+
+@pytest.mark.parametrize("room", ["disk", "memory"])
+def test_semigroup_refuses_outputs_it_cannot_hold(tmp_path, monkeypatch, capsys, room):
+    # a grid of 10**12 would write ~1.5e14 bytes and hold 2.4e13 in its arrays
+    if room == "memory":
+        monkeypatch.setattr(cli.os, "statvfs", lambda path: type("Disk", (), {"f_bavail": 2**62, "f_frsize": 1}))
+    out = tmp_path / "o"
+    tracemalloc.start()
+    try:
+        assert main(["semigroup", "--grid", str(10**12), "--out", str(out)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert re.match(r"error: semigroup grid 1000000000000: .* needs \d+ bytes", err), err
+    assert ("physical memory" in err) == (room == "memory")
+    assert list(out.iterdir()) == []
+    assert peak < 1e6, peak
 
 
 def test_verify_failure_exit_code(tmp_path, monkeypatch):

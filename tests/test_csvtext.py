@@ -1,5 +1,6 @@
-"""The CSV text kernel renders every field as the ``%`` format does, byte for byte."""
+"""The text kernels write every value as the ``%`` format or ``json.dumps`` does, byte for byte."""
 
+import json
 import math
 
 import numpy as np
@@ -8,13 +9,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coinwalk import _csvtext
+from coinwalk.core import CoinWalkError
 
 
 def rendered_fields(values, dtype):
-    """Each value's field text, from one single-column ``render`` call."""
-    text = _csvtext.render([np.array(values, dtype=dtype)])
-    assert text.endswith(b"\n")
-    return text[:-1].split(b"\n")
+    """Each value's CSV field text, from one kernel call on a column.
+
+    The kernels format non-finite values too; ``render`` refuses them (see
+    ``test_writers_refuse_non_finite_floats``).
+    """
+    values = _csvtext.column(np.array(values, dtype=dtype))
+    out = np.empty((len(values), _csvtext.SLOT), np.uint8)
+    kernel = _csvtext._float_slots if values.dtype.kind == "f" else _csvtext._int_slots
+    kernel(values, out)
+    return [row.tobytes().translate(None, b"\0") for row in out]
+
+
+def json_fields(values, dtype=np.float64):
+    """Each value's JSON item text, from one ``json_items`` call."""
+    return _csvtext.json_items(_csvtext.column(np.array(values, dtype=dtype)), b",").split(b",")
+
+
+def stdlib_json(values):
+    return [json.dumps(v).encode() for v in values]
 
 
 EDGES = {
@@ -83,3 +100,70 @@ def test_int64_values_match_percent_format(values):
 @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
 def test_uint64_values_match_percent_format(values):
     assert rendered_fields(values, np.uint64) == [b"%d" % v for v in values]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [0, 5, 2047])
+def test_writers_refuse_non_finite_floats(bad, at):
+    values = np.linspace(-1.0, 1.0, 2048)
+    values[at] = bad
+    with pytest.raises(CoinWalkError, match="NaN or an infinity"):
+        _csvtext.render([np.arange(2048), values])
+    with pytest.raises(CoinWalkError, match="NaN or an infinity"):
+        _csvtext.json_items(values, b",")
+
+
+def json_sweep():
+    """Floats whose shortest text is easy to get wrong, about 2 * 10**5 of them."""
+    rng = np.random.default_rng(3)
+    values = [0.0, -0.0, 1e16, 1e17, 1e-5, 1e-4, 9007199254740993.0, 0.1, 0.3, 2.5]
+    for e in range(-323, 309):
+        t = float(f"1e{e}")
+        below = above = t
+        values.append(t)
+        for _ in range(3):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            values += [below, above]
+    for k in range(-1074, 1024):
+        p = 2.0**k
+        values += [p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
+    for digits in (1, 5, 13, 15, 16, 17):
+        normals = rng.standard_normal(10**4) * 10.0 ** rng.integers(-300, 300, 10**4)
+        values += [float("%.*e" % (digits - 1, v)) for v in normals.tolist()]
+    scale = 10.0 ** rng.integers(0, 18, 10**4)
+    values += np.round(rng.standard_normal(10**4) * scale).tolist()
+    values += [float(10**17 - i) for i in range(64)]
+    values = [v for v in values if math.isfinite(v)]
+    return values + [-v for v in values]
+
+
+def test_json_floats_match_stdlib_on_a_sweep():
+    values = json_sweep()
+    assert json_fields(values) == stdlib_json(values)
+
+
+def test_json_ints_match_stdlib_at_the_extremes():
+    i64, u64 = np.iinfo(np.int64), np.iinfo(np.uint64)
+    signed = [i64.min, i64.min + 1, -1, 0, 1, 9999, 10000, i64.max]
+    unsigned = [0, 1, 2**63, u64.max - 1, u64.max]
+    assert json_fields(signed, np.int64) == stdlib_json(signed)
+    assert json_fields(unsigned, np.uint64) == stdlib_json(unsigned)
+
+
+def test_json_fallbacks_are_rare_on_random_floats():
+    # near-ties and powers of two go to json.dumps one at a time
+    x = np.random.default_rng(4).standard_normal(2048)
+    x[:4] = [1.5, 2.0, 0.0, 1e22]
+    out = np.empty((len(x), _csvtext.SLOT), np.uint8)
+    assert 1 <= _csvtext._repr_slots(x, out) <= 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_json_float_bit_patterns_match_stdlib(patterns):
+    xs = np.array(patterns, dtype=np.uint64).view(np.float64)
+    if np.isfinite(xs).all():
+        assert json_fields(xs) == stdlib_json(xs.tolist())
+    else:
+        with pytest.raises(CoinWalkError):
+            json_fields(xs)

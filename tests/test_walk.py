@@ -19,6 +19,7 @@ from coinwalk import (
     empirical_scaled_law,
     evolve,
     fourier_evolve,
+    hadamard_switched,
     ks_distance,
     normalize_phase,
     position_distribution,
@@ -137,6 +138,13 @@ def test_discrete_law_fails_closed_on_nan():
     # the infinities keep their meaning: the cdf's limits
     ends = np.array([-math.inf, math.inf])
     assert law.cdf(ends).tolist() == law.cdf_left(ends).tolist() == [0.0, 1.0]
+
+
+def test_discrete_law_refuses_infinite_atoms_and_weights():
+    # an infinite weight made the mass and the cdf inf, an atom at -inf the mean -inf
+    for atoms, weights in (([0.0, 1.0], [math.inf, 1.0]), ([-math.inf, 1.0], [0.5, 0.5]), ([0.0, math.inf], [0.5, 0.5])):
+        with pytest.raises(ValidationError, match="finite"):
+            DiscreteLaw(np.array(atoms), np.array(weights))
 
 
 def probe_grid_ks(law_a, law_b):
@@ -299,6 +307,29 @@ def walk_states(draw):
 def test_iter_evolution_equals_a_step_loop(coin, psi0, n):
     psi = psi0
     for i, fast in iter_evolution(WalkRun(coin, psi0, n)):
+        if i:
+            psi = step(psi, coin)
+        assert (fast.x_min, fast.amplitudes.tobytes()) == (psi.x_min, psi.amplitudes.tobytes()), i
+
+
+S = 0.5 * (1.0 + 0.0j)
+# hadamard_switched's first step cancels the left-moving amplitude from the
+# first site of FIRST_SITE_TRIMMED (its R and L amplitudes are equal) and the
+# right-moving one from the last site of LAST_SITE_TRIMMED, so the window
+# loses exactly one site at that edge while psi0's amplitude of the other
+# chirality on that site must not outlive the step after
+FIRST_SITE_TRIMMED = [(0, (S, S)), (1, (S, 1j * S))]
+LAST_SITE_TRIMMED = [(0, (1j * S, S)), (1, (S, -S))]
+
+
+@pytest.mark.parametrize("sites", [FIRST_SITE_TRIMMED, LAST_SITE_TRIMMED], ids=["first", "last"])
+def test_a_one_site_trim_after_the_first_step_leaves_nothing_behind(sites):
+    coin, psi0 = hadamard_switched(), WaveFunction.from_sites(sites)
+    first = step(psi0, coin)
+    assert first.width == psi0.width + 1  # one site trimmed of the two the step adds
+    assert (first.x_min == psi0.x_min) == (sites is FIRST_SITE_TRIMMED)
+    psi = psi0
+    for i, fast in iter_evolution(WalkRun(coin, psi0, 6)):
         if i:
             psi = step(psi, coin)
         assert (fast.x_min, fast.amplitudes.tobytes()) == (psi.x_min, psi.amplitudes.tobytes()), i
