@@ -1,13 +1,15 @@
 """Array text for ``cli._write_table`` and ``cli._write_json``, rendered by numpy.
 
 ``render(columns)`` returns the bytes of the CSV rows ``"%d"`` and ``"%.17g"``
-give: an integer column prints each value as ``"%d" % v`` and a float64
+give: an int64 column prints each value as ``"%d" % v`` and a float64
 column as ``"%.17g" % x``, fields joined by ``,`` and rows ended by ``\\n``.
 ``json_items(values, separator)`` returns the items of
 ``json.dumps(values.tolist())`` joined by ``separator``: an integer as
-``"%d"``, a float as its ``repr``.  Both refuse NaN and infinities with a
+``"%d"``, a float as its ``repr``.  Both take 1-D int64 and float64 arrays
+only, the arrays every command writes, and convert nothing: another dtype or
+shape raises ``TypeError``, and a NaN or an infinity
 :class:`~coinwalk.core.CoinWalkError`, at the cost of one ``np.isfinite``
-pass; scalars, such as verify's residuals, never come here.
+pass.  Scalars, such as verify's residuals, never come here.
 
 Every field is laid out in a 32-byte slot of one ``uint8`` matrix with unused
 bytes 0, and deleting the zero bytes (``bytes.translate``, a little faster than
@@ -306,7 +308,7 @@ def _layout(x, d, ei, fallback, out, notation, text) -> int:
 
 
 def _int_slots(v: np.ndarray, out: np.ndarray) -> None:
-    """Write ``"%d"`` of each ``v`` (int64 or uint64) into the rows of ``out``."""
+    """Write ``"%d"`` of each int64 ``v`` into the rows of ``out``."""
     u = np.abs(v).view(np.uint64)  # the int64 minimum wraps to 2**63, its magnitude
     words = out.view(_U32)
     # only the four-digit groups the largest |v| has; the rest stay blank
@@ -328,27 +330,23 @@ def _int_slots(v: np.ndarray, out: np.ndarray) -> None:
     out.view(_U64)[:, 0] = _SIGN.take(v < 0)
 
 
-def column(values) -> np.ndarray:
-    """``values`` as the dtype it renders from: int64, uint64 or float64."""
-    values = np.asarray(values)
-    kind = values.dtype.kind
-    return values.astype(np.int64 if kind == "i" else np.uint64 if kind == "u" else np.float64, copy=False)
-
-
-def _require_finite(values: np.ndarray) -> None:
+def _require_writable(values) -> None:
+    """The writers' one rule: 1-D int64 or float64 (else ``TypeError``), finite (else ``CoinWalkError``)."""
+    if not (isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype in (np.int64, np.float64)):
+        what = getattr(values, "dtype", type(values).__name__)
+        raise TypeError(f"the writers take 1-D int64 or float64 arrays, got {what} of shape {np.shape(values)}")
     if values.dtype.kind == "f" and not np.isfinite(values).all():
         raise CoinWalkError("an output array holds NaN or an infinity; the writers take finite numbers only")
 
 
 def render(columns) -> bytes:
-    """The CSV rows of equal-length nonempty ``columns`` (as made by ``column``).
+    """The CSV rows of equal-length nonempty ``columns``, each as ``_require_writable`` takes it.
 
-    A NaN or an infinity raises :class:`~coinwalk.core.CoinWalkError`.  One
-    kernel call per column, so ``cli._write_table`` passes ``core.BLOCK`` rows at most.
+    One kernel call per column, so ``cli._write_table`` passes ``core.BLOCK`` rows at most.
     """
     m = np.empty((len(columns), len(columns[0]), SLOT), np.uint8)  # a column's slots are contiguous
     for values, slots in zip(columns, m):
-        _require_finite(values)
+        _require_writable(values)
         kernel = _float_slots if values.dtype.kind == "f" else _int_slots
         kernel(values, slots)
     m[:, :, -1] = ord(",")
@@ -357,13 +355,13 @@ def render(columns) -> bytes:
 
 
 def json_items(values: np.ndarray, separator: bytes) -> bytes:
-    """The items of ``json.dumps(values.tolist())`` joined by ``separator``, for a nonempty ``column``.
+    """The items of ``json.dumps(values.tolist())`` joined by ``separator``, for nonempty ``values``.
 
-    A float is its ``repr``, an integer its ``"%d"``; a NaN or an infinity
-    raises :class:`~coinwalk.core.CoinWalkError`.  Each row of one matrix
-    holds the separator, right-aligned in whole words, then the item's slot.
+    ``values`` is as ``_require_writable`` takes it; a float is its ``repr``,
+    an integer its ``"%d"``.  Each row of one matrix holds the separator,
+    right-aligned in whole words, then the item's slot.
     """
-    _require_finite(values)
+    _require_writable(values)
     width = -(-len(separator) // 8) * 8
     m = np.empty((len(values), width + SLOT), np.uint8)
     m.view(_U64)[:, : width // 8] = _words([separator.rjust(width, b"\0")], _U64)

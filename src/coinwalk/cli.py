@@ -21,13 +21,13 @@ contributes only those, each subcommand offers a flag only for those, and the
 ``config`` echo in the outputs lists only those.
 
 Outputs are deterministic: every CSV goes through ``_write_table``, the one
-place the CSV format lives (integer columns as integers, floats at 17
+place the CSV format lives (int64 columns as integers, float64 ones at 17
 significant digits), and every JSON file through ``_write_json``, the one
 place the JSON format lives (the bytes of the standard library's
 ``json.dumps(payload, indent=2, sort_keys=True)``, with a numpy array written
-as its ``tolist()``), so identical configs diff clean.  Both writers stream to
-the file: a table ``core.BLOCK`` rows at a time, a numpy array in a JSON
-payload ``core.BLOCK`` items at a time.
+as its ``tolist()``), so identical configs diff clean.  Both take 1-D int64
+and float64 arrays only, and stream to the file: a table ``core.BLOCK`` rows
+at a time, a numpy array in a JSON payload ``core.BLOCK`` items at a time.
 Exit codes: 0 ok, 1 validation, usage or file error, 2 verification failure.
 """
 
@@ -63,6 +63,8 @@ __all__ = ["RunConfig", "PRESETS", "main", "parse_config", "serialize_config"]
 ENV_OUT_DIR = "COINWALK_OUT"
 
 _SQ2 = 1.0 / math.sqrt(2.0)
+# the paper's interference experiment: two sites 20 apart, one chirality each
+_INTERFERENCE = {"sites": [[10, [0.0, 0.0], [_SQ2, 0.0]], [-10, [_SQ2, 0.0], [0.0, 0.0]]]}
 
 PRESETS: dict[str, dict] = {
     "fig3.1": {
@@ -80,9 +82,7 @@ PRESETS: dict[str, dict] = {
     "fig3.3": {
         "mode": "walk",
         "coin": "hadamard-switched",
-        "initial": {
-            "sites": [[10, [0.0, 0.0], [_SQ2, 0.0]], [-10, [_SQ2, 0.0], [0.0, 0.0]]]
-        },
+        "initial": _INTERFERENCE,
         "steps": 1000,
     },
     "fig3.4": {
@@ -94,9 +94,7 @@ PRESETS: dict[str, dict] = {
     "fig3.5": {
         "mode": "cwalk",
         "coin": "hadamard-switched",
-        "initial": {
-            "sites": [[10, [0.0, 0.0], [_SQ2, 0.0]], [-10, [_SQ2, 0.0], [0.0, 0.0]]]
-        },
+        "initial": _INTERFERENCE,
         "times": [99.25, 99.5, 99.75, 100.0],
     },
 }
@@ -317,13 +315,14 @@ def serialize_config(config: RunConfig) -> dict:
 def _write_table(path: Path, header: str, blocks) -> None:
     """Write ``header``, then the rows of each block of equal-length numpy columns.
 
-    Integer columns print as integers (``"%d" % v``) and all others at 17
-    significant digits (``"%.17g" % x``, the same digits as ``{:.17g}``), which
-    round-trips a float64; the bytes are exactly those of the ``%`` format.
-    The blocks stream to the file, regrouped into chunks of ``core.BLOCK``
-    rows, and ``_csvtext.render`` turns each chunk into text with numpy: an
-    exact vectorised ``%.17g`` with a per-value ``%`` fallback for near-ties
-    and values outside [1e-280, 1e280].  A NaN or an infinity raises
+    A column is 1-D int64 or float64, one dtype in every block (else
+    ``TypeError``).  Int64 columns print as ``"%d" % v`` and float64 ones at
+    17 significant digits, ``"%.17g" % x``, which round-trips a float64; the
+    bytes are exactly those of the ``%`` format.  The blocks stream to the
+    file, regrouped into chunks of ``core.BLOCK`` rows, and
+    ``_csvtext.render`` turns each chunk into text with numpy: an exact
+    vectorised ``%.17g`` with a per-value ``%`` fallback for near-ties and
+    values outside [1e-280, 1e280].  A NaN or an infinity raises
     :class:`CoinWalkError`.
     """
     with path.open("wb") as fh:
@@ -336,15 +335,12 @@ def _table_chunks(blocks):
     """The rows of ``blocks`` as chunks of ``core.BLOCK`` rows, the last one shorter.
 
     Short blocks (one per step of ``walk --trajectory``) are gathered, sparing
-    ``_csvtext.render``'s cost per call, but never blocks of different dtypes.
+    ``_csvtext.render``'s cost per call; gathering blocks whose dtypes differ
+    raises ``TypeError`` instead of casting.
     """
     chunk = core.BLOCK
     parts, rows = [], 0
-    for block in blocks:
-        columns = [_csvtext.column(c) for c in block]
-        if parts and [c.dtype for c in columns] != [c.dtype for c in parts[0]]:
-            yield _joined(parts)
-            parts, rows = [], 0
+    for columns in blocks:
         start, n = 0, len(columns[0])
         while start < n:
             stop = min(n, start + chunk - rows)
@@ -359,17 +355,18 @@ def _table_chunks(blocks):
 
 
 def _joined(parts: list) -> list:
-    return parts[0] if len(parts) == 1 else [np.concatenate(cs) for cs in zip(*parts)]
+    return parts[0] if len(parts) == 1 else [np.concatenate(cs, casting="no") for cs in zip(*parts)]
 
 
 def _json_chunks(value, pad: str = ""):
     """Pieces of ``json.dumps(value, indent=2, sort_keys=True)``, nested at indent ``pad``.
 
-    A dict (string keys) recurses key by key.  A 1-D numeric numpy array is
-    written as its ``tolist()`` would be, ``core.BLOCK`` items at a time, so
-    no piece and no list spans the whole array; ``_csvtext.json_items``
-    renders each block with numpy, joined by the item separator that carries
-    the newline and indent, and refuses NaN and infinities.  Any
+    A dict (string keys) recurses key by key.  A numpy array, 1-D int64 or
+    float64 and finite as ``_write_table`` takes, is written as its
+    ``tolist()`` would be, ``core.BLOCK`` items at a time, so no piece and no
+    list spans the whole array; ``_csvtext.json_items`` renders each block
+    with numpy, joined by the item separator that carries the newline and
+    indent.  Any
     other value is one ``json.dumps`` call re-indented by one ``str.replace``:
     the encoder escapes newlines inside strings, so its text breaks lines only
     between items.
@@ -379,13 +376,10 @@ def _json_chunks(value, pad: str = ""):
         brackets = "{}"
         members = (chain((f"{json.dumps(key)}: ",), _json_chunks(value[key], inner)) for key in sorted(value))
     elif isinstance(value, np.ndarray):
-        if value.ndim != 1 or value.dtype.kind not in "iuf":
-            raise TypeError(f"only 1-D numeric arrays are written as JSON, got {value.dtype} {value.shape}")
         brackets = "[]"
         separator = (",\n" + inner).encode()
-        values = _csvtext.column(value)
         members = (
-            (_csvtext.json_items(values[block], separator).decode(),)
+            (_csvtext.json_items(value[block], separator).decode(),)
             for block in core.blocks(len(value))
         )
     else:
@@ -631,7 +625,7 @@ def cmd_semigroup(config: RunConfig, out_dir: Path) -> list[Path]:
             failed.append(exc)
 
     # One worker thread writes the flow table, which takes only ufuncs and
-    # `take`, while this thread checks positivity and writes the report.
+    # `take`, while this thread checks positivity; the report waits for it.
     # Every BLAS/LAPACK call (eigvalsh, matmul) stays on this thread: two
     # such calls at once on two threads ran slower than one after the other.
     worker = threading.Thread(target=write_flow, name="coinwalk-flow-table")
@@ -643,12 +637,13 @@ def cmd_semigroup(config: RunConfig, out_dir: Path) -> list[Path]:
         report = semigroup.positivity_check(grid, t, coin, semigroup.random_psd_fibres(grid, rng))
         k, coeffs = semigroup.random_hermitian_sample(grid, rng, max(1, grid.size // 32))
         residual = semigroup.flow_vs_conjugation_residual(k, coeffs, t, coin)
-        report_path = out_dir / "semigroup_report.json"
-        _write_json(report_path, _semigroup_payload(config, grid, report, residual))
     finally:
         worker.join()
+    # the report is written only beside a complete flow table
     if failed:
         raise failed[0]
+    report_path = out_dir / "semigroup_report.json"
+    _write_json(report_path, _semigroup_payload(config, grid, report, residual))
     return [flow_path, report_path]
 
 

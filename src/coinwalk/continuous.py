@@ -48,9 +48,12 @@ def evolve_continuous(
     ``ceil(|t|)``.  Norm is preserved and
     ``evolve_continuous(s) o evolve_continuous(t) = evolve_continuous(s+t)``.
     At integer ``t = n`` this is the momentum route of the discrete walk.
+    A NaN or infinite ``t`` raises :class:`~coinwalk.core.ValidationError`.
     """
     require_normalized(psi0, "initial state")
     t = float(t)
+    if not math.isfinite(t):
+        raise ValidationError(f"time must be finite, got {t!r}")
     reach = int(math.ceil(abs(t)))
     if grid is None:
         grid = MomentumGrid.for_walk(psi0, reach)

@@ -62,6 +62,8 @@ TRIM_TOL = 1e-30
 # Sites added on each side of the light cone by MomentumGrid.for_walk: the
 # continuous-time light cone is not sharp, so fractional t leaks past it.
 GRID_MARGIN = 8
+# random_coin's smallest mixing angle: |l1|, |l2| >= sin(0.05), far from DEGENERATE_TOL
+_MIN_MIX = 0.05
 # Items per block of every blocked pass (fibres, quadrature nodes, CSV rows,
 # JSON array items); items never mix, so it moves memory and speed, no bit.
 BLOCK = 2048
@@ -107,13 +109,18 @@ class Coin:
     are tied together: ``r1 == -conj(l2)`` and ``r2 == conj(l1)``.
 
     Construct coins through :func:`normalize_phase` (or the provided presets)
-    rather than directly; the constructor does not validate.
+    rather than directly: the constructor refuses only a NaN or infinite
+    entry (:class:`ValidationError`); unitarity is ``normalize_phase``'s check.
     """
 
     l1: complex
     l2: complex
     r1: complex
     r2: complex
+
+    def __post_init__(self) -> None:
+        if not all(map(cmath.isfinite, (self.l1, self.l2, self.r1, self.r2))):
+            raise ValidationError(f"coin entries must be finite, got {self}")
 
     @property
     def theta1(self) -> float:
@@ -202,13 +209,13 @@ def hadamard_switched() -> Coin:
     return Coin(s, -s, s, s)
 
 
-def random_coin(rng: np.random.Generator, min_mix: float = 0.05) -> Coin:
+def random_coin(rng: np.random.Generator) -> Coin:
     """Draw a determinant-one coin with both ``|l1|`` and ``|l2|`` bounded away from 0.
 
-    ``min_mix`` is the minimum mixing angle in radians; the default keeps the
-    coin safely outside the degenerate routing threshold.
+    The mixing angle lies in ``[_MIN_MIX, pi/2 - _MIN_MIX)``, safely outside
+    the degenerate routing threshold.
     """
-    theta = rng.uniform(min_mix, math.pi / 2 - min_mix)
+    theta = rng.uniform(_MIN_MIX, math.pi / 2 - _MIN_MIX)
     phi1, phi2 = rng.uniform(-math.pi, math.pi, size=2)
     l1 = math.cos(theta) * cmath.exp(1j * phi1)
     l2 = math.sin(theta) * cmath.exp(1j * phi2)
@@ -276,12 +283,6 @@ class WaveFunction:
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
-
-    def amplitude(self, x: int) -> np.ndarray:
-        """The 2-vector at site ``x`` (zero outside the support)."""
-        if self.x_min <= x <= self.x_max:
-            return np.array(self.amplitudes[x - self.x_min])
-        return np.zeros(2, dtype=np.complex128)
 
     def trimmed(self) -> "WaveFunction":
         """Drop leading/trailing sites whose :func:`site_weight` is below the trim threshold."""

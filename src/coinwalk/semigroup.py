@@ -30,6 +30,7 @@ complex eigenbasis of the generator (cross-check).
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,10 +128,6 @@ class DirectIntegralObservable:
             coeffs[block] = fibre
         return cls(grid, _frozen(coeffs))
 
-    def fibres(self):
-        """The stream of read-only views ``coefficients[block]`` over :func:`~coinwalk.core.blocks`."""
-        return (self.coefficients[block] for block in blocks(self.grid.size))
-
     def matrices(self) -> np.ndarray:
         return pauli_compose(self.coefficients)
 
@@ -222,8 +219,11 @@ def heisenberg_evolve(obs: DirectIntegralObservable, t: float, coin: Coin) -> Di
     fixed point exactly at the coefficient level.  The coefficients are
     evolved one block of :func:`~coinwalk.core.blocks` at a time and
     collected by ``from_fibres``, so only the coefficient arrays span the
-    grid and none is shared with ``obs``.
+    grid and none is shared with ``obs``.  A NaN or infinite ``t`` raises
+    :class:`ValidationError`.
     """
+    if not math.isfinite(t):
+        raise ValidationError(f"time must be finite, got {t!r}")
     grid = obs.grid
     evolved = (
         _evolve_coefficients(grid.nodes_in(block), t, obs.coefficients[block], coin)
@@ -290,8 +290,7 @@ def positivity_check(grid: MomentumGrid, t: float, coin: Coin, fibres) -> dict:
     """Verify that positive fibres stay positive under the semigroup.
 
     ``fibres`` is a stream of ``(rows, 4)`` coefficient blocks that fill
-    ``grid`` in order, such as :func:`random_psd_fibres` or
-    :meth:`DirectIntegralObservable.fibres`; a block that is not a numeric
+    ``grid`` in order, such as :func:`random_psd_fibres`; a block that is not a numeric
     ``(rows, 4)`` array or runs past the grid, or a stream that stops short,
     raises :class:`ValidationError`, and so does a block with an imaginary
     part of 1e-12 or more: the fibres must be Hermitian.  They count as

@@ -22,9 +22,9 @@ def origin_right():
     return WaveFunction.qubit(0.0, 1.0)
 
 
-def seeded_coins(count, seed=0, min_mix=0.05):
+def seeded_coins(count, seed=0):
     rng = np.random.default_rng(seed)
-    return [random_coin(rng, min_mix=min_mix) for _ in range(count)]
+    return [random_coin(rng) for _ in range(count)]
 
 
 def written_json(value):

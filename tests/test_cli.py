@@ -369,7 +369,7 @@ def reference_table(header, blocks):
     """The per-row ``str.format`` rendering ``_write_table`` must reproduce."""
     lines = [header + "\n"]
     for columns in blocks:
-        row = (",".join("{}" if c.dtype.kind in "iu" else "{:.17g}" for c in columns) + "\n").format
+        row = (",".join("{}" if c.dtype.kind == "i" else "{:.17g}" for c in columns) + "\n").format
         lines.extend(row(*values) for values in zip(*(c.tolist() for c in columns)))
     return "".join(lines)
 
@@ -383,10 +383,9 @@ def assert_same_lines(got, want):
 
 
 def edge_block(rng, length):
-    """Columns ``int64, uint64, float64, float64`` of ``length`` rows with extremes mixed in."""
+    """Columns ``int64, float64, float64`` of ``length`` rows with extremes mixed in."""
     i64 = np.iinfo(np.int64)
     ints = rng.integers(i64.min, i64.max, size=length, endpoint=True, dtype=np.int64)
-    uints = rng.integers(0, 2**64 - 1, size=length, endpoint=True, dtype=np.uint64)
     # every finite bit pattern: subnormals, huge exponents, signed zeros; the
     # writers refuse NaN and infinities, so their patterns lose an exponent bit
     raw = rng.integers(0, 2**64 - 1, size=length, endpoint=True, dtype=np.uint64)
@@ -395,12 +394,11 @@ def edge_block(rng, length):
     floats = rng.standard_normal(length) * 10.0 ** rng.integers(-300, 300, size=length)
     for column, edges in (
         (ints, [i64.min, i64.max, 0, -1]),
-        (uints, [0, 2**64 - 1]),
         (floats, [x for x in EDGE_FLOATS if math.isfinite(x)]),
     ):
         k = min(length, len(edges))
         column[rng.choice(length, size=k, replace=False)] = edges[:k]
-    return ints, uints, floats, bits
+    return ints, floats, bits
 
 
 def test_write_table_matches_per_row_format(tmp_path):
@@ -408,8 +406,8 @@ def test_write_table_matches_per_row_format(tmp_path):
     chunk = core.BLOCK
     blocks = [edge_block(rng, n) for n in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3)]
     path = tmp_path / "t.csv"
-    cli._write_table(path, "i,u,f,b", blocks)
-    assert_same_lines(path.read_text(encoding="utf-8"), reference_table("i,u,f,b", blocks))
+    cli._write_table(path, "i,f,b", blocks)
+    assert_same_lines(path.read_text(encoding="utf-8"), reference_table("i,f,b", blocks))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -421,6 +419,31 @@ def test_writers_refuse_non_finite_values(tmp_path, bad):
         cli._write_json(tmp_path / "t.json", {"ok": 1.5, "values": floats})
     # a scalar still goes through json.dumps, which writes NaN and Infinity
     assert written_json({"residual": bad}) == json.dumps({"residual": bad}, indent=2)
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        np.array([1 + 2j, 3, -1j]),
+        np.array([True, False, True]),
+        np.array([0, 1, 2**64 - 1], dtype=np.uint64),
+        np.zeros((3, 2)),
+    ],
+    ids=["complex", "bool", "uint64", "2-D"],
+)
+def test_writers_take_only_1d_int64_and_float64(tmp_path, array):
+    # nothing is converted: a complex column would lose its imaginary part
+    with pytest.raises(TypeError, match="1-D int64 or float64"):
+        cli._write_table(tmp_path / "t.csv", "i,v", [(np.arange(3), array)])
+    with pytest.raises(TypeError, match="1-D int64 or float64"):
+        cli._write_json(tmp_path / "t.json", {"values": array})
+
+
+def test_table_blocks_keep_their_dtypes(tmp_path):
+    # short blocks are gathered into one chunk, which must not cast an int64 column to float64
+    blocks = [(np.arange(2), np.arange(2)), (np.arange(2), np.zeros(2))]
+    with pytest.raises(TypeError):
+        cli._write_table(tmp_path / "t.csv", "x,p", blocks)
 
 
 def test_write_table_streams_many_small_blocks(tmp_path):
@@ -637,6 +660,8 @@ def test_a_flow_table_error_reaches_main(tmp_path, monkeypatch, capsys):
     assert main(["semigroup", "--grid", "4096", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: an output array holds NaN or an infinity")
     assert threading.active_count() == threads
+    # the report is written only beside a complete flow table
+    assert not (tmp_path / "semigroup_report.json").exists()
 
 
 def test_a_main_thread_error_waits_for_the_flow_table(tmp_path, monkeypatch, capsys):

@@ -13,12 +13,15 @@ from hypothesis import strategies as st
 import coinwalk
 from coinwalk import (
     AliasingError,
+    Coin,
     MomentumGrid,
     ValidationError,
     WaveFunction,
     evolve_continuous,
+    fourier_evolve,
     fourier_transform,
     hadamard_switched,
+    heisenberg_evolve,
     inverse_fourier,
     momentum_state,
     normalize_phase,
@@ -30,6 +33,7 @@ from coinwalk import (
     weak_limit_law,
 )
 from coinwalk.core import GRID_MARGIN, SQRT_2PI
+from coinwalk.semigroup import DirectIntegralObservable
 
 from conftest import seeded_coins
 
@@ -152,6 +156,23 @@ def test_wavefunction_holds_row_major_amplitudes():
     assert psi.norm() == WaveFunction(0, np.ascontiguousarray(a.T)).norm()
 
 
+NON_FINITE_ENTRIES = {
+    "evolve_continuous": lambda x, coin, psi: evolve_continuous(psi, x, coin),
+    "fourier_evolve": lambda x, coin, psi: fourier_evolve(psi, coin, x),
+    "heisenberg_evolve": lambda x, coin, psi: heisenberg_evolve(
+        DirectIntegralObservable.constant(MomentumGrid(8), np.diag([1.0, -1.0])), x, coin
+    ),
+    "Coin": lambda x, coin, psi: Coin(x, 0.0, 0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", NON_FINITE_ENTRIES.values(), ids=NON_FINITE_ENTRIES.keys())
+def test_non_finite_times_and_coins_raise_validation_error(hadamard, origin_right, entry, x):
+    with pytest.raises(ValidationError):
+        entry(x, hadamard, origin_right)
+
+
 def test_normalization_gate_refuses_a_nan_state(hadamard):
     for route in (weak_limit_law, lambda coin, psi0: evolve_continuous(psi0, 1.0, coin)):
         with pytest.raises(ValidationError, match="normalised"):
@@ -161,8 +182,8 @@ def test_normalization_gate_refuses_a_nan_state(hadamard):
 def test_from_sites_fills_gaps():
     psi = WaveFunction.from_sites([(3, (0.0, 1.0)), (-1, (1.0, 0.0))])
     assert psi.x_min == -1 and psi.x_max == 3
-    assert np.allclose(psi.amplitude(1), 0.0)
-    assert psi.amplitude(3)[1] == 1.0
+    assert np.allclose(psi.amplitudes[1 - psi.x_min], 0.0)
+    assert psi.amplitudes[3 - psi.x_min, 1] == 1.0
 
 
 def test_from_sites_rejects_a_repeated_site():

@@ -34,6 +34,11 @@ from coinwalk.spectral import dispersion
 from conftest import seeded_coins, written_json
 
 
+def block_views(obs):
+    """An observable's coefficients as a fibre stream of read-only views, a block at a time."""
+    return (obs.coefficients[block] for block in core.blocks(obs.grid.size))
+
+
 def rodrigues(axis, angle):
     """Independent rotation oracle used to pin the flow orientation."""
     K = np.array(
@@ -137,7 +142,7 @@ def test_observable_validation():
 def test_observable_owns_read_only_coefficients(hadamard, monkeypatch):
     # a caller's array is copied; a builder's fresh array is adopted, and an
     # evolved or collected observable never shares memory with the one it
-    # came from, whose fibres() are views of its coefficients
+    # came from; its fibre stream is views of its coefficients
     monkeypatch.setattr(core, "BLOCK", 5)
     grid = MomentumGrid(16)
     caller = np.random.default_rng(3).normal(size=(16, 4)).astype(np.complex128)
@@ -148,7 +153,7 @@ def test_observable_owns_read_only_coefficients(hadamard, monkeypatch):
     assert np.array_equal(obs.coefficients, kept)
     evolved = heisenberg_evolve(obs, 1.1, hadamard)
     assert not np.shares_memory(evolved.coefficients, obs.coefficients)
-    views = list(obs.fibres())
+    views = list(block_views(obs))
     assert [len(v) for v in views] == [5, 5, 5, 1]
     assert all(np.shares_memory(v, obs.coefficients) for v in views)
     collected = DirectIntegralObservable.from_fibres(grid, iter(views))
@@ -202,10 +207,10 @@ def test_positivity_check_validation(hadamard):
     a = DirectIntegralObservable.constant(grid, np.eye(2)).coefficients
     with pytest.raises(ValidationError, match="Hermitian"):
         positivity_check(grid, 1.0, hadamard, iter([a[:32], bad.coefficients[32:]]))
-    # slices follow from row counts: blocks of 1, 7 and the rest give obs.fibres()'s report
+    # slices follow from row counts: blocks of 1, 7 and the rest give the block stream's report
     obs = DirectIntegralObservable.from_fibres(grid, random_psd_fibres(grid, np.random.default_rng(2)))
     uneven = iter([obs.coefficients[:1], obs.coefficients[1:8], obs.coefficients[8:].tolist()])
-    whole = positivity_check(grid, 0.9, hadamard, obs.fibres())
+    whole = positivity_check(grid, 0.9, hadamard, block_views(obs))
     assert written_json(positivity_check(grid, 0.9, hadamard, uneven)) == written_json(whole)
     streams = {
         "wrong width": [np.zeros((64, 3))],
@@ -252,7 +257,7 @@ def test_block_size_changes_no_bit(monkeypatch, tmp_path):
         psd = DirectIntegralObservable.from_fibres(grid, random_psd_fibres(grid, rng))
         herm = DirectIntegralObservable.from_fibres(grid, random_hermitian_fibres(grid, rng))
         evolved = heisenberg_evolve(herm, 2.7, coin)
-        report = positivity_check(grid, 2.7, coin, psd.fibres())
+        report = positivity_check(grid, 2.7, coin, block_views(psd))
         stream = np.random.default_rng(4)
         streamed = positivity_check(grid, 2.7, coin, random_psd_fibres(grid, stream))
         k, sample = random_hermitian_sample(grid, stream, 31)
@@ -296,7 +301,7 @@ def test_grid_routines_peak_memory(hadamard):
     runs = {
         "heisenberg_evolve": (lambda: heisenberg_evolve(obs, 1.0, hadamard), 8),
         "positivity_check of an observable": (
-            lambda: positivity_check(grid, 1.0, hadamard, obs.fibres()), 6
+            lambda: positivity_check(grid, 1.0, hadamard, block_views(obs)), 6
         ),
         "from_fibres of random_psd_fibres": (collect(random_psd_fibres), 5.5),
         "from_fibres of random_hermitian_fibres": (collect(random_hermitian_fibres), 5),

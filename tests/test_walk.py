@@ -36,16 +36,16 @@ from conftest import seeded_coins
 def test_one_step_amplitudes(hadamard, origin_right):
     psi = step(origin_right, hadamard)
     s = 1.0 / math.sqrt(2.0)
-    assert np.allclose(psi.amplitude(-1), [-s, 0.0], atol=1e-15)
-    assert np.allclose(psi.amplitude(1), [0.0, s], atol=1e-15)
+    assert np.allclose(psi.amplitudes[-1 - psi.x_min], [-s, 0.0], atol=1e-15)
+    assert np.allclose(psi.amplitudes[1 - psi.x_min], [0.0, s], atol=1e-15)
 
 
 def test_two_step_amplitudes_and_distribution(hadamard, origin_right):
     # hand evaluation: psi_2(-2) = (-1/2, 0), psi_2(0) = (-1/2, -1/2), psi_2(2) = (0, 1/2)
     psi = evolve(WalkRun(hadamard, origin_right, 2))
-    assert np.allclose(psi.amplitude(-2), [-0.5, 0.0], atol=1e-15)
-    assert np.allclose(psi.amplitude(0), [-0.5, -0.5], atol=1e-15)
-    assert np.allclose(psi.amplitude(2), [0.0, 0.5], atol=1e-15)
+    assert np.allclose(psi.amplitudes[-2 - psi.x_min], [-0.5, 0.0], atol=1e-15)
+    assert np.allclose(psi.amplitudes[-psi.x_min], [-0.5, -0.5], atol=1e-15)
+    assert np.allclose(psi.amplitudes[2 - psi.x_min], [0.0, 0.5], atol=1e-15)
     p = position_distribution(psi)
     assert p == pytest.approx([0.25, 0.0, 0.5, 0.0, 0.25])
     # cross-check against the momentum-space route
@@ -56,8 +56,8 @@ def test_identity_coin_is_a_pure_shift():
     coin = normalize_phase(np.eye(2))
     psi = WaveFunction.from_sites([(0, (0.6, 0.8))])
     out = step(psi, coin)
-    assert np.allclose(out.amplitude(-1), [0.6, 0.0])
-    assert np.allclose(out.amplitude(1), [0.0, 0.8])
+    assert np.allclose(out.amplitudes[-1 - out.x_min], [0.6, 0.0])
+    assert np.allclose(out.amplitudes[1 - out.x_min], [0.0, 0.8])
 
 
 def test_walkrun_validation(hadamard):
@@ -83,8 +83,8 @@ def test_ballistic_coin_exact_shift_formula():
     out = fourier_evolve(psi0, coin, n)
     expected_left = coin.l1**n * 0.6
     expected_right = coin.r2**n * 0.8
-    assert np.allclose(out.amplitude(-1 - n), [expected_left, 0.0], atol=1e-14)
-    assert np.allclose(out.amplitude(2 + n), [0.0, expected_right], atol=1e-14)
+    assert np.allclose(out.amplitudes[-1 - n - out.x_min], [expected_left, 0.0], atol=1e-14)
+    assert np.allclose(out.amplitudes[2 + n - out.x_min], [0.0, expected_right], atol=1e-14)
     assert sup_norm_difference(out, evolve(WalkRun(coin, psi0, n))) < 1e-14
 
 
