@@ -1,15 +1,21 @@
-"""Array text for ``cli._write_table`` and ``cli._write_json``, rendered by numpy.
+"""The bytes of every file coinwalk writes: ``write_table`` (CSV) and ``write_json``.
 
-``render(columns)`` returns the bytes of the CSV rows ``"%d"`` and ``"%.17g"``
-give: an int64 column prints each value as ``"%d" % v`` and a float64
-column as ``"%.17g" % x``, fields joined by ``,`` and rows ended by ``\\n``.
-``json_items(values, separator)`` returns the items of
-``json.dumps(values.tolist())`` joined by ``separator``: an integer as
-``"%d"``, a float as its ``repr``.  Both take 1-D int64 and float64 arrays
-only, the arrays every command writes, and convert nothing: another dtype or
-shape raises ``TypeError``, and a NaN or an infinity
-:class:`~coinwalk.core.CoinWalkError`, at the cost of one ``np.isfinite``
-pass.  Scalars, such as verify's residuals, never come here.
+``write_table(path, header, blocks)`` writes the header line, then the rows
+of each block of equal-length columns, regrouped into chunks of
+``core.BLOCK`` rows (gathering blocks whose dtypes differ raises
+``TypeError`` instead of casting).
+``render(columns)`` gives a chunk's bytes, those of ``"%d" % v`` for an int64
+column and ``"%.17g" % x`` for a float64 one, fields joined by ``,`` and rows
+ended by ``\\n``.  ``write_json(path, payload)`` writes the bytes of
+``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline, streamed
+piece by piece: a dict member by member, a numpy array as its ``tolist()``
+``core.BLOCK`` items at a time, whose items ``json_items(values, separator)``
+renders (an integer as ``"%d"``, a float as its ``repr``), and any other
+value in one ``json.dumps`` call.  Each array that enters a writer meets one
+rule, ``_require_writable``, once, empty ones included: 1-D int64 or float64
+(else ``TypeError``; nothing is converted), and finite (else
+:class:`~coinwalk.core.CoinWalkError`), at the cost of one ``np.isfinite``
+pass.  Scalars, such as verify's residuals, go to ``json.dumps``.
 
 Every field is laid out in a 32-byte slot of one ``uint8`` matrix with unused
 bytes 0, and deleting the zero bytes (``bytes.translate``, a little faster than
@@ -46,9 +52,12 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
+from pathlib import Path
 
 import numpy as np
 
+from . import core
 from .core import CoinWalkError
 
 SLOT = 32  # bytes per field; the last one holds the ',' or '\n'
@@ -340,13 +349,12 @@ def _require_writable(values) -> None:
 
 
 def render(columns) -> bytes:
-    """The CSV rows of equal-length nonempty ``columns``, each as ``_require_writable`` takes it.
+    """The CSV rows of equal-length nonempty ``columns`` that ``_require_writable`` passed.
 
-    One kernel call per column, so ``cli._write_table`` passes ``core.BLOCK`` rows at most.
+    One kernel call per column, so ``write_table`` passes ``core.BLOCK`` rows at most.
     """
     m = np.empty((len(columns), len(columns[0]), SLOT), np.uint8)  # a column's slots are contiguous
     for values, slots in zip(columns, m):
-        _require_writable(values)
         kernel = _float_slots if values.dtype.kind == "f" else _int_slots
         kernel(values, slots)
     m[:, :, -1] = ord(",")
@@ -357,11 +365,10 @@ def render(columns) -> bytes:
 def json_items(values: np.ndarray, separator: bytes) -> bytes:
     """The items of ``json.dumps(values.tolist())`` joined by ``separator``, for nonempty ``values``.
 
-    ``values`` is as ``_require_writable`` takes it; a float is its ``repr``,
-    an integer its ``"%d"``.  Each row of one matrix holds the separator,
+    ``values`` has passed ``_require_writable``; a float is its ``repr``, an
+    integer its ``"%d"``.  Each row of one matrix holds the separator,
     right-aligned in whole words, then the item's slot.
     """
-    _require_writable(values)
     width = -(-len(separator) // 8) * 8
     m = np.empty((len(values), width + SLOT), np.uint8)
     m.view(_U64)[:, : width // 8] = _words([separator.rjust(width, b"\0")], _U64)
@@ -369,3 +376,75 @@ def json_items(values: np.ndarray, separator: bytes) -> bytes:
     kernel = _repr_slots if values.dtype.kind == "f" else _int_slots
     kernel(values, m[:, width:])
     return m.tobytes().translate(None, b"\0")
+
+
+def write_table(path: Path, header: str, blocks) -> None:
+    """Write ``header`` and the rows of ``blocks``, each a sequence of equal-length columns."""
+    with path.open("wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for columns in _table_chunks(blocks):
+            fh.write(render(columns))
+
+
+def _table_chunks(blocks):
+    """The rows of ``blocks`` as chunks of ``core.BLOCK`` rows, the last one shorter.
+
+    Short blocks (one per step of ``walk --trajectory``) are gathered, sparing
+    ``render``'s cost per call.
+    """
+    chunk = core.BLOCK
+    parts, rows = [], 0
+    for columns in blocks:
+        for values in columns:
+            _require_writable(values)
+        start, n = 0, len(columns[0])
+        while start < n:
+            stop = min(n, start + chunk - rows)
+            parts.append([c[start:stop] for c in columns])
+            rows += stop - start
+            start = stop
+            if rows == chunk:
+                yield _joined(parts)
+                parts, rows = [], 0
+    if parts:
+        yield _joined(parts)
+
+
+def _joined(parts: list) -> list:
+    return parts[0] if len(parts) == 1 else [np.concatenate(cs, casting="no") for cs in zip(*parts)]
+
+
+def _json_chunks(value, pad: str = ""):
+    """Pieces of ``json.dumps(value, indent=2, sort_keys=True)``, nested at indent ``pad``.
+
+    A dict (string keys) recurses key by key; an array's blocks are joined
+    by the item separator that carries the newline and indent.  Any other
+    value is one ``json.dumps`` call re-indented by one ``str.replace``: the
+    encoder escapes newlines inside strings, so its text breaks lines only
+    between items.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        members = (chain((f"{json.dumps(key)}: ",), _json_chunks(value[key], inner)) for key in sorted(value))
+    elif isinstance(value, np.ndarray):
+        _require_writable(value)
+        brackets = "[]"
+        separator = (",\n" + inner).encode()
+        members = ((json_items(value[block], separator).decode(),) for block in core.blocks(len(value)))
+    else:
+        yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+        return
+    opened = False
+    for member in members:
+        yield ",\n" + inner if opened else brackets[0] + "\n" + inner
+        yield from member
+        opened = True
+    yield "\n" + pad + brackets[1] if opened else brackets
+
+
+def write_json(path: Path, payload: dict) -> None:
+    """Write ``payload`` as ``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline."""
+    with path.open("w", encoding="utf-8") as fh:
+        fh.writelines(_json_chunks(payload))
+        fh.write("\n")

@@ -20,14 +20,7 @@ config may hold only its mode's fields (plus ``mode`` and ``out``), a preset
 contributes only those, each subcommand offers a flag only for those, and the
 ``config`` echo in the outputs lists only those.
 
-Outputs are deterministic: every CSV goes through ``_write_table``, the one
-place the CSV format lives (int64 columns as integers, float64 ones at 17
-significant digits), and every JSON file through ``_write_json``, the one
-place the JSON format lives (the bytes of the standard library's
-``json.dumps(payload, indent=2, sort_keys=True)``, with a numpy array written
-as its ``tolist()``), so identical configs diff clean.  Both take 1-D int64
-and float64 arrays only, and stream to the file: a table ``core.BLOCK`` rows
-at a time, a numpy array in a JSON payload ``core.BLOCK`` items at a time.
+The bytes of every file are ``_csvtext``'s (``write_table``, ``write_json``).
 Exit codes: 0 ok, 1 validation, usage or file error, 2 verification failure.
 """
 
@@ -41,7 +34,6 @@ import os
 import sys
 import threading
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -312,97 +304,6 @@ def serialize_config(config: RunConfig) -> dict:
 # --------------------------------------------------------------------------
 
 
-def _write_table(path: Path, header: str, blocks) -> None:
-    """Write ``header``, then the rows of each block of equal-length numpy columns.
-
-    A column is 1-D int64 or float64, one dtype in every block (else
-    ``TypeError``).  Int64 columns print as ``"%d" % v`` and float64 ones at
-    17 significant digits, ``"%.17g" % x``, which round-trips a float64; the
-    bytes are exactly those of the ``%`` format.  The blocks stream to the
-    file, regrouped into chunks of ``core.BLOCK`` rows, and
-    ``_csvtext.render`` turns each chunk into text with numpy: an exact
-    vectorised ``%.17g`` with a per-value ``%`` fallback for near-ties and
-    values outside [1e-280, 1e280].  A NaN or an infinity raises
-    :class:`CoinWalkError`.
-    """
-    with path.open("wb") as fh:
-        fh.write(header.encode() + b"\n")
-        for columns in _table_chunks(blocks):
-            fh.write(_csvtext.render(columns))
-
-
-def _table_chunks(blocks):
-    """The rows of ``blocks`` as chunks of ``core.BLOCK`` rows, the last one shorter.
-
-    Short blocks (one per step of ``walk --trajectory``) are gathered, sparing
-    ``_csvtext.render``'s cost per call; gathering blocks whose dtypes differ
-    raises ``TypeError`` instead of casting.
-    """
-    chunk = core.BLOCK
-    parts, rows = [], 0
-    for columns in blocks:
-        start, n = 0, len(columns[0])
-        while start < n:
-            stop = min(n, start + chunk - rows)
-            parts.append([c[start:stop] for c in columns])
-            rows += stop - start
-            start = stop
-            if rows == chunk:
-                yield _joined(parts)
-                parts, rows = [], 0
-    if parts:
-        yield _joined(parts)
-
-
-def _joined(parts: list) -> list:
-    return parts[0] if len(parts) == 1 else [np.concatenate(cs, casting="no") for cs in zip(*parts)]
-
-
-def _json_chunks(value, pad: str = ""):
-    """Pieces of ``json.dumps(value, indent=2, sort_keys=True)``, nested at indent ``pad``.
-
-    A dict (string keys) recurses key by key.  A numpy array, 1-D int64 or
-    float64 and finite as ``_write_table`` takes, is written as its
-    ``tolist()`` would be, ``core.BLOCK`` items at a time, so no piece and no
-    list spans the whole array; ``_csvtext.json_items`` renders each block
-    with numpy, joined by the item separator that carries the newline and
-    indent.  Any
-    other value is one ``json.dumps`` call re-indented by one ``str.replace``:
-    the encoder escapes newlines inside strings, so its text breaks lines only
-    between items.
-    """
-    inner = pad + "  "
-    if isinstance(value, dict):
-        brackets = "{}"
-        members = (chain((f"{json.dumps(key)}: ",), _json_chunks(value[key], inner)) for key in sorted(value))
-    elif isinstance(value, np.ndarray):
-        brackets = "[]"
-        separator = (",\n" + inner).encode()
-        members = (
-            (_csvtext.json_items(value[block], separator).decode(),)
-            for block in core.blocks(len(value))
-        )
-    else:
-        yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
-        return
-    opened = False
-    for member in members:
-        yield ",\n" + inner if opened else brackets[0] + "\n" + inner
-        yield from member
-        opened = True
-    yield "\n" + pad + brackets[1] if opened else brackets
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    """Write ``payload`` as ``json.dumps(payload, indent=2, sort_keys=True)`` plus a newline.
-
-    The text streams to the file piece by piece (see :func:`_json_chunks`).
-    """
-    with path.open("w", encoding="utf-8") as fh:
-        fh.writelines(_json_chunks(payload))
-        fh.write("\n")
-
-
 def _resolve_out_dir(config: RunConfig, override: str | None) -> Path:
     # precedence: --out flag, then the environment override, then the config
     path = Path(override or os.environ.get(ENV_OUT_DIR) or config.out_dir or "out")
@@ -437,15 +338,15 @@ def cmd_walk(config: RunConfig, out_dir: Path) -> list[Path]:
                 yield np.full(psi.width, i), psi.sites, position_distribution(psi)
 
         trajectory_path = out_dir / "trajectory.csv"
-        _write_table(trajectory_path, "n,x,p", blocks())
+        _csvtext.write_table(trajectory_path, "n,x,p", blocks())
         written.append(trajectory_path)
     else:
         final = walk.evolve(run)
     dist_path = out_dir / f"distribution_n{config.steps}.csv"
-    _write_table(dist_path, "x,p", [(final.sites, position_distribution(final))])
+    _csvtext.write_table(dist_path, "x,p", [(final.sites, position_distribution(final))])
     written.append(dist_path)
     manifest = out_dir / "manifest.json"
-    _write_json(
+    _csvtext.write_json(
         manifest,
         {
             "mode": "walk",
@@ -468,11 +369,11 @@ def cmd_cwalk(config: RunConfig, out_dir: Path) -> list[Path]:
     norms = {}
     for t, psi in continuous.snapshots(psi0, coin, config.times):
         path = out_dir / f"snapshot_t{t:g}.csv"
-        _write_table(path, "x,p", [(psi.sites, position_distribution(psi))])
+        _csvtext.write_table(path, "x,p", [(psi.sites, position_distribution(psi))])
         written.append(path)
         norms[f"{t:g}"] = psi.norm()
     manifest = out_dir / "manifest.json"
-    _write_json(
+    _csvtext.write_json(
         manifest,
         {
             "mode": "cwalk",
@@ -505,7 +406,7 @@ def cmd_density(config: RunConfig, out_dir: Path) -> list[Path]:
         ys = np.linspace(lo, hi, config.y_points + 2)[1:-1]
         rho = law.pdf(ys)
         path = out_dir / "density.csv"
-        _write_table(path, "y,rho", [(ys, rho)])
+        _csvtext.write_table(path, "y,rho", [(ys, rho)])
         written.append(path)
         meta.update(
             {
@@ -526,7 +427,7 @@ def cmd_density(config: RunConfig, out_dir: Path) -> list[Path]:
             }
         )
     law_path = out_dir / "law.json"
-    _write_json(law_path, meta)
+    _csvtext.write_json(law_path, meta)
     written.append(law_path)
     return written
 
@@ -620,7 +521,7 @@ def cmd_semigroup(config: RunConfig, out_dir: Path) -> list[Path]:
 
     def write_flow():
         try:
-            _write_table(flow_path, _FLOW_HEADER, flow_blocks())
+            _csvtext.write_table(flow_path, _FLOW_HEADER, flow_blocks())
         except BaseException as exc:
             failed.append(exc)
 
@@ -643,7 +544,7 @@ def cmd_semigroup(config: RunConfig, out_dir: Path) -> list[Path]:
     if failed:
         raise failed[0]
     report_path = out_dir / "semigroup_report.json"
-    _write_json(report_path, _semigroup_payload(config, grid, report, residual))
+    _csvtext.write_json(report_path, _semigroup_payload(config, grid, report, residual))
     return [flow_path, report_path]
 
 
@@ -664,7 +565,7 @@ def _write_verify_report(out_dir: Path, seed: int, quick: bool, results: list) -
     """Write ``verify_report.json`` for the check results; returns its path and the verdict."""
     passed = all(r.passed for r in results)
     report_path = out_dir / "verify_report.json"
-    _write_json(
+    _csvtext.write_json(
         report_path,
         {
             "mode": "verify",

@@ -240,9 +240,11 @@ class WaveFunction:
         amps = np.array(self.amplitudes, dtype=np.complex128, copy=True, order="C")
         if amps.ndim != 2 or amps.shape[1] != 2 or amps.shape[0] < 1:
             raise ValidationError(f"amplitudes must have shape (N, 2), got {amps.shape}")
+        if not np.isfinite(amps.view(np.float64)).all():
+            raise ValidationError("amplitudes must be finite")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "x_min", int(self.x_min))
+        object.__setattr__(self, "x_min", _whole(self.x_min, "x_min"))
 
     @classmethod
     def qubit(cls, a: complex, b: complex, site: int = 0) -> "WaveFunction":
@@ -319,6 +321,14 @@ def blocks(size: int, per: int = 1) -> Iterator[slice]:
     return (slice(i, min(i + step, size)) for i in range(0, size, step))
 
 
+def _whole(value, what: str) -> int:
+    """``int(value)``; a NaN or an infinity raises :class:`ValidationError`."""
+    try:
+        return int(value)
+    except (ValueError, OverflowError):
+        raise ValidationError(f"{what} must be finite, got {value!r}") from None
+
+
 def require_normalized(psi: WaveFunction, what: str = "state") -> None:
     """Raise :class:`ValidationError` unless ``psi`` has unit norm to input tolerance; NaN fails."""
     nrm = psi.norm()
@@ -341,9 +351,10 @@ class MomentumGrid:
     size: int
 
     def __post_init__(self) -> None:
-        if int(self.size) < 1:
+        size = _whole(self.size, "grid size")
+        if size < 1:
             raise ValidationError(f"grid size must be positive, got {self.size}")
-        object.__setattr__(self, "size", int(self.size))
+        object.__setattr__(self, "size", size)
 
     @property
     def nodes(self) -> np.ndarray:
@@ -367,9 +378,10 @@ class MomentumGrid:
         Callers may round up (e.g. to a power of two); exactness never
         requires it.
         """
+        steps = _whole(steps, "steps")
         if steps < 0:
             raise ValidationError("steps must be nonnegative")
-        return cls(2 * (int(steps) + GRID_MARGIN + psi0.support_radius) + 3)
+        return cls(2 * (steps + GRID_MARGIN + psi0.support_radius) + 3)
 
 
 def fourier_transform(psi: WaveFunction, grid: MomentumGrid) -> np.ndarray:

@@ -205,7 +205,9 @@ def pauli_flow(k, t: float, coin: Coin) -> np.ndarray:
 
 
 def _evolve_coefficients(k, t: float, coeffs: np.ndarray, coin: Coin) -> np.ndarray:
-    """Pauli coefficients ``coeffs`` (shape ``(m, 4)``) at momenta ``k``, evolved by ``t``."""
+    """Pauli coefficients ``coeffs`` (shape ``(m, 4)``) at momenta ``k``, evolved by a finite ``t``."""
+    if not math.isfinite(t):
+        raise ValidationError(f"time must be finite, got {t!r}")
     out = np.empty_like(coeffs)
     out[:, 0] = coeffs[:, 0]
     out[:, 1:] = np.einsum("mij,mj->mi", pauli_flow(k, t, coin), coeffs[:, 1:])
@@ -222,8 +224,6 @@ def heisenberg_evolve(obs: DirectIntegralObservable, t: float, coin: Coin) -> Di
     grid and none is shared with ``obs``.  A NaN or infinite ``t`` raises
     :class:`ValidationError`.
     """
-    if not math.isfinite(t):
-        raise ValidationError(f"time must be finite, got {t!r}")
     grid = obs.grid
     evolved = (
         _evolve_coefficients(grid.nodes_in(block), t, obs.coefficients[block], coin)
@@ -296,7 +296,8 @@ def positivity_check(grid: MomentumGrid, t: float, coin: Coin, fibres) -> dict:
     part of 1e-12 or more: the fibres must be Hermitian.  They count as
     positive when all eigenvalues are >= -1e-12, and the evolved fibres must
     stay above -1e-10.  Each block is evolved as
-    :func:`heisenberg_evolve` evolves it (the same bits), diagonalised and dropped.
+    :func:`heisenberg_evolve` evolves it (the same bits, and the same
+    :class:`ValidationError` for a NaN or infinite ``t``), diagonalised and dropped.
 
     Returns a report dict: the node indices (int64), the min-eigenvalue arrays
     before and after (float64), their worst values and the overall verdict.

@@ -31,6 +31,7 @@ from .core import (
     DomainError,
     ValidationError,
     WaveFunction,
+    _whole,
     position_distribution,
     require_normalized,
     site_weight,
@@ -77,9 +78,10 @@ class WalkRun:
     n: int
 
     def __post_init__(self) -> None:
-        if int(self.n) < 0:
+        n = _whole(self.n, "step count")
+        if n < 0:
             raise ValidationError(f"step count must be nonnegative, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", n)
         require_normalized(self.psi0, "initial state")
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coinwalk import WaveFunction, cli, hadamard_switched, random_coin
+from coinwalk import WaveFunction, _csvtext, hadamard_switched, random_coin
 from coinwalk.verify import run_verification
 
 
@@ -28,5 +28,5 @@ def seeded_coins(count, seed=0):
 
 
 def written_json(value):
-    """The whole text ``cli._write_json`` writes for ``value``, less its final newline."""
-    return "".join(cli._json_chunks(value))
+    """The whole text ``_csvtext.write_json`` writes for ``value``, less its final newline."""
+    return "".join(_csvtext._json_chunks(value))

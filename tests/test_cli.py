@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import coinwalk.cli as cli
 import coinwalk.core as core
-from coinwalk import MomentumGrid, ValidationError, continuous, limitlaw, semigroup, spectral, walk
+from coinwalk import MomentumGrid, ValidationError, _csvtext, continuous, limitlaw, semigroup, spectral, walk
 from coinwalk.core import CoinWalkError, position_distribution
 from coinwalk.cli import PRESETS, main, parse_config, serialize_config
 from coinwalk.verify import CHECKS, _coin_with_l2
@@ -331,7 +331,7 @@ def test_json_arrays_stream_as_their_lists(tmp_path, monkeypatch, chunk):
         payload["nested"][f"ints_{n}"] = np.resize(np.array(ARRAY_INTS, dtype=np.int64), n)
     text = written_json(payload)
     assert text == json.dumps(_as_lists(payload), indent=2, sort_keys=True)
-    cli._write_json(tmp_path / "out.json", payload)
+    _csvtext.write_json(tmp_path / "out.json", payload)
     assert (tmp_path / "out.json").read_bytes().decode("utf-8") == text + "\n"
 
 
@@ -366,7 +366,7 @@ def test_json_files_are_stdlib_indent_2(tmp_path, monkeypatch, capsys, run):
 
 
 def reference_table(header, blocks):
-    """The per-row ``str.format`` rendering ``_write_table`` must reproduce."""
+    """The per-row ``str.format`` rendering ``_csvtext.write_table`` must reproduce."""
     lines = [header + "\n"]
     for columns in blocks:
         row = (",".join("{}" if c.dtype.kind == "i" else "{:.17g}" for c in columns) + "\n").format
@@ -406,7 +406,7 @@ def test_write_table_matches_per_row_format(tmp_path):
     chunk = core.BLOCK
     blocks = [edge_block(rng, n) for n in (0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3)]
     path = tmp_path / "t.csv"
-    cli._write_table(path, "i,f,b", blocks)
+    _csvtext.write_table(path, "i,f,b", blocks)
     assert_same_lines(path.read_text(encoding="utf-8"), reference_table("i,f,b", blocks))
 
 
@@ -414,9 +414,9 @@ def test_write_table_matches_per_row_format(tmp_path):
 def test_writers_refuse_non_finite_values(tmp_path, bad):
     floats = np.array([0.5, bad, 2.0])
     with pytest.raises(CoinWalkError, match="NaN or an infinity"):
-        cli._write_table(tmp_path / "t.csv", "i,f", [(np.arange(3), floats)])
+        _csvtext.write_table(tmp_path / "t.csv", "i,f", [(np.arange(3), floats)])
     with pytest.raises(CoinWalkError, match="NaN or an infinity"):
-        cli._write_json(tmp_path / "t.json", {"ok": 1.5, "values": floats})
+        _csvtext.write_json(tmp_path / "t.json", {"ok": 1.5, "values": floats})
     # a scalar still goes through json.dumps, which writes NaN and Infinity
     assert written_json({"residual": bad}) == json.dumps({"residual": bad}, indent=2)
 
@@ -428,22 +428,32 @@ def test_writers_refuse_non_finite_values(tmp_path, bad):
         np.array([True, False, True]),
         np.array([0, 1, 2**64 - 1], dtype=np.uint64),
         np.zeros((3, 2)),
+        np.zeros(0, complex),
+        np.zeros(0, bool),
+        np.zeros(0, np.uint64),
+        np.zeros((0, 3)),
     ],
-    ids=["complex", "bool", "uint64", "2-D"],
+    ids=["complex", "bool", "uint64", "2-D", "empty complex", "empty bool", "empty uint64", "empty 2-D"],
 )
 def test_writers_take_only_1d_int64_and_float64(tmp_path, array):
-    # nothing is converted: a complex column would lose its imaginary part
+    # nothing is converted: a complex column would lose its imaginary part;
+    # an empty array meets the same rule
     with pytest.raises(TypeError, match="1-D int64 or float64"):
-        cli._write_table(tmp_path / "t.csv", "i,v", [(np.arange(3), array)])
+        _csvtext.write_table(tmp_path / "t.csv", "i,v", [(np.arange(len(array)), array)])
     with pytest.raises(TypeError, match="1-D int64 or float64"):
-        cli._write_json(tmp_path / "t.json", {"values": array})
+        _csvtext.write_json(tmp_path / "t.json", {"values": array})
+
+
+def test_empty_columns_write_a_bare_header(tmp_path):
+    _csvtext.write_table(tmp_path / "t.csv", "i,f", [(np.arange(0), np.zeros(0))])
+    assert (tmp_path / "t.csv").read_bytes() == b"i,f\n"
 
 
 def test_table_blocks_keep_their_dtypes(tmp_path):
     # short blocks are gathered into one chunk, which must not cast an int64 column to float64
     blocks = [(np.arange(2), np.arange(2)), (np.arange(2), np.zeros(2))]
     with pytest.raises(TypeError):
-        cli._write_table(tmp_path / "t.csv", "x,p", blocks)
+        _csvtext.write_table(tmp_path / "t.csv", "x,p", blocks)
 
 
 def test_write_table_streams_many_small_blocks(tmp_path):
@@ -454,7 +464,7 @@ def test_write_table_streams_many_small_blocks(tmp_path):
         (np.full(w, i), np.arange(-i, -i + w), rng.random(w)) for i, w in enumerate(widths)
     ]
     path = tmp_path / "t.csv"
-    cli._write_table(path, "n,x,p", iter(blocks))
+    _csvtext.write_table(path, "n,x,p", iter(blocks))
     assert_same_lines(path.read_text(encoding="utf-8"), reference_table("n,x,p", blocks))
 
 

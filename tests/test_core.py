@@ -16,6 +16,7 @@ from coinwalk import (
     Coin,
     MomentumGrid,
     ValidationError,
+    WalkRun,
     WaveFunction,
     evolve_continuous,
     fourier_evolve,
@@ -33,7 +34,7 @@ from coinwalk import (
     weak_limit_law,
 )
 from coinwalk.core import GRID_MARGIN, SQRT_2PI
-from coinwalk.semigroup import DirectIntegralObservable
+from coinwalk.semigroup import DirectIntegralObservable, random_psd_fibres
 
 from conftest import seeded_coins
 
@@ -163,6 +164,14 @@ NON_FINITE_ENTRIES = {
         DirectIntegralObservable.constant(MomentumGrid(8), np.diag([1.0, -1.0])), x, coin
     ),
     "Coin": lambda x, coin, psi: Coin(x, 0.0, 0.0, 1.0),
+    "MomentumGrid": lambda x, coin, psi: MomentumGrid(x),
+    "MomentumGrid.for_walk": lambda x, coin, psi: MomentumGrid.for_walk(psi, x),
+    "WaveFunction x_min": lambda x, coin, psi: WaveFunction(x, [[1.0, 0.0]]),
+    "WaveFunction.qubit": lambda x, coin, psi: WaveFunction.qubit(x, 0.0),
+    "WalkRun": lambda x, coin, psi: WalkRun(coin, psi, x),
+    "positivity_check": lambda x, coin, psi: positivity_check(
+        MomentumGrid(8), x, coin, random_psd_fibres(MomentumGrid(8), np.random.default_rng(0))
+    ),
 }
 
 
@@ -174,9 +183,10 @@ def test_non_finite_times_and_coins_raise_validation_error(hadamard, origin_righ
 
 
 def test_normalization_gate_refuses_a_nan_state(hadamard):
+    # a state cannot hold a NaN; one whose norm overflows to inf stands in
     for route in (weak_limit_law, lambda coin, psi0: evolve_continuous(psi0, 1.0, coin)):
         with pytest.raises(ValidationError, match="normalised"):
-            route(hadamard, WaveFunction.qubit(math.nan, 0.0))
+            route(hadamard, WaveFunction.qubit(1e200, 0.0))
 
 
 def test_from_sites_fills_gaps():

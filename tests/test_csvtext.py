@@ -15,7 +15,7 @@ from coinwalk.core import CoinWalkError
 def rendered_fields(values, dtype):
     """Each value's CSV field text, from one kernel call on an int64 or float64 column.
 
-    The kernels format non-finite values too; ``render`` refuses them (see
+    The kernels format non-finite values too; the writers refuse them (see
     ``test_writers_refuse_non_finite_floats``).
     """
     values = np.array(values, dtype=dtype)
@@ -98,13 +98,13 @@ def test_int64_values_match_percent_format(values):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("at", [0, 5, 2047])
-def test_writers_refuse_non_finite_floats(bad, at):
+def test_writers_refuse_non_finite_floats(tmp_path, bad, at):
     values = np.linspace(-1.0, 1.0, 2048)
     values[at] = bad
     with pytest.raises(CoinWalkError, match="NaN or an infinity"):
-        _csvtext.render([np.arange(2048), values])
+        _csvtext.write_table(tmp_path / "t.csv", "i,f", [(np.arange(2048), values)])
     with pytest.raises(CoinWalkError, match="NaN or an infinity"):
-        _csvtext.json_items(values, b",")
+        _csvtext.write_json(tmp_path / "t.json", {"values": values})
 
 
 def json_sweep():
@@ -158,4 +158,4 @@ def test_json_float_bit_patterns_match_stdlib(patterns):
         assert json_fields(xs) == stdlib_json(xs.tolist())
     else:
         with pytest.raises(CoinWalkError):
-            json_fields(xs)
+            "".join(_csvtext._json_chunks(xs))

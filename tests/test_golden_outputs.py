@@ -5,10 +5,11 @@ write and for the full ``verify`` report at seed 0 (``verify_full``, written
 from the session's ``full_verify`` results rather than a second run), its
 SHA-256, its size and a digest of each line (of each run of ``chunk`` lines
 in files longer than ``MAX_LINE_DIGESTS`` lines), plus the Python and numpy
-versions it was recorded with.  The test regenerates the files through
-``cli.main`` and, for a changed file, names the first line (or
-run of ``chunk`` lines) whose digest differs and quotes its current text.  A
-digest changes only on purpose: rerecord with
+versions it was recorded with and ``simd``, a digest of four ufuncs whose
+float64 kernels numpy picks by CPU feature (``_dispatch_fingerprint``).  The
+test regenerates the files through ``cli.main`` and, for a changed file,
+names the first line (or run of ``chunk`` lines) whose digest differs and
+quotes its current text.  A digest changes only on purpose: rerecord with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 
@@ -88,8 +89,37 @@ def write_outputs(root: Path, full_verify: list) -> dict[str, bytes]:
     return outputs
 
 
+def _dispatch_fingerprint() -> str:
+    """A short SHA-256 of ``arcsin``, ``exp``, ``arctan2`` and ``log`` over one fixed vector.
+
+    numpy's AVX-512 kernels and the libm calls of its AVX2 path round these
+    differently, and the bundled outputs with them.
+    """
+    x = np.linspace(0.001, 0.999, 4096)
+    values = (np.arcsin(x), np.exp(x), np.arctan2(x, 1.0 - x), np.log(x))
+    return hashlib.sha256(b"".join(v.tobytes() for v in values)).hexdigest()[:16]
+
+
 def _environment() -> dict:
-    return {"machine": platform.machine(), "numpy": np.__version__, "python": platform.python_version()}
+    return {
+        "machine": platform.machine(),
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "simd": _dispatch_fingerprint(),
+    }
+
+
+def _changes_message(recorded: dict, problems: list[str]) -> str:
+    """The failure text for changed outputs; a different numpy SIMD path is named first."""
+    running = _environment()
+    head = f"output bytes changed (recorded with {recorded}, running {running})"
+    if recorded["simd"] != running["simd"]:
+        head = (
+            f"numpy rounds arcsin/exp/arctan2/log differently here (dispatch fingerprint "
+            f"{recorded['simd']} recorded, {running['simd']} running): it takes another SIMD "
+            f"path, which can change the bundled outputs with no code change; {head}"
+        )
+    return head + ":\n" + "\n".join(problems)
 
 
 def _first_difference(name: str, expected: dict, data: bytes) -> str:
@@ -125,6 +155,14 @@ def test_first_difference_quotes_the_changed_line():
     assert "'999,998001'" in message and "'1001,1002001'" in message
 
 
+def test_changes_message_names_another_simd_path_first():
+    problems = ["density_fig3.1/density.csv: first difference at line 2"]
+    assert "SIMD" not in _changes_message(_environment(), problems)
+    message = _changes_message({**_environment(), "simd": "0" * 16}, problems)
+    assert message.startswith("numpy rounds arcsin/exp/arctan2/log differently here")
+    assert message.index("SIMD path") < message.index("density_fig3.1/density.csv")
+
+
 def test_bundled_runs_keep_their_bytes(tmp_path, full_verify):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     outputs = write_outputs(tmp_path, full_verify)
@@ -134,10 +172,7 @@ def test_bundled_runs_keep_their_bytes(tmp_path, full_verify):
         data = outputs.get(name)
         if data is not None and hashlib.sha256(data).hexdigest() != expected["sha256"]:
             problems.append(_first_difference(name, expected, data))
-    assert not problems, (
-        f"output bytes changed (recorded with {golden['environment']}, running {_environment()}):\n"
-        + "\n".join(problems)
-    )
+    assert not problems, _changes_message(golden["environment"], problems)
 
 
 if __name__ == "__main__":

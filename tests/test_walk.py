@@ -26,6 +26,7 @@ from coinwalk import (
     step,
     weak_limit_law,
 )
+from coinwalk import _csvtext
 from coinwalk.core import TRIM_TOL, site_weight
 from coinwalk.verify import _coin_with_l2
 from coinwalk.walk import KS_PROBE_POINTS, iter_evolution, sup_norm_difference
@@ -225,7 +226,7 @@ def test_trajectory_csv_equals_step_loop_table(tmp_path):
         (np.full(psi.width, i), psi.sites, position_distribution(psi))
         for i, psi in enumerate(states)
     )
-    cli._write_table(tmp_path / "expected.csv", "n,x,p", blocks)
+    _csvtext.write_table(tmp_path / "expected.csv", "n,x,p", blocks)
     assert (tmp_path / "trajectory.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
