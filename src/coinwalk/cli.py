@@ -20,18 +20,22 @@ config may hold only its mode's fields (plus ``mode`` and ``out``), a preset
 contributes only those, each subcommand offers a flag only for those, and the
 ``config`` echo in the outputs lists only those.
 
-The bytes of every file are ``_csvtext``'s (``write_table``, ``write_json``).
+A command names its files to an ``_Outputs`` recorder (``_csvtext``'s writers)
+in a ``.coinwalk-*`` staging directory inside the output directory; ``main``
+moves them to their names after it returns, and an exception or ^C removes them.
 Exit codes: 0 ok, 1 validation, usage or file error, 2 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
 import os
 import sys
+import tempfile
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -304,11 +308,30 @@ def serialize_config(config: RunConfig) -> dict:
 # --------------------------------------------------------------------------
 
 
-def _resolve_out_dir(config: RunConfig, override: str | None) -> Path:
-    # precedence: --out flag, then the environment override, then the config
-    path = Path(override or os.environ.get(ENV_OUT_DIR) or config.out_dir or "out")
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+class _Outputs:
+    """The files of one run, written into the staging directory ``dir`` and named in write order."""
+
+    def __init__(self, directory: Path) -> None:
+        self.dir = directory
+        self.names: list[str] = []
+
+    def table(self, name: str, header: str, blocks) -> None:
+        _csvtext.write_table(self.dir / name, header, blocks)
+        self.names.append(name)
+
+    def json(self, name: str, payload: dict) -> None:
+        _csvtext.write_json(self.dir / name, payload)
+        self.names.append(name)
+
+    def commit(self, out_dir: Path) -> list[Path]:
+        """Move every file to its name in ``out_dir``; its final paths."""
+        paths = [out_dir / name for name in self.names]
+        blocked = [path for path in paths if path.is_dir()]
+        if blocked:  # os.replace would name the staged file, after moving the earlier ones
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(blocked[0]))
+        for name, path in zip(self.names, paths):
+            os.replace(self.dir / name, path)
+        return paths
 
 
 def _coin_as_rows(coin: Coin) -> list[list[list[float]]]:
@@ -323,11 +346,75 @@ def _coin_as_rows(coin: Coin) -> list[list[list[float]]]:
 # --------------------------------------------------------------------------
 
 
-def cmd_walk(config: RunConfig, out_dir: Path) -> list[Path]:
+# the widest text of a float64, in "%.17g" and in repr alike (24 characters)
+_WIDEST_FLOAT = -2.2250738585072014e-308
+# working memory of a request beside its arrays that grow with the run:
+# per row of a block, and a fixed part
+_BLOCK_ROW_BYTES = 2048
+_FIXED_BYTES = 2**20
+
+
+def _require_room(label: str, disk: int, memory: int, out: _Outputs) -> None:
+    """Raise :class:`CoinWalkError` unless the output disk has ``disk`` bytes free and RAM ``memory``."""
+    stat = os.statvfs(out.dir)
+    free = stat.f_bavail * stat.f_frsize
+    if disk > free:
+        raise CoinWalkError(
+            f"{label}: writing its files needs {disk} bytes, "
+            f"but {str(out.dir.parent)!r} has {free} bytes free"
+        )
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if memory > physical:
+        raise CoinWalkError(
+            f"{label}: holding its arrays needs {memory} bytes, "
+            f"more than the {physical} bytes of physical memory"
+        )
+
+
+def _walk_manifest(config: RunConfig, coin: Coin, norm: float, support: list, files: list) -> dict:
+    return {
+        "mode": "walk",
+        "coin": _coin_as_rows(coin),
+        "steps": config.steps,
+        "norm": norm,
+        "support": support,
+        "files": files,
+        "config": serialize_config(config),
+    }
+
+
+def _walk_needs(config: RunConfig, coin: Coin, psi0: WaveFunction) -> tuple[int, int]:
+    """Upper bounds on the bytes of a ``walk`` request's files and on its memory.
+
+    The state after ``i`` steps spans at most ``W + 2i`` sites, ``W`` being
+    ``psi0``'s width.  So the distribution has at most ``W + 2n`` rows and
+    the trajectory ``(n + 1)(W + n)``.  A row holds the step's digits, a
+    site no wider than the farthest reachable one, with its sign, and a
+    float of at most 24 characters, each with its separator.  The manifest is written with the widest norm and
+    support.  The memory is eight arrays of 2·16 bytes a site over
+    ``W + 2n`` sites, the working arrays of one block and a fixed part.
+    The eight are the step loop's three, ``psi0``, the state written, and
+    three for its columns and their temporaries.  Measured peaks are 132
+    bytes a site without ``--trajectory`` and 224 with it.
+    """
+    n, size = config.steps, psi0.width + 2 * config.steps
+    rows = (n + 1) * (psi0.width + n)  # the trajectory's; the distribution has fewer
+    far = -max(abs(psi0.x_min - n), abs(psi0.x_max + n))
+    row = len(str(far)) + 1 + len(repr(_WIDEST_FLOAT)) + 1
+    files = {}
+    if config.trajectory:
+        files["trajectory.csv"] = len("n,x,p\n") + rows * (len(str(n)) + 1 + row)
+    files[f"distribution_n{n}.csv"] = len("x,p\n") + size * row
+    manifest = _walk_manifest(config, coin, _WIDEST_FLOAT, [far, far], list(files))
+    disk = sum(files.values()) + len(json.dumps(manifest, indent=2, sort_keys=True)) + 1
+    return disk, 8 * 32 * size + _BLOCK_ROW_BYTES * min(rows, core.BLOCK) + _FIXED_BYTES
+
+
+def cmd_walk(config: RunConfig, out: _Outputs) -> int:
     coin = config.coin()
     psi0 = config.initial_state()
     run = walk.WalkRun(coin, psi0, config.steps)
-    written = []
+    _require_room(f"walk of {config.steps} steps", *_walk_needs(config, coin, psi0), out)
     if config.trajectory:
         final = psi0
 
@@ -337,58 +424,37 @@ def cmd_walk(config: RunConfig, out_dir: Path) -> list[Path]:
                 final = psi
                 yield np.full(psi.width, i), psi.sites, position_distribution(psi)
 
-        trajectory_path = out_dir / "trajectory.csv"
-        _csvtext.write_table(trajectory_path, "n,x,p", blocks())
-        written.append(trajectory_path)
+        out.table("trajectory.csv", "n,x,p", blocks())
     else:
         final = walk.evolve(run)
-    dist_path = out_dir / f"distribution_n{config.steps}.csv"
-    _csvtext.write_table(dist_path, "x,p", [(final.sites, position_distribution(final))])
-    written.append(dist_path)
-    manifest = out_dir / "manifest.json"
-    _csvtext.write_json(
-        manifest,
-        {
-            "mode": "walk",
-            "coin": _coin_as_rows(coin),
-            "steps": config.steps,
-            "norm": final.norm(),
-            "support": [final.x_min, final.x_max],
-            "files": [p.name for p in written],
-            "config": serialize_config(config),
-        },
-    )
-    written.append(manifest)
-    return written
+    out.table(f"distribution_n{config.steps}.csv", "x,p", [(final.sites, position_distribution(final))])
+    support = [final.x_min, final.x_max]
+    out.json("manifest.json", _walk_manifest(config, coin, final.norm(), support, list(out.names)))
+    return 0
 
 
-def cmd_cwalk(config: RunConfig, out_dir: Path) -> list[Path]:
+def cmd_cwalk(config: RunConfig, out: _Outputs) -> int:
     coin = config.coin()
     psi0 = config.initial_state()
-    written = []
     norms = {}
     for t, psi in continuous.snapshots(psi0, coin, config.times):
-        path = out_dir / f"snapshot_t{t:g}.csv"
-        _csvtext.write_table(path, "x,p", [(psi.sites, position_distribution(psi))])
-        written.append(path)
+        out.table(f"snapshot_t{t:g}.csv", "x,p", [(psi.sites, position_distribution(psi))])
         norms[f"{t:g}"] = psi.norm()
-    manifest = out_dir / "manifest.json"
-    _csvtext.write_json(
-        manifest,
+    out.json(
+        "manifest.json",
         {
             "mode": "cwalk",
             "coin": _coin_as_rows(coin),
             "times": list(config.times),
             "norms": norms,
-            "files": [p.name for p in written],
+            "files": list(out.names),
             "config": serialize_config(config),
         },
     )
-    written.append(manifest)
-    return written
+    return 0
 
 
-def cmd_density(config: RunConfig, out_dir: Path) -> list[Path]:
+def cmd_density(config: RunConfig, out: _Outputs) -> int:
     coin = config.coin()
     psi0 = config.initial_state()
     law = limitlaw.weak_limit_law(coin, psi0)
@@ -399,15 +465,12 @@ def cmd_density(config: RunConfig, out_dir: Path) -> list[Path]:
             f"{limitlaw.MASS_TOL:g}; the quadrature cannot resolve this coin"
         )
     kind = "density" if isinstance(law, limitlaw.LimitLaw) else "point_mass"
-    written = []
     meta: dict = {"kind": kind, "config": serialize_config(config)}
     if kind == "density":
         lo, hi = law.support()
         ys = np.linspace(lo, hi, config.y_points + 2)[1:-1]
         rho = law.pdf(ys)
-        path = out_dir / "density.csv"
-        _csvtext.write_table(path, "y,rho", [(ys, rho)])
-        written.append(path)
+        out.table("density.csv", "y,rho", [(ys, rho)])
         meta.update(
             {
                 "support": [lo, hi],
@@ -426,19 +489,11 @@ def cmd_density(config: RunConfig, out_dir: Path) -> list[Path]:
                 "routing": "degenerate coin: point-mass law emitted instead of a density",
             }
         )
-    law_path = out_dir / "law.json"
-    _csvtext.write_json(law_path, meta)
-    written.append(law_path)
-    return written
+    out.json("law.json", meta)
+    return 0
 
 
 _FLOW_HEADER = "k,gamma,h1,h2,h3,angle"
-# the widest text of a float64, in "%.17g" and in repr alike (24 characters)
-_WIDEST_FLOAT = -2.2250738585072014e-308
-# working memory of a request beside its grid-wide arrays: per row of a
-# block, and a fixed part
-_BLOCK_ROW_BYTES = 2048
-_FIXED_BYTES = 2**20
 
 
 def _semigroup_payload(config: RunConfig, grid: MomentumGrid, positivity: dict, residual: float) -> dict:
@@ -485,29 +540,12 @@ def _semigroup_needs(config: RunConfig, grid: MomentumGrid) -> tuple[int, int, i
     return flow, one + (size - 1) * (report(2) - one), memory
 
 
-def _require_room(config: RunConfig, grid: MomentumGrid, out_dir: Path) -> None:
-    """Raise :class:`CoinWalkError` unless the disk and the memory can hold a ``semigroup`` request."""
-    flow, report, memory = _semigroup_needs(config, grid)
-    disk = os.statvfs(out_dir)
-    free = disk.f_bavail * disk.f_frsize
-    if flow + report > free:
-        raise CoinWalkError(
-            f"semigroup grid {grid.size}: writing the flow table and the report needs "
-            f"{flow + report} bytes, but {str(out_dir)!r} has {free} bytes free"
-        )
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if memory > physical:
-        raise CoinWalkError(
-            f"semigroup grid {grid.size}: holding the report's arrays needs {memory} bytes, "
-            f"more than the {physical} bytes of physical memory"
-        )
-
-
-def cmd_semigroup(config: RunConfig, out_dir: Path) -> list[Path]:
+def cmd_semigroup(config: RunConfig, out: _Outputs) -> int:
     coin = config.coin()
     grid = MomentumGrid(config.grid_size or 256)
     t = config.time
-    _require_room(config, grid, out_dir)
+    flow_bytes, report_bytes, memory = _semigroup_needs(config, grid)
+    _require_room(f"semigroup grid {grid.size}", flow_bytes + report_bytes, memory, out)
 
     def flow_blocks():
         # the dispersion is elementwise: each block has the bits of one whole-grid call
@@ -516,17 +554,16 @@ def cmd_semigroup(config: RunConfig, out_dir: Path) -> list[Path]:
             g, h = spectral.dispersion(k, coin)
             yield k, g, *h.T, 2.0 * g * t
 
-    flow_path = out_dir / f"flow_t{t:g}.csv"
     failed = []
 
     def write_flow():
         try:
-            _csvtext.write_table(flow_path, _FLOW_HEADER, flow_blocks())
+            out.table(f"flow_t{t:g}.csv", _FLOW_HEADER, flow_blocks())
         except BaseException as exc:
             failed.append(exc)
 
     # One worker thread writes the flow table, which takes only ufuncs and
-    # `take`, while this thread checks positivity; the report waits for it.
+    # `take`, while this thread checks positivity; it is joined on every path.
     # Every BLAS/LAPACK call (eigvalsh, matmul) stays on this thread: two
     # such calls at once on two threads ran slower than one after the other.
     worker = threading.Thread(target=write_flow, name="coinwalk-flow-table")
@@ -540,15 +577,13 @@ def cmd_semigroup(config: RunConfig, out_dir: Path) -> list[Path]:
         residual = semigroup.flow_vs_conjugation_residual(k, coeffs, t, coin)
     finally:
         worker.join()
-    # the report is written only beside a complete flow table
     if failed:
         raise failed[0]
-    report_path = out_dir / "semigroup_report.json"
-    _csvtext.write_json(report_path, _semigroup_payload(config, grid, report, residual))
-    return [flow_path, report_path]
+    out.json("semigroup_report.json", _semigroup_payload(config, grid, report, residual))
+    return 0
 
 
-def cmd_verify(config: RunConfig, out_dir: Path) -> tuple[list[Path], bool]:
+def cmd_verify(config: RunConfig, out: _Outputs) -> int:
     # verify builds its figure states from PRESETS, so it imports this module
     from .verify import run_verification
 
@@ -556,17 +591,16 @@ def cmd_verify(config: RunConfig, out_dir: Path) -> tuple[list[Path], bool]:
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.name:<32} residual={r.residual:.3e} tol={r.tolerance:.1e} {r.detail}")
-    report_path, passed = _write_verify_report(out_dir, config.seed, config.quick, results)
+    passed = _write_verify_report(out, config.seed, config.quick, results)
     print(f"{'OK' if passed else 'FAILED'}: {sum(r.passed for r in results)}/{len(results)} checks")
-    return [report_path], passed
+    return 0 if passed else 2
 
 
-def _write_verify_report(out_dir: Path, seed: int, quick: bool, results: list) -> tuple[Path, bool]:
-    """Write ``verify_report.json`` for the check results; returns its path and the verdict."""
+def _write_verify_report(out: _Outputs, seed: int, quick: bool, results: list) -> bool:
+    """Write ``verify_report.json`` for the check results; returns the verdict."""
     passed = all(r.passed for r in results)
-    report_path = out_dir / "verify_report.json"
-    _csvtext.write_json(
-        report_path,
+    out.json(
+        "verify_report.json",
         {
             "mode": "verify",
             "seed": seed,
@@ -575,7 +609,11 @@ def _write_verify_report(out_dir: Path, seed: int, quick: bool, results: list) -
             "checks": [r.to_dict() for r in results],
         },
     )
-    return report_path, passed
+    return passed
+
+
+_COMMANDS = {"walk": cmd_walk, "cwalk": cmd_cwalk, "density": cmd_density,
+             "semigroup": cmd_semigroup, "verify": cmd_verify}
 
 
 # --------------------------------------------------------------------------
@@ -646,22 +684,15 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         config = _load_config(args, args.mode)
-        out_dir = _resolve_out_dir(config, args.out)
-        if args.mode == "walk":
-            files = cmd_walk(config, out_dir)
-        elif args.mode == "cwalk":
-            files = cmd_cwalk(config, out_dir)
-        elif args.mode == "density":
-            files = cmd_density(config, out_dir)
-        elif args.mode == "semigroup":
-            files = cmd_semigroup(config, out_dir)
-        else:
-            files, passed = cmd_verify(config, out_dir)
-            if not passed:
-                return 2
-        for path in files:
+        out_dir = Path(args.out or os.environ.get(ENV_OUT_DIR) or config.out_dir or "out")
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(prefix=".coinwalk-", dir=out_dir) as staging:
+            out = _Outputs(Path(staging))
+            code = _COMMANDS[args.mode](config, out)
+            paths = out.commit(out_dir)
+        for path in paths:
             print(f"wrote {path}")
-        return 0
+        return code
     except CoinWalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

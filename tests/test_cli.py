@@ -1,7 +1,10 @@
 """Config parsing, data export, determinism, and exit codes."""
 
+import errno
+import itertools
 import json
 import math
+import os
 import re
 import threading
 import time
@@ -28,6 +31,11 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
     return header, rows
+
+
+def contents(directory):
+    """Each entry of ``directory`` by name: a file's bytes, or None for anything else."""
+    return {p.name: p.read_bytes() if p.is_file() else None for p in Path(directory).iterdir()}
 
 
 # --------------------------------------------------------------------------
@@ -594,8 +602,7 @@ def test_density_refuses_a_law_with_a_mass_defect(tmp_path, capsys):
     )
     assert main(["density", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert "mass defect" in capsys.readouterr().err
-    assert not (tmp_path / "o" / "law.json").exists()
-    assert not (tmp_path / "o" / "density.csv").exists()
+    assert contents(tmp_path / "o") == {}
 
 
 def test_density_refuses_a_nan_mass(tmp_path, monkeypatch, capsys):
@@ -603,7 +610,7 @@ def test_density_refuses_a_nan_mass(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(limitlaw.LimitLaw, "mass", lambda self: math.nan)
     assert main(["density", "--preset", "fig3.2", "--out", str(tmp_path / "o")]) == 1
     assert "mass defect" in capsys.readouterr().err
-    assert list((tmp_path / "o").iterdir()) == []
+    assert contents(tmp_path / "o") == {}
 
 
 def test_semigroup_outputs(tmp_path):
@@ -670,19 +677,22 @@ def test_a_flow_table_error_reaches_main(tmp_path, monkeypatch, capsys):
     assert main(["semigroup", "--grid", "4096", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: an output array holds NaN or an infinity")
     assert threading.active_count() == threads
-    # the report is written only beside a complete flow table
-    assert not (tmp_path / "semigroup_report.json").exists()
+    assert contents(tmp_path) == {}
 
 
 def test_a_main_thread_error_waits_for_the_flow_table(tmp_path, monkeypatch, capsys):
-    # positivity_check fails while the worker has the whole table still to write
+    # positivity_check fails while the worker has the whole table still to
+    # write; the worker reaches each of its 4 blocks with the staged table in
+    # place, before main removes it and returns
     threads = threading.active_count()
     failed = threading.Event()
     dispersion = spectral.dispersion
+    staged = []
 
     def late(k, coin):
         assert failed.wait(10.0)
         time.sleep(0.002)
+        staged.append(len(list(tmp_path.glob(".coinwalk-*/flow_t1.csv"))))
         return dispersion(k, coin)
 
     def positivity_check(*args):
@@ -694,8 +704,8 @@ def test_a_main_thread_error_waits_for_the_flow_table(tmp_path, monkeypatch, cap
     assert main(["semigroup", "--grid", "8192", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == "error: positivity check failed\n"
     assert threading.active_count() == threads
-    assert len((tmp_path / "flow_t1.csv").read_bytes().splitlines()) == 8193
-    assert not (tmp_path / "semigroup_report.json").exists()
+    assert staged == [1, 1, 1, 1]
+    assert contents(tmp_path) == {}
 
 
 @pytest.mark.parametrize("grid", [1, 2047, 65536])
@@ -715,11 +725,16 @@ def test_semigroup_predictions_bound_the_request(tmp_path, capsys, grid):
     assert memory >= peak
 
 
+def a_roomy_disk(path):
+    """What ``os.statvfs`` reads for a disk with 2**62 bytes free."""
+    return type("Disk", (), {"f_bavail": 2**62, "f_frsize": 1})
+
+
 @pytest.mark.parametrize("room", ["disk", "memory"])
 def test_semigroup_refuses_outputs_it_cannot_hold(tmp_path, monkeypatch, capsys, room):
     # a grid of 10**12 would write ~1.5e14 bytes and hold 2.4e13 in its arrays
     if room == "memory":
-        monkeypatch.setattr(cli.os, "statvfs", lambda path: type("Disk", (), {"f_bavail": 2**62, "f_frsize": 1}))
+        monkeypatch.setattr(cli.os, "statvfs", a_roomy_disk)
     out = tmp_path / "o"
     tracemalloc.start()
     try:
@@ -731,6 +746,61 @@ def test_semigroup_refuses_outputs_it_cannot_hold(tmp_path, monkeypatch, capsys,
     assert re.match(r"error: semigroup grid 1000000000000: .* needs \d+ bytes", err), err
     assert ("physical memory" in err) == (room == "memory")
     assert list(out.iterdir()) == []
+    assert peak < 1e6, peak
+
+
+WALK_INITIAL = {
+    "fig3.1": PRESETS["fig3.1"]["initial"],
+    "fig3.3": PRESETS["fig3.3"]["initial"],
+    # psi0 spans 100001 sites, so the arrays a site needs, not the fixed
+    # part, set the peak (three light-cone buffers alone fall short)
+    "wide": {"sites": [[-50000, [0.6, 0.0], [0.0, 0.0]], [50000, [0.0, 0.0], [0.0, 0.8]]]},
+}
+
+
+@pytest.mark.parametrize(
+    "initial, steps, trajectory",
+    [
+        *itertools.product(("fig3.1", "fig3.3"), (0, 1, 300), (False, True)),
+        *itertools.product(("wide",), (3,), (False, True)),
+    ],
+)
+def test_walk_predictions_bound_the_request(tmp_path, capsys, initial, steps, trajectory):
+    data = {"mode": "walk", "initial": WALK_INITIAL[initial], "steps": steps, "trajectory": trajectory}
+    config = parse_config(data)
+    disk, memory = cli._walk_needs(config, config.coin(), config.initial_state())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    argv = ["walk", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    assert main(argv) == 0  # the first request of a process also fills caches
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert disk >= sum(map(len, contents(tmp_path / "o").values()))
+    assert memory >= peak
+
+
+@pytest.mark.parametrize("room", ["disk", "memory"])
+def test_walk_refuses_outputs_it_cannot_hold(tmp_path, monkeypatch, capsys, room):
+    # 10**12 steps: the trajectory would write ~5e25 bytes, and either request
+    # would hold ~5e14 in its arrays
+    flags = ["--trajectory"] if room == "disk" else []
+    if room == "memory":
+        monkeypatch.setattr(cli.os, "statvfs", a_roomy_disk)
+    out = tmp_path / "o"
+    tracemalloc.start()
+    try:
+        assert main(["walk", "--preset", "fig3.1", "--steps", str(10**12), *flags, "--out", str(out)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert re.match(r"error: walk of 1000000000000 steps: .* needs \d+ bytes", err), err
+    assert ("physical memory" in err) == (room == "memory")
+    assert contents(out) == {}
     assert peak < 1e6, peak
 
 
@@ -773,6 +843,7 @@ def test_out_of_memory_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(spectral, "dispersion", exhausted)
     assert main(["semigroup", "--grid", "64", "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+    assert contents(tmp_path / "o") == {}
 
 
 @pytest.mark.parametrize("flag", ["--quick", "--bogus"])
@@ -818,6 +889,47 @@ def test_directory_where_a_file_is_due_exits_1(tmp_path, capsys, blocked):
     assert main(["walk", *source, "--steps", "3", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and repr(str(path)) in err
+    assert contents(tmp_path) == {blocked: None}
+
+
+@pytest.fixture
+def previous_run(tmp_path):
+    """A 10-step walk in ``tmp_path``: the argv for a rerun there, and what the directory holds."""
+    argv = ["walk", "--preset", "fig3.1", "--out", str(tmp_path)]
+    assert main([*argv, "--steps", "10"]) == 0
+    return argv, contents(tmp_path)
+
+
+def test_a_rerun_that_fills_the_disk_keeps_the_previous_run(tmp_path, monkeypatch, capsys, previous_run):
+    # written in place, distribution_n20.csv stayed beside a manifest listing distribution_n10.csv
+    argv, before = previous_run
+
+    def full(path, payload):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+    monkeypatch.setattr(_csvtext, "write_json", full)
+    assert main([*argv, "--steps", "20"]) == 1
+    assert "No space left on device" in capsys.readouterr().err
+    assert contents(tmp_path) == before
+
+
+def test_an_interrupted_trajectory_keeps_the_previous_run(tmp_path, monkeypatch, previous_run):
+    argv, before = previous_run
+    iter_evolution = walk.iter_evolution
+
+    def interrupted(run):
+        for i, psi in iter_evolution(run):
+            if i == 50:
+                # by now the staged table holds its first chunk of rows
+                [staged] = tmp_path.glob(".coinwalk-*/trajectory.csv")
+                assert staged.stat().st_size > len("n,x,p\n")
+                raise KeyboardInterrupt
+            yield i, psi
+
+    monkeypatch.setattr(walk, "iter_evolution", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main([*argv, "--steps", "200", "--trajectory"])
+    assert contents(tmp_path) == before
 
 
 def test_env_var_output_dir(tmp_path, monkeypatch):

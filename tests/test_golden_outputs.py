@@ -1,15 +1,20 @@
 """Golden output digests: the bundled runs must keep every byte of their files.
 
-``tests/data/golden_outputs.json`` holds, for every file the runs in ``RUNS``
-write and for the full ``verify`` report at seed 0 (``verify_full``, written
-from the session's ``full_verify`` results rather than a second run), its
-SHA-256, its size and a digest of each line (of each run of ``chunk`` lines
-in files longer than ``MAX_LINE_DIGESTS`` lines), plus the Python and numpy
-versions it was recorded with and ``simd``, a digest of four ufuncs whose
-float64 kernels numpy picks by CPU feature (``_dispatch_fingerprint``).  The
-test regenerates the files through ``cli.main`` and, for a changed file,
-names the first line (or run of ``chunk`` lines) whose digest differs and
-quotes its current text.  A digest changes only on purpose: rerecord with
+``tests/data/golden_outputs.json`` holds one digest set per numpy SIMD path,
+keyed by ``simd``, a digest of four ufuncs whose float64 kernels numpy picks
+by CPU feature (``_dispatch_fingerprint``): numpy's AVX-512 kernels and the
+libm calls of its AVX2 path round them, and the bundled outputs, differently.
+A set holds, for every file the runs in ``RUNS`` write and for the full
+``verify`` report at seed 0 (``verify_full``, written from the session's
+``full_verify`` results rather than a second run), its SHA-256, its size and
+a digest of each line (of each run of ``chunk`` lines in files longer than
+``MAX_LINE_DIGESTS`` lines); its environment record holds the Python and
+numpy versions it was recorded with.  The test regenerates the files through
+``cli.main``, compares them with the set of the running path and, for a
+changed file, names the first line (or run of ``chunk`` lines) whose digest
+differs and quotes its current text.  A path with no set fails with the
+command that records one.  A digest changes only on purpose: rerecord the
+running path's set, leaving the others as they are, with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 
@@ -27,14 +32,16 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from coinwalk.cli import _write_verify_report, main
+from coinwalk.cli import _Outputs, _write_verify_report, main
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_outputs.json"
 MAX_LINE_DIGESTS = 2048
 DIGEST_BYTES = 4
 # lines of a differing chunk quoted in a failure message
 QUOTED_LINES = 8
+RECORD = "PYTHONPATH=src python tests/test_golden_outputs.py"
 
 IDENTITY_COIN = {
     "mode": "density",
@@ -77,9 +84,10 @@ def write_outputs(root: Path, full_verify: list) -> dict[str, bytes]:
     """Run every entry of ``RUNS`` into ``root``, and write the report of the
     full ``verify`` results; the written files by ``run/name``."""
     (root / "identity.json").write_text(json.dumps(IDENTITY_COIN), encoding="utf-8")
-    (root / "verify_full").mkdir()
-    report, _ = _write_verify_report(root / "verify_full", 0, False, full_verify)
-    outputs = {f"verify_full/{report.name}": report.read_bytes()}
+    report = _Outputs(root / "verify_full")
+    report.dir.mkdir()
+    _write_verify_report(report, 0, False, full_verify)
+    outputs = {f"verify_full/{name}": (report.dir / name).read_bytes() for name in report.names}
     for run, argv in RUNS.items():
         argv = [a.format(root=root) for a in argv]
         with contextlib.redirect_stdout(io.StringIO()):
@@ -90,11 +98,7 @@ def write_outputs(root: Path, full_verify: list) -> dict[str, bytes]:
 
 
 def _dispatch_fingerprint() -> str:
-    """A short SHA-256 of ``arcsin``, ``exp``, ``arctan2`` and ``log`` over one fixed vector.
-
-    numpy's AVX-512 kernels and the libm calls of its AVX2 path round these
-    differently, and the bundled outputs with them.
-    """
+    """A short SHA-256 of ``arcsin``, ``exp``, ``arctan2`` and ``log`` over one fixed vector."""
     x = np.linspace(0.001, 0.999, 4096)
     values = (np.arcsin(x), np.exp(x), np.arctan2(x, 1.0 - x), np.log(x))
     return hashlib.sha256(b"".join(v.tobytes() for v in values)).hexdigest()[:16]
@@ -109,17 +113,14 @@ def _environment() -> dict:
     }
 
 
-def _changes_message(recorded: dict, problems: list[str]) -> str:
-    """The failure text for changed outputs; a different numpy SIMD path is named first."""
-    running = _environment()
-    head = f"output bytes changed (recorded with {recorded}, running {running})"
-    if recorded["simd"] != running["simd"]:
-        head = (
-            f"numpy rounds arcsin/exp/arctan2/log differently here (dispatch fingerprint "
-            f"{recorded['simd']} recorded, {running['simd']} running): it takes another SIMD "
-            f"path, which can change the bundled outputs with no code change; {head}"
+def _recorded_set(golden: dict, simd: str) -> tuple[dict, dict]:
+    """The environment record and the file digests of SIMD path ``simd``; fails without them."""
+    if simd not in golden["files"]:
+        pytest.fail(
+            f"no digests for this SIMD path (dispatch fingerprint {simd}; recorded: "
+            f"{', '.join(sorted(golden['files']))}): record them with\n\n    {RECORD}\n"
         )
-    return head + ":\n" + "\n".join(problems)
+    return golden["environment"][simd], golden["files"][simd]
 
 
 def _first_difference(name: str, expected: dict, data: bytes) -> str:
@@ -155,24 +156,29 @@ def test_first_difference_quotes_the_changed_line():
     assert "'999,998001'" in message and "'1001,1002001'" in message
 
 
-def test_changes_message_names_another_simd_path_first():
-    problems = ["density_fig3.1/density.csv: first difference at line 2"]
-    assert "SIMD" not in _changes_message(_environment(), problems)
-    message = _changes_message({**_environment(), "simd": "0" * 16}, problems)
-    assert message.startswith("numpy rounds arcsin/exp/arctan2/log differently here")
-    assert message.index("SIMD path") < message.index("density_fig3.1/density.csv")
+def test_an_unknown_simd_path_asks_for_its_digests():
+    # a path with no set is no code regression: the failure asks for a recording
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    with pytest.raises(pytest.fail.Exception) as failure:
+        _recorded_set(golden, "0" * 16)
+    message = str(failure.value)
+    assert message.startswith("no digests for this SIMD path (dispatch fingerprint 0000000000000000")
+    assert RECORD in message
 
 
 def test_bundled_runs_keep_their_bytes(tmp_path, full_verify):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    recorded, files = _recorded_set(golden, _dispatch_fingerprint())
     outputs = write_outputs(tmp_path, full_verify)
-    problems = [f"{name}: missing" for name in sorted(set(golden["files"]) - set(outputs))]
-    problems += [f"{name}: not in the golden record" for name in sorted(set(outputs) - set(golden["files"]))]
-    for name, expected in golden["files"].items():
+    problems = [f"{name}: missing" for name in sorted(set(files) - set(outputs))]
+    problems += [f"{name}: not in the golden record" for name in sorted(set(outputs) - set(files))]
+    for name, expected in files.items():
         data = outputs.get(name)
         if data is not None and hashlib.sha256(data).hexdigest() != expected["sha256"]:
             problems.append(_first_difference(name, expected, data))
-    assert not problems, _changes_message(golden["environment"], problems)
+    assert not problems, (
+        f"output bytes changed (recorded with {recorded}, running {_environment()}):\n" + "\n".join(problems)
+    )
 
 
 if __name__ == "__main__":
@@ -183,8 +189,10 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         outputs = write_outputs(Path(tmp), run_verification(0, False))
         files = {name: _describe(data) for name, data in outputs.items()}
-    GOLDEN.write_text(
-        json.dumps({"environment": _environment(), "files": files}, indent=1, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    print(f"recorded {len(files)} files in {GOLDEN}", file=sys.stderr)
+    # only the running path's set is added or replaced
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    simd = _dispatch_fingerprint()
+    golden["environment"][simd] = _environment()
+    golden["files"][simd] = files
+    GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"recorded {len(files)} files for SIMD path {simd} in {GOLDEN}", file=sys.stderr)
