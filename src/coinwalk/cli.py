@@ -23,6 +23,8 @@ contributes only those, each subcommand offers a flag only for those, and the
 A command names its files to an ``_Outputs`` recorder (``_csvtext``'s writers)
 in a ``.coinwalk-*`` staging directory inside the output directory; ``main``
 moves them to their names after it returns, and an exception or ^C removes them.
+An error names a file as it would stand in the output directory.  Each command
+runs on the calling thread.
 Exit codes: 0 ok, 1 validation, usage or file error, 2 verification failure.
 """
 
@@ -36,7 +38,6 @@ import math
 import os
 import sys
 import tempfile
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -554,31 +555,13 @@ def cmd_semigroup(config: RunConfig, out: _Outputs) -> int:
             g, h = spectral.dispersion(k, coin)
             yield k, g, *h.T, 2.0 * g * t
 
-    failed = []
-
-    def write_flow():
-        try:
-            out.table(f"flow_t{t:g}.csv", _FLOW_HEADER, flow_blocks())
-        except BaseException as exc:
-            failed.append(exc)
-
-    # One worker thread writes the flow table, which takes only ufuncs and
-    # `take`, while this thread checks positivity; it is joined on every path.
-    # Every BLAS/LAPACK call (eigvalsh, matmul) stays on this thread: two
-    # such calls at once on two threads ran slower than one after the other.
-    worker = threading.Thread(target=write_flow, name="coinwalk-flow-table")
-    worker.start()
-    try:
-        # the random fibres are drawn and used per block, as if drawn whole:
-        # the PSD observable, then the Hermitian one
-        rng = np.random.default_rng(config.seed)
-        report = semigroup.positivity_check(grid, t, coin, semigroup.random_psd_fibres(grid, rng))
-        k, coeffs = semigroup.random_hermitian_sample(grid, rng, max(1, grid.size // 32))
-        residual = semigroup.flow_vs_conjugation_residual(k, coeffs, t, coin)
-    finally:
-        worker.join()
-    if failed:
-        raise failed[0]
+    out.table(f"flow_t{t:g}.csv", _FLOW_HEADER, flow_blocks())
+    # the random fibres are drawn and used per block, as if drawn whole:
+    # the PSD observable, then the Hermitian one
+    rng = np.random.default_rng(config.seed)
+    report = semigroup.positivity_check(grid, t, coin, semigroup.random_psd_fibres(grid, rng))
+    k, coeffs = semigroup.random_hermitian_sample(grid, rng, max(1, grid.size // 32))
+    residual = semigroup.flow_vs_conjugation_residual(k, coeffs, t, coin)
     out.json("semigroup_report.json", _semigroup_payload(config, grid, report, residual))
     return 0
 
@@ -681,6 +664,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    staging = None
     try:
         args = _build_parser().parse_args(argv)
         config = _load_config(args, args.mode)
@@ -697,8 +681,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
-        # a path the run cannot read or write: --config, --out or an output file
-        where = "" if exc.filename is None else f"{exc.filename!r}: "
+        # a path the run cannot read or write: --config, --out or an output file,
+        # which is named in the output directory, as the staging one is gone
+        where = exc.filename
+        if staging is not None and where is not None and Path(where).is_relative_to(staging):
+            where = str(out_dir / Path(where).relative_to(staging))
+        where = "" if where is None else f"{where!r}: "
         print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

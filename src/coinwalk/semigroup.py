@@ -286,6 +286,75 @@ def random_psd_fibres(grid: MomentumGrid, rng: np.random.Generator):
         yield pauli_decompose(B @ np.conj(np.swapaxes(B, 1, 2)))
 
 
+# Where LAPACK's float64 path for a 2x2 matrix is plain (dlamch: eps 2**-53,
+# safmin 2**-1022).  An off-diagonal of magnitude at least 2**-405, dsterf's
+# ssfmin, is above zheevd's rmin 2**-485 and zlarfg's 2**-969; entries of at
+# most 2**484 are below half of zheevd's rmax 2**485 and far below dsterf's
+# ssfmax 2**511 / 3.  Both bounds are inside LAPACK's own, since the rows
+# outside them go to eigvalsh.
+_PLAIN_LOW = 2.0**-405
+_PLAIN_HIGH = 2.0**484
+# four times dsterf's eps**2: one test covers both of its split tests
+_SPLIT = 4 * 2.0**-106
+
+
+def _min_eigenvalues(coeffs: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh(pauli_compose(coeffs)).min(axis=-1)``, bit for bit, per ``(..., 4)`` row.
+
+    numpy's ``eigvalsh`` runs LAPACK's ``zheevd('N', 'L')``; for n = 2 that
+    is ``zhetd2`` (``zlarfg`` with ``dlapy3``, then the 1x1 ``zhemv``,
+    ``zdotc``, ``zaxpy`` and ``zher2`` update of the second diagonal entry),
+    ``dsterf`` (the square of the off-diagonal and its root) and ``dlae2``.
+    These are those float64 operations, in their order, as ufuncs over the
+    rows.  The BLAS steps are those of OpenBLAS, which numpy's wheels bundle:
+    ``zhemv`` reads only the real part of the diagonal, and ``zher2``
+    subtracts ``Re w`` in two updates.  A real off-diagonal, for which
+    ``zlarfg`` sets tau = 0, takes the same path: tau = 2 reflects the 1x1
+    block exactly, so the bits agree.  A row off that path goes to
+    ``eigvalsh`` itself: a non-finite entry, an off-diagonal below
+    ``_PLAIN_LOW`` (a zero one too) or an entry above ``_PLAIN_HIGH``
+    (zheevd's, zlarfg's and dsterf's rescaling), a pair ``dsterf`` could
+    split, or a zero trace.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.complex128)  # as pauli_compose takes them
+    re, im = coeffs.real, coeffs.imag
+    with np.errstate(all="ignore"):
+        # the matrix pauli_compose builds: diagonal d1, d2, lower entry ar + i ai
+        d1 = re[..., 0] + re[..., 3]
+        d2 = re[..., 0] - re[..., 3]
+        ar = re[..., 1] - im[..., 2]
+        ai = im[..., 1] + re[..., 2]
+        # zlarfg: beta = -sign(dlapy3(ar, ai, 0), ar), tau = (beta - ar) / beta - i ai / beta
+        big = np.maximum(np.abs(ar), np.abs(ai))
+        ratio = np.minimum(np.abs(ar), np.abs(ai)) / big
+        beta = np.copysign(big * np.sqrt(1.0 + ratio * ratio), -ar)
+        tr = (beta - ar) / beta
+        ti = ai / beta  # tau's imaginary part, negated; it enters only squared
+        plain = (big >= _PLAIN_LOW) & (np.maximum(np.maximum(np.abs(d1), np.abs(d2)), big) <= _PLAIN_HIGH)
+        # zhemv y = tau d2; zdotc, zaxpy: w = y - (tau / 2) conj(y); zher2 takes Re w twice
+        y = tr * d2
+        w = y - ((0.5 * tr) * y + (0.5 * ti) * (ti * d2))
+        d2 = (d2 - w) - w
+        # dsterf: e**2 and its root; dlae2 on (d1, sqrt(e**2), d2)
+        e2 = beta * beta
+        rte = np.sqrt(e2)
+        sm = d1 + d2
+        plain &= (e2 > np.abs(d1 * d2) * _SPLIT) & (sm != 0)
+        adf = np.abs(d1 - d2)
+        ab = rte + rte
+        top = np.maximum(adf, ab)
+        ratio = np.minimum(adf, ab) / top
+        rt1 = 0.5 * (sm + np.copysign(top * np.sqrt(1.0 + ratio * ratio), sm))
+        # dlae2's acmx is the entry of larger magnitude, d2 on a tie
+        swap = np.abs(d2) < np.abs(d1)
+        rt2 = (np.where(swap, d1, d2) / rt1) * np.where(swap, d2, d1) - (rte / rt1) * rte
+        lowest = np.minimum(rt1, rt2)
+    if not plain.all():
+        other = ~plain
+        lowest[other] = np.linalg.eigvalsh(pauli_compose(coeffs[other])).min(axis=-1)
+    return lowest
+
+
 def positivity_check(grid: MomentumGrid, t: float, coin: Coin, fibres) -> dict:
     """Verify that positive fibres stay positive under the semigroup.
 
@@ -297,7 +366,9 @@ def positivity_check(grid: MomentumGrid, t: float, coin: Coin, fibres) -> dict:
     positive when all eigenvalues are >= -1e-12, and the evolved fibres must
     stay above -1e-10.  Each block is evolved as
     :func:`heisenberg_evolve` evolves it (the same bits, and the same
-    :class:`ValidationError` for a NaN or infinite ``t``), diagonalised and dropped.
+    :class:`ValidationError` for a NaN or infinite ``t``), and dropped once
+    the minimum eigenvalues before and after are taken: LAPACK's 2x2
+    arithmetic as ufuncs, with the bits of ``np.linalg.eigvalsh``.
 
     Returns a report dict: the node indices (int64), the min-eigenvalue arrays
     before and after (float64), their worst values and the overall verdict.
@@ -307,9 +378,8 @@ def positivity_check(grid: MomentumGrid, t: float, coin: Coin, fibres) -> dict:
     for block, coeffs in _filling(grid, fibres):
         if not np.max(np.abs(coeffs.imag)) < 1e-12:
             raise ValidationError("positivity check requires Hermitian fibres")
-        evolved = _evolve_coefficients(grid.nodes_in(block), t, coeffs, coin)
-        matrices = np.stack([pauli_compose(coeffs), pauli_compose(evolved)])
-        before[block], after[block] = np.linalg.eigvalsh(matrices).min(axis=-1)
+        before[block] = _min_eigenvalues(coeffs)
+        after[block] = _min_eigenvalues(_evolve_coefficients(grid.nodes_in(block), t, coeffs, coin))
     input_psd = bool(before.min() >= -1e-12)
     return {
         "nodes": np.arange(grid.size),

@@ -13,8 +13,10 @@ numpy versions it was recorded with.  The test regenerates the files through
 ``cli.main``, compares them with the set of the running path and, for a
 changed file, names the first line (or run of ``chunk`` lines) whose digest
 differs and quotes its current text.  A path with no set fails with the
-command that records one.  A digest changes only on purpose: rerecord the
-running path's set, leaving the others as they are, with
+command that records one.  Sets are recorded for the AVX-512 and the AVX2
+path; on an AVX-512 host a child process checks the AVX2 set as well.  A
+digest changes only on purpose: rerecord the running path's set, leaving the
+others as they are, with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 
@@ -27,7 +29,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import platform
+import subprocess
 import sys
 from pathlib import Path
 
@@ -42,6 +46,9 @@ DIGEST_BYTES = 4
 # lines of a differing chunk quoted in a failure message
 QUOTED_LINES = 8
 RECORD = "PYTHONPATH=src python tests/test_golden_outputs.py"
+# numpy's AVX2 path, where these ufuncs call libm, in a process that sets
+# NPY_DISABLE_CPU_FEATURES to AVX2_PATH[0]; AVX2_PATH[1] is its fingerprint
+AVX2_PATH = ("AVX512_ICL AVX512_SPR X86_V4", "f322d691efd4ead4")
 
 IDENTITY_COIN = {
     "mode": "density",
@@ -179,6 +186,26 @@ def test_bundled_runs_keep_their_bytes(tmp_path, full_verify):
     assert not problems, (
         f"output bytes changed (recorded with {recorded}, running {_environment()}):\n" + "\n".join(problems)
     )
+
+
+def test_bundled_runs_keep_their_bytes_on_the_avx2_path():
+    # the same runs in a child process on numpy's other x86 path, checked
+    # against that path's set; ~4 s on a 2-core Xeon, most of it full verify
+    if _dispatch_fingerprint() == AVX2_PATH[1]:
+        pytest.skip("this process is on numpy's AVX2 path already: test_bundled_runs_keep_their_bytes checks it")
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": AVX2_PATH[0]}
+
+    def child(*argv):
+        return subprocess.run([sys.executable, *argv], cwd=root, env=env, capture_output=True, text=True)
+
+    probe = child("-c", "import sys; sys.path[:0] = ['tests', 'src']; import test_golden_outputs as g; "
+                  "print(g._dispatch_fingerprint())")
+    if probe.stdout.strip() != AVX2_PATH[1]:
+        pytest.skip(f"numpy cannot take its AVX2 path here: {(probe.stdout + probe.stderr).strip()[-300:]}")
+    test = f"{Path(__file__).resolve()}::test_bundled_runs_keep_their_bytes"
+    run = child("-m", "pytest", "-q", "-p", "no:cacheprovider", test)
+    assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-2000:]
 
 
 if __name__ == "__main__":

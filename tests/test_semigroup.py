@@ -21,6 +21,7 @@ from coinwalk import (
     pauli_decompose,
     pauli_flow,
     positivity_check,
+    semigroup,
 )
 from coinwalk.semigroup import (
     DirectIntegralObservable,
@@ -197,6 +198,88 @@ def test_positivity_of_psd_and_projectors(hadamard):
     eigs = np.sort(np.linalg.eigvalsh(evolved.matrices()), axis=1)
     assert np.abs(eigs[:, 0]).max() < 1e-11
     assert np.abs(eigs[:, 1] - 1.0).max() < 1e-11
+
+
+def edge_families(rows, rng):
+    """Pauli coefficient rows by family, built near each way out of LAPACK's plain 2x2 path.
+
+    A real coefficient row ``(c0, c1, c2, c3)`` is the matrix with diagonal
+    ``c0 + c3``, ``c0 - c3`` and lower entry ``c1 + i c2``.
+    """
+
+    def normal(*columns):
+        c = rng.normal(size=(rows, 4))
+        for column, values in columns:
+            c[:, column] = values
+        return c.astype(np.complex128)
+
+    def psd(vectors):
+        B = rng.normal(size=(rows, 2, vectors)) + 1j * rng.normal(size=(rows, 2, vectors))
+        return pauli_decompose(B @ np.conj(np.swapaxes(B, 1, 2)))
+
+    tiny = normal()
+    tiny[:, 1:3] *= 10.0 ** rng.uniform(-19, -14, size=(rows, 1))
+    zero_d2 = normal()
+    zero_d2[:, 3] = zero_d2[:, 0]
+    zero_d2[:, 1:3] *= 10.0 ** rng.uniform(-310, -100, size=(rows, 1))
+    power = normal()
+    power[:, 3] = power[:, 0] - 2.0 ** rng.integers(-3, 4, size=rows)
+    nonfinite = normal()
+    nonfinite[np.arange(rows), rng.integers(0, 4, size=rows)] = rng.choice([np.nan, np.inf, -np.inf], size=rows)
+    return {
+        "scale 1e+150": psd(2) * 1e150,
+        "scale 1e-150": psd(2) * 1e-150,
+        "zero": np.zeros((rows, 4), np.complex128),
+        "real off-diagonal": normal((2, 0.0)),
+        "imaginary off-diagonal": normal((1, 0.0)),
+        "tiny off-diagonal": tiny,
+        "tiny off-diagonal, d2 = 0": zero_d2,
+        "d1 = d2": normal((3, 0.0)),
+        "d1 = -d2": normal((0, 0.0)),
+        "unsigned integer entries": rng.integers(0, 7, size=(rows, 4)).astype(np.uint8),
+        "rank one": psd(1),
+        "d2 near a power of two": power,
+        "non-finite": nonfinite,
+    }
+
+
+def test_min_eigenvalues_are_eigvalsh_bit_for_bit(monkeypatch):
+    # the kernel against LAPACK through numpy on the int64 view; eigvalsh is
+    # counted where the kernel hands rows to it, so each guard is seen to fire
+    eigvalsh = np.linalg.eigvalsh
+    handed = []
+
+    def counted(matrices):
+        handed.append(len(matrices))
+        return eigvalsh(matrices)
+
+    def fallback_rows(coeffs):
+        handed.clear()
+        lowest = semigroup._min_eigenvalues(coeffs)
+        expected = eigvalsh(core.pauli_compose(coeffs)).min(axis=-1)
+        assert lowest.view(np.int64).tolist() == expected.view(np.int64).tolist()
+        return sum(handed)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    grid = MomentumGrid(4096)
+    rng = np.random.default_rng(7)
+    for coin in [hadamard_switched()] + seeded_coins(2, seed=8):
+        for t in (0.01, 1.0, 37.5):
+            for block, coeffs in zip(core.blocks(grid.size), random_psd_fibres(grid, rng)):
+                assert fallback_rows(coeffs) == 0
+                evolved = semigroup._evolve_coefficients(grid.nodes_in(block), t, coeffs, coin)
+                assert fallback_rows(evolved) == 0
+    rows = 4000
+    handed_by_family = {name: fallback_rows(c) for name, c in edge_families(rows, np.random.default_rng(8)).items()}
+    everywhere = {"scale 1e+150", "scale 1e-150", "zero", "non-finite"}
+    nowhere = {"real off-diagonal", "imaginary off-diagonal", "d1 = d2", "rank one", "d2 near a power of two"}
+    for name, count in handed_by_family.items():
+        if name in everywhere:
+            assert count == rows, name
+        elif name in nowhere:
+            assert count == 0, name
+        else:
+            assert 0 < count < rows, (name, count)
 
 
 def test_positivity_check_validation(hadamard):
