@@ -24,18 +24,24 @@ A command names its files to an ``_Outputs`` recorder (``_csvtext``'s writers)
 in a ``.coinwalk-*`` staging directory inside the output directory; ``main``
 moves them to their names after it returns, and an exception or ^C removes them.
 An error names a file as it would stand in the output directory.  Each command
-runs on the calling thread.
+runs on the calling thread, except that ``semigroup`` writes its flow table in
+a forked child process while the parent checks positivity and writes the
+report; the command waits for the child, or kills it on an error, before it
+returns.
 Exit codes: 0 ok, 1 validation, usage or file error, 2 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import functools
 import json
 import math
 import os
+import pickle
+import signal
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -320,6 +326,49 @@ class _Outputs:
         _csvtext.write_table(self.dir / name, header, blocks)
         self.names.append(name)
 
+    @contextlib.contextmanager
+    def table_in_child(self, name: str, header: str, blocks):
+        """Write a table as :meth:`table` does, in a child process forked as the ``with`` body starts.
+
+        The name is recorded in the write order before the fork.  The body
+        runs in this process; the exit waits for the child and raises the
+        exception the child raised, if any.  An exception in the body, ^C
+        included, kills the child and waits for it before it propagates.
+        The child iterates ``blocks`` and leaves by ``os._exit``: it never
+        returns into the caller.
+
+        Forking a process that has threads (Python 3.12 warns about it) is
+        safe here: the child runs only ``blocks`` and ``_csvtext``, which
+        call no BLAS or LAPACK, so it never waits on a lock or a thread of
+        the parent's.  OpenBLAS's own fork handler also stops its worker
+        threads, which its next call in the parent restarts.
+        """
+        self.names.append(name)
+        read, write = os.pipe()
+        with open(read, "rb") as errors:
+            # ^C stays pending until each side is inside its try
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _write_table_and_exit(self.dir / name, header, blocks, write, mask)
+            finally:
+                os.close(write)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            try:
+                yield
+                raised = errors.read()
+            except BaseException:
+                os.kill(pid, signal.SIGKILL)
+                raise
+            finally:
+                status = os.waitpid(pid, 0)[1]
+        if raised:
+            raise pickle.loads(raised)  # written by _write_table_and_exit, never by another program
+        if status:
+            code = os.waitstatus_to_exitcode(status)
+            raise CoinWalkError(f"writing {name}: its process exited with code {code}")
+
     def json(self, name: str, payload: dict) -> None:
         _csvtext.write_json(self.dir / name, payload)
         self.names.append(name)
@@ -333,6 +382,20 @@ class _Outputs:
         for name, path in zip(self.names, paths):
             os.replace(self.dir / name, path)
         return paths
+
+
+def _write_table_and_exit(path: Path, header: str, blocks, errors: int, mask) -> None:
+    """The child of ``_Outputs.table_in_child``: write the table, send an exception pickled down ``errors``, exit."""
+    code = 1  # until the table is whole, whatever interrupts it
+    try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        _csvtext.write_table(path, header, blocks)
+        code = 0
+    except BaseException as exc:
+        with open(errors, "wb") as pipe:
+            pipe.write(pickle.dumps(exc))
+    finally:
+        os._exit(code)
 
 
 def _coin_as_rows(coin: Coin) -> list[list[list[float]]]:
@@ -455,9 +518,36 @@ def cmd_cwalk(config: RunConfig, out: _Outputs) -> int:
     return 0
 
 
+_ROUTING = "degenerate coin: point-mass law emitted instead of a density"
+
+
+def _density_needs(config: RunConfig, psi0: WaveFunction) -> tuple[int, int]:
+    """Upper bounds on the bytes of a ``density`` request's files and on its memory.
+
+    A table row holds two floats of at most 24 characters, each with its
+    separator.  ``law.json`` is written with the widest values, for a density
+    and for two atoms, whichever is longer.  The memory counts each of the
+    ``y_points`` points and each node of the law's quadrature: 16 bytes a
+    site of ``psi0``'s window for the phases of its momentum transform, and
+    512 bytes of working arrays; then a fixed part.  Measured peaks are 369
+    bytes a point at width 1 and 16,397 at width 1001.
+    """
+    rows = config.y_points
+    disk = len("y,rho\n") + rows * 2 * (len(repr(_WIDEST_FLOAT)) + 1)
+    widest = {"support": [_WIDEST_FLOAT] * 2, "beta": _WIDEST_FLOAT, "mass": _WIDEST_FLOAT, "mean": _WIDEST_FLOAT}
+    atoms = {"atoms": [[_WIDEST_FLOAT] * 2] * 2, "routing": _ROUTING}
+    disk += max(
+        len(json.dumps({"kind": "point_mass", "config": serialize_config(config), **fields}, indent=2, sort_keys=True))
+        for fields in (widest, atoms)
+    ) + 1
+    nodes = limitlaw._BASE_PANELS * len(limitlaw._GL_NODES)
+    return disk, (rows + nodes) * (16 * psi0.width + 512) + _FIXED_BYTES
+
+
 def cmd_density(config: RunConfig, out: _Outputs) -> int:
     coin = config.coin()
     psi0 = config.initial_state()
+    _require_room(f"density of {config.y_points} points", *_density_needs(config, psi0), out)
     law = limitlaw.weak_limit_law(coin, psi0)
     mass = law.mass()
     if not abs(mass - 1.0) <= limitlaw.MASS_TOL:
@@ -487,7 +577,7 @@ def cmd_density(config: RunConfig, out: _Outputs) -> int:
                     [float(a), float(w)]
                     for a, w in zip(law.atoms, law.weights)
                 ],
-                "routing": "degenerate coin: point-mass law emitted instead of a density",
+                "routing": _ROUTING,
             }
         )
     out.json("law.json", meta)
@@ -516,7 +606,8 @@ def _semigroup_needs(config: RunConfig, grid: MomentumGrid) -> tuple[int, int, i
     separator.  The report is written with one and with two of the widest
     items in each array; every further item adds at most their difference.
     The memory is the report's three grid-wide arrays, 8 bytes an item, the
-    working arrays of one block and a fixed part.
+    working arrays of one block in each of the two processes (the parent's
+    positivity check and the child's flow table) and a fixed part.
     """
     size = grid.size
     flow = len(_FLOW_HEADER) + 1 + size * 6 * (len(repr(_WIDEST_FLOAT)) + 1)
@@ -537,7 +628,7 @@ def _semigroup_needs(config: RunConfig, grid: MomentumGrid) -> tuple[int, int, i
         return len(json.dumps(payload, indent=2, sort_keys=True)) + 1
 
     one = report(1)
-    memory = 24 * size + _BLOCK_ROW_BYTES * min(size, core.BLOCK) + _FIXED_BYTES
+    memory = 24 * size + 2 * _BLOCK_ROW_BYTES * min(size, core.BLOCK) + _FIXED_BYTES
     return flow, one + (size - 1) * (report(2) - one), memory
 
 
@@ -555,14 +646,14 @@ def cmd_semigroup(config: RunConfig, out: _Outputs) -> int:
             g, h = spectral.dispersion(k, coin)
             yield k, g, *h.T, 2.0 * g * t
 
-    out.table(f"flow_t{t:g}.csv", _FLOW_HEADER, flow_blocks())
-    # the random fibres are drawn and used per block, as if drawn whole:
-    # the PSD observable, then the Hermitian one
-    rng = np.random.default_rng(config.seed)
-    report = semigroup.positivity_check(grid, t, coin, semigroup.random_psd_fibres(grid, rng))
-    k, coeffs = semigroup.random_hermitian_sample(grid, rng, max(1, grid.size // 32))
-    residual = semigroup.flow_vs_conjugation_residual(k, coeffs, t, coin)
-    out.json("semigroup_report.json", _semigroup_payload(config, grid, report, residual))
+    with out.table_in_child(f"flow_t{t:g}.csv", _FLOW_HEADER, flow_blocks()):
+        # the random fibres are drawn and used per block, as if drawn whole:
+        # the PSD observable, then the Hermitian one
+        rng = np.random.default_rng(config.seed)
+        report = semigroup.positivity_check(grid, t, coin, semigroup.random_psd_fibres(grid, rng))
+        k, coeffs = semigroup.random_hermitian_sample(grid, rng, max(1, grid.size // 32))
+        residual = semigroup.flow_vs_conjugation_residual(k, coeffs, t, coin)
+        out.json("semigroup_report.json", _semigroup_payload(config, grid, report, residual))
     return 0
 
 

@@ -194,6 +194,11 @@ def pauli_flow(k, t: float, coin: Coin) -> np.ndarray:
     The Rodrigues form of the rotation by ``-2*gamma*t`` about ``h`` (no
     complex intermediates); the eigenbasis route of
     :func:`rotation_via_eigenbasis` agrees to 1e-12 (verify check ``rotation_properties``).
+    ``K @ K`` is a stacked BLAS ``dgemm``, so its bits follow OpenBLAS's
+    runtime core: on 20,000 random axes the elementwise sum
+    ``((0 + a*b) + a*b) + a*b`` matches it under ``OPENBLAS_CORETYPE=Sandybridge``
+    only, while the SkylakeX and Haswell cores agree with each other and fuse
+    the multiply and add.
     """
     g, h = spectral.dispersion(k, coin)
     angle = -2.0 * float(t) * g
@@ -205,9 +210,10 @@ def pauli_flow(k, t: float, coin: Coin) -> np.ndarray:
 
 
 def _evolve_coefficients(k, t: float, coeffs: np.ndarray, coin: Coin) -> np.ndarray:
-    """Pauli coefficients ``coeffs`` (shape ``(m, 4)``) at momenta ``k``, evolved by a finite ``t``."""
+    """Pauli coefficients ``coeffs`` (shape ``(m, 4)``) at momenta ``k``, evolved by a finite ``t``, as complex128."""
     if not math.isfinite(t):
         raise ValidationError(f"time must be finite, got {t!r}")
+    coeffs = np.asarray(coeffs, dtype=np.complex128)  # as _min_eigenvalues takes them
     out = np.empty_like(coeffs)
     out[:, 0] = coeffs[:, 0]
     out[:, 1:] = np.einsum("mij,mj->mi", pauli_flow(k, t, coin), coeffs[:, 1:])

@@ -6,6 +6,10 @@ import json
 import math
 import os
 import re
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -611,13 +615,15 @@ def test_density_refuses_a_nan_mass(tmp_path, monkeypatch, capsys):
     assert contents(tmp_path / "o") == {}
 
 
-def test_semigroup_outputs(tmp_path):
+def test_semigroup_outputs(tmp_path, capsys):
     # coins below DEGENERATE_TOL and diagonal need no eigenvectors either
     for i, coin in enumerate(["hadamard-switched", near_diagonal_coin(9e-9), near_diagonal_coin(0.0)]):
         cfg = tmp_path / f"cfg{i}.json"
         cfg.write_text(json.dumps({"mode": "semigroup", "coin": coin}))
         out = tmp_path / f"o{i}"
         assert main(["semigroup", "--config", str(cfg), "--grid", "32", "--out", str(out)]) == 0
+        # the table, written by the child, is named first
+        assert capsys.readouterr().out == f"wrote {out / 'flow_t1.csv'}\nwrote {out / 'semigroup_report.json'}\n"
         report = json.loads((out / "semigroup_report.json").read_text())
         assert report["positivity"]["passed"]
         assert report["flow_vs_conjugation_max_residual"] < 1e-11
@@ -638,18 +644,44 @@ def test_verify_quick_passes(tmp_path, capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
-def test_semigroup_request_peak_memory(tmp_path, capsys):
-    # the whole request at the benchmark's grid, traced by tracemalloc; it
-    # peaks at 3.2-4.1 MB.  With the report held as lists and written as one
-    # string it peaked at 15.4-16.0 MB, and at 9.0-9.9 MB with the random
-    # observables and the dispersion table built for the whole grid
+def traced_table_writes(monkeypatch, log: Path) -> None:
+    """Make each ``_csvtext.write_table`` call append its own tracemalloc peak to ``log``.
+
+    The peak counts from the call's start, in the process that writes, so
+    for ``semigroup``'s flow table it is the forked child's own; it reads 0
+    when tracemalloc is off.
+    """
+    write_table = _csvtext.write_table
+
+    def traced(path, header, blocks):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write_table(path, header, blocks)
+        with log.open("a") as fh:
+            fh.write(f"{tracemalloc.get_traced_memory()[1] - start}\n")
+
+    monkeypatch.setattr(_csvtext, "write_table", traced)
+
+
+def test_semigroup_request_peak_memory(tmp_path, monkeypatch, capsys):
+    # the whole request at the benchmark's grid, traced by tracemalloc.  The
+    # parent, which checks positivity and writes the report, peaks at 2.3 MB;
+    # with the flow table written in the same process it peaked at 3.2-4.1
+    # MB, with the report held as lists and written as one string at
+    # 15.4-16.0 MB, and at 9.0-9.9 MB with the random observables and the
+    # dispersion table built for the whole grid.  The child that writes the
+    # table adds 1.28-1.29 MB of its own: one block's columns and their text
+    log = tmp_path / "child_peaks"
+    traced_table_writes(monkeypatch, log)
     tracemalloc.start()
     try:
-        assert main(["semigroup", "--grid", "65536", "--seed", "1", "--out", str(tmp_path)]) == 0
+        assert main(["semigroup", "--grid", "65536", "--seed", "1", "--out", str(tmp_path / "o")]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 5e6, peak
+    [child] = map(int, log.read_text().split())
+    assert 0 < child <= 2e6, child
 
 
 def test_a_flow_table_error_reaches_main(tmp_path, monkeypatch, capsys):
@@ -666,27 +698,92 @@ def test_a_flow_table_error_reaches_main(tmp_path, monkeypatch, capsys):
     assert contents(tmp_path) == {}
 
 
-def test_a_main_thread_error_waits_for_the_flow_table(tmp_path, monkeypatch, capsys):
-    # positivity_check fails after the whole flow table is staged: 8192 rows
-    # and the header; main removes the table before it returns
-    staged = []
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def refused(columns):
+    raise CoinWalkError("the table's text failed")
+
+
+def no_space(path, header, blocks):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+
+def killed(columns):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize(
+    "name, replacement, message",
+    [
+        ("render", refused, "the table's text failed"),
+        # the staged path crosses the pipe and is named where it was due
+        ("write_table", no_space, "'{out}/flow_t1.csv': No space left on device"),
+        ("render", killed, "writing flow_t1.csv: its process exited with code -9"),
+    ],
+    ids=["error", "no-space", "killed"],
+)
+def test_an_error_in_the_flow_table_alone_reaches_main(tmp_path, monkeypatch, capsys, name, replacement, message):
+    # only the forked child writes a table, so only it meets the failure;
+    # the parent writes its report, then raises the child's error
+    monkeypatch.setattr(_csvtext, name, replacement)
+    assert main(["semigroup", "--grid", "4096", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {message.format(out=tmp_path)}\n"
+    assert contents(tmp_path) == {}
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "error", [ValidationError("positivity check failed"), KeyboardInterrupt()], ids=["validation", "interrupt"]
+)
+def test_a_parent_error_kills_the_flow_table_writer(tmp_path, monkeypatch, capsys, error):
+    # the child would take a minute over its first chunk; the parent kills
+    # and reaps it before main removes the staging directory
+    def slow(columns):
+        time.sleep(60)
 
     def positivity_check(*args):
-        staged.extend(p.read_bytes().count(b"\n") for p in tmp_path.glob(".coinwalk-*/flow_t1.csv"))
-        raise ValidationError("positivity check failed")
+        raise error
 
+    monkeypatch.setattr(_csvtext, "render", slow)
     monkeypatch.setattr(semigroup, "positivity_check", positivity_check)
-    assert main(["semigroup", "--grid", "8192", "--out", str(tmp_path)]) == 1
-    assert capsys.readouterr().err == "error: positivity check failed\n"
-    assert staged == [8193]
+    start = time.monotonic()
+    if isinstance(error, KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt):
+            main(["semigroup", "--grid", "8192", "--out", str(tmp_path)])
+    else:
+        assert main(["semigroup", "--grid", "8192", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: positivity check failed\n"
+    assert time.monotonic() - start < 30
     assert contents(tmp_path) == {}
+    assert_no_child_left()
+
+
+def test_the_flow_table_child_runs_beside_blas_threads(tmp_path):
+    # a two-thread OpenBLAS runs a worker thread until the parent forks (its
+    # fork handler stops it); the child calls no BLAS, so it finishes and
+    # writes the bytes of a one-thread run
+    root = Path(__file__).resolve().parent.parent
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": threads}
+        argv = ["semigroup", "--grid", "65536", "--seed", "1", "--out", str(tmp_path / threads)]
+        run = subprocess.run(
+            [sys.executable, "-m", "coinwalk.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert run.returncode == 0, run.stderr[-2000:]
+    assert contents(tmp_path / "1") == contents(tmp_path / "2")
 
 
 @pytest.mark.parametrize("grid", [1, 2047, 65536])
-def test_semigroup_predictions_bound_the_request(tmp_path, capsys, grid):
+def test_semigroup_predictions_bound_the_request(tmp_path, monkeypatch, capsys, grid):
+    # the memory counts both processes: the parent's peak and the child's own
     config = parse_config({"mode": "semigroup", "grid": grid, "seed": 3})
     flow, report, memory = cli._semigroup_needs(config, MomentumGrid(grid))
-    argv = ["semigroup", "--grid", str(grid), "--seed", "3", "--out", str(tmp_path)]
+    log = tmp_path / "child_peaks"
+    traced_table_writes(monkeypatch, log)
+    argv = ["semigroup", "--grid", str(grid), "--seed", "3", "--out", str(tmp_path / "o")]
     assert main(argv) == 0  # the first request of a process also fills caches
     tracemalloc.start()
     try:
@@ -694,9 +791,10 @@ def test_semigroup_predictions_bound_the_request(tmp_path, capsys, grid):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert flow >= (tmp_path / "flow_t1.csv").stat().st_size
-    assert report >= (tmp_path / "semigroup_report.json").stat().st_size
-    assert memory >= peak
+    child = int(log.read_text().split()[-1])
+    assert flow >= (tmp_path / "o" / "flow_t1.csv").stat().st_size
+    assert report >= (tmp_path / "o" / "semigroup_report.json").stat().st_size
+    assert 0 < child and memory >= peak + child
 
 
 def a_roomy_disk(path):
@@ -773,6 +871,62 @@ def test_walk_refuses_outputs_it_cannot_hold(tmp_path, monkeypatch, capsys, room
         tracemalloc.stop()
     err = capsys.readouterr().err
     assert re.match(r"error: walk of 1000000000000 steps: .* needs \d+ bytes", err), err
+    assert ("physical memory" in err) == (room == "memory")
+    assert contents(out) == {}
+    assert peak < 1e6, peak
+
+
+DENSITY_INITIAL = {
+    "fig3.2": PRESETS["fig3.2"]["initial"],
+    "fig3.3": PRESETS["fig3.3"]["initial"],
+    # a window of 101 sites: the phases a point needs, not the fixed part, set the peak
+    "wide": {"sites": [[-50, [0.6, 0.0], [0.0, 0.0]], [50, [0.0, 0.0], [0.0, 0.8]]]},
+}
+DIAGONAL_COIN = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+
+@pytest.mark.parametrize(
+    "initial, y_points, coin",
+    [
+        *itertools.product(DENSITY_INITIAL, (3, 4001), ("hadamard-switched",)),
+        ("fig3.3", 201, DIAGONAL_COIN),  # point masses: law.json alone
+    ],
+)
+def test_density_predictions_bound_the_request(tmp_path, capsys, initial, y_points, coin):
+    data = {"mode": "density", "initial": DENSITY_INITIAL[initial], "y_points": y_points, "coin": coin}
+    config = parse_config(data)
+    disk, memory = cli._density_needs(config, config.initial_state())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    argv = ["density", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    assert main(argv) == 0  # the first request of a process also fills caches
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert disk >= sum(map(len, contents(tmp_path / "o").values()))
+    assert memory >= peak
+
+
+@pytest.mark.parametrize("room", ["disk", "memory"])
+def test_density_refuses_outputs_it_cannot_hold(tmp_path, monkeypatch, capsys, room):
+    # 10**12 points: the table would write 5e13 bytes and the law's
+    # evaluation would hold ~5e14 bytes; both are refused before the law is built
+    if room == "memory":
+        monkeypatch.setattr(cli.os, "statvfs", a_roomy_disk)
+    out = tmp_path / "o"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "density", "initial": PRESETS["fig3.2"]["initial"], "y_points": 10**12}))
+    tracemalloc.start()
+    try:
+        assert main(["density", "--config", str(cfg), "--out", str(out)]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert re.match(r"error: density of 1000000000000 points: .* needs \d+ bytes", err), err
     assert ("physical memory" in err) == (room == "memory")
     assert contents(out) == {}
     assert peak < 1e6, peak

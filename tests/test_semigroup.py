@@ -314,6 +314,20 @@ def test_positivity_check_validation(hadamard):
             DirectIntegralObservable.from_fibres(grid, iter(stream))
 
 
+def test_positivity_check_evolves_every_dtype_in_complex128(hadamard):
+    # evolved in their own dtype, an int64 block read min_eigenvalue_after
+    # 2.0 and 1.586 and a float32 one 1.2679492, and float64 moved the last
+    # bits, where complex128 gives 3 - sqrt(3) = 1.2679491924311228
+    grid = MomentumGrid(8)
+    reports = {
+        dtype: written_json(positivity_check(grid, 0.7, hadamard, [np.array([[3, 1, 1, 1]] * 8, dtype=dtype)]))
+        for dtype in (np.int64, np.float32, np.float64, np.complex128)
+    }
+    assert len(set(reports.values())) == 1, reports
+    report = positivity_check(grid, 0.7, hadamard, [np.array([[3, 1, 1, 1]] * 8)])
+    assert report["min_eigenvalue_after"] == pytest.approx(3.0 - math.sqrt(3.0), rel=1e-12)
+
+
 # --------------------------------------------------------------------------
 # blocked grid routines
 # --------------------------------------------------------------------------
