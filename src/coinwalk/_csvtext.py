@@ -15,7 +15,9 @@ value in one ``json.dumps`` call.  Each array that enters a writer meets one
 rule, ``_require_writable``, once, empty ones included: 1-D int64 or float64
 (else ``TypeError``; nothing is converted), and finite (else
 :class:`~coinwalk.core.CoinWalkError`), at the cost of one ``np.isfinite``
-pass.  Scalars, such as verify's residuals, go to ``json.dumps``.
+pass.  Scalars, such as verify's residuals, go to ``json.dumps``; a NaN or
+an infinity among them raises ``CoinWalkError`` too.  ``table_bytes`` and
+``json_bytes`` give the sizes the writers write.
 
 Every field is laid out in a 32-byte slot of one ``uint8`` matrix with unused
 bytes 0, and deleting the zero bytes (``bytes.translate``, a little faster than
@@ -61,6 +63,8 @@ from . import core
 from .core import CoinWalkError
 
 SLOT = 32  # bytes per field; the last one holds the ',' or '\n'
+# the widest text of a float64, in "%.17g" and in repr alike (24 characters)
+WIDEST_FLOAT = -2.2250738585072014e-308
 
 # |x| in this range takes the exact double-double route
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280
@@ -414,17 +418,24 @@ def _joined(parts: list) -> list:
     return parts[0] if len(parts) == 1 else [np.concatenate(cs, casting="no") for cs in zip(*parts)]
 
 
+_ENCODE = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False).encode  # json.dumps's, built once
+
+
+def _holds_array(value) -> bool:
+    return isinstance(value, np.ndarray) or isinstance(value, dict) and any(map(_holds_array, value.values()))
+
+
 def _json_chunks(value, pad: str = ""):
     """Pieces of ``json.dumps(value, indent=2, sort_keys=True)``, nested at indent ``pad``.
 
-    A dict (string keys) recurses key by key; an array's blocks are joined
-    by the item separator that carries the newline and indent.  Any other
-    value is one ``json.dumps`` call re-indented by one ``str.replace``: the
-    encoder escapes newlines inside strings, so its text breaks lines only
-    between items.
+    A dict (string keys) that holds a numpy array recurses key by key; an
+    array's blocks are joined by the item separator that carries the newline
+    and indent.  Any other value is one ``json.dumps`` call (refusing NaN and
+    the infinities) re-indented by one ``str.replace``: the encoder escapes
+    newlines inside strings, so its text breaks lines only between items.
     """
     inner = pad + "  "
-    if isinstance(value, dict):
+    if isinstance(value, dict) and _holds_array(value):
         brackets = "{}"
         members = (chain((f"{json.dumps(key)}: ",), _json_chunks(value[key], inner)) for key in sorted(value))
     elif isinstance(value, np.ndarray):
@@ -433,7 +444,11 @@ def _json_chunks(value, pad: str = ""):
         separator = (",\n" + inner).encode()
         members = ((json_items(value[block], separator).decode(),) for block in core.blocks(len(value)))
     else:
-        yield json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+        try:
+            text = _ENCODE(value)
+        except ValueError:
+            raise CoinWalkError("an output value is NaN or an infinity; the writers take finite numbers only") from None
+        yield text.replace("\n", "\n" + pad)
         return
     opened = False
     for member in members:
@@ -448,3 +463,17 @@ def write_json(path: Path, payload: dict) -> None:
     with path.open("w", encoding="utf-8") as fh:
         fh.writelines(_json_chunks(payload))
         fh.write("\n")
+
+
+def table_bytes(header: str, rows: int, widest: tuple) -> int:
+    """The most bytes ``write_table`` writes for ``rows`` rows no wider than ``widest``.
+
+    An int64 field is as wide as its ``"%d"``; a float64 one, at most the 24 characters of ``WIDEST_FLOAT``.
+    """
+    row = sum(len("%d" % v) if isinstance(v, int) else len(repr(WIDEST_FLOAT)) for v in widest)
+    return len(header) + 1 + rows * (row + len(widest))
+
+
+def json_bytes(payload: dict) -> int:
+    """The bytes ``write_json`` writes for ``payload``: its text is ASCII, a byte a character."""
+    return sum(map(len, _json_chunks(payload))) + 1

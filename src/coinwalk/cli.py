@@ -23,7 +23,10 @@ contributes only those, each subcommand offers a flag only for those, and the
 A command names its files to an ``_Outputs`` recorder (``_csvtext``'s writers)
 in a ``.coinwalk-*`` staging directory inside the output directory; ``main``
 moves them to their names after it returns, and an exception or ^C removes them.
-An error names a file as it would stand in the output directory.  Each command
+An error names a file as it would stand in the output directory.  Before a
+file-writing command runs, ``main`` checks its size model in ``_NEEDS`` (a
+label, each file's most bytes as ``_csvtext`` counts them, the memory) and
+exits 1 if the output disk or the physical memory cannot hold it.  Each command
 runs on the calling thread, except that ``semigroup`` writes its flow table in
 a forked child process while the parent checks positivity and writes the
 report; the command waits for the child, or kills it on an error, before it
@@ -145,6 +148,9 @@ class RunConfig:
 
     def coin(self) -> Coin:
         return _parse_coin(self.coin_spec)
+
+    def grid(self) -> MomentumGrid:
+        return MomentumGrid(self.grid_size or 256)
 
     def initial_state(self) -> WaveFunction:
         if self.initial_spec is None:
@@ -399,10 +405,7 @@ def _write_table_and_exit(path: Path, header: str, blocks, errors: int, mask) ->
 
 
 def _coin_as_rows(coin: Coin) -> list[list[list[float]]]:
-    return [
-        [[c.real, c.imag] for c in (coin.l1, coin.l2)],
-        [[c.real, c.imag] for c in (coin.r1, coin.r2)],
-    ]
+    return [[[c.real, c.imag] for c in row] for row in ((coin.l1, coin.l2), (coin.r1, coin.r2))]
 
 
 # --------------------------------------------------------------------------
@@ -410,16 +413,16 @@ def _coin_as_rows(coin: Coin) -> list[list[list[float]]]:
 # --------------------------------------------------------------------------
 
 
-# the widest text of a float64, in "%.17g" and in repr alike (24 characters)
-_WIDEST_FLOAT = -2.2250738585072014e-308
 # working memory of a request beside its arrays that grow with the run:
 # per row of a block, and a fixed part
 _BLOCK_ROW_BYTES = 2048
 _FIXED_BYTES = 2**20
+_WIDEST_FLOAT = _csvtext.WIDEST_FLOAT
 
 
-def _require_room(label: str, disk: int, memory: int, out: _Outputs) -> None:
-    """Raise :class:`CoinWalkError` unless the output disk has ``disk`` bytes free and RAM ``memory``."""
+def _require_room(label: str, files: dict[str, int], memory: int, out: _Outputs) -> None:
+    """Raise :class:`CoinWalkError` unless the output disk holds ``files``' bytes and RAM ``memory``."""
+    disk = sum(files.values())
     stat = os.statvfs(out.dir)
     free = stat.f_bavail * stat.f_frsize
     if disk > free:
@@ -435,50 +438,42 @@ def _require_room(label: str, disk: int, memory: int, out: _Outputs) -> None:
         )
 
 
-def _walk_manifest(config: RunConfig, coin: Coin, norm: float, support: list, files: list) -> dict:
-    return {
-        "mode": "walk",
-        "coin": _coin_as_rows(coin),
-        "steps": config.steps,
-        "norm": norm,
-        "support": support,
-        "files": files,
-        "config": serialize_config(config),
-    }
+def _manifest(config: RunConfig, coin: Coin, files: list, **fields) -> dict:
+    """``manifest.json`` of a ``walk`` or ``cwalk`` run: the files it lists, and its mode's ``fields``."""
+    return {"mode": config.mode, "coin": _coin_as_rows(coin), "files": files,
+            "config": serialize_config(config), **fields}
 
 
-def _walk_needs(config: RunConfig, coin: Coin, psi0: WaveFunction) -> tuple[int, int]:
-    """Upper bounds on the bytes of a ``walk`` request's files and on its memory.
+def _walk_needs(config: RunConfig) -> tuple[str, dict[str, int], int]:
+    """A ``walk`` request's label, upper bounds on the bytes of each of its files, and on its memory.
 
     The state after ``i`` steps spans at most ``W + 2i`` sites, ``W`` being
-    ``psi0``'s width.  So the distribution has at most ``W + 2n`` rows and
-    the trajectory ``(n + 1)(W + n)``.  A row holds the step's digits, a
-    site no wider than the farthest reachable one, with its sign, and a
-    float of at most 24 characters, each with its separator.  The manifest is written with the widest norm and
-    support.  The memory is eight arrays of 2·16 bytes a site over
-    ``W + 2n`` sites, the working arrays of one block and a fixed part.
-    The eight are the step loop's three, ``psi0``, the state written, and
-    three for its columns and their temporaries.  Measured peaks are 132
-    bytes a site without ``--trajectory`` and 224 with it.
+    ``psi0``'s width, up to the farthest reachable one: the distribution has
+    at most ``W + 2n`` rows and the trajectory ``(n + 1)(W + n)``.  The
+    manifest is written with the widest norm and support.  The memory is
+    eight arrays of 2·16 bytes a site over ``W + 2n`` sites (the step loop's
+    three, ``psi0``, the state written, and three for its columns and their
+    temporaries), one block's working arrays and a fixed part.  Measured
+    peaks are 132 bytes a site without ``--trajectory`` and 224 with it.
     """
+    psi0 = config.initial_state()
     n, size = config.steps, psi0.width + 2 * config.steps
     rows = (n + 1) * (psi0.width + n)  # the trajectory's; the distribution has fewer
     far = -max(abs(psi0.x_min - n), abs(psi0.x_max + n))
-    row = len(str(far)) + 1 + len(repr(_WIDEST_FLOAT)) + 1
     files = {}
     if config.trajectory:
-        files["trajectory.csv"] = len("n,x,p\n") + rows * (len(str(n)) + 1 + row)
-    files[f"distribution_n{n}.csv"] = len("x,p\n") + size * row
-    manifest = _walk_manifest(config, coin, _WIDEST_FLOAT, [far, far], list(files))
-    disk = sum(files.values()) + len(json.dumps(manifest, indent=2, sort_keys=True)) + 1
-    return disk, 8 * 32 * size + _BLOCK_ROW_BYTES * min(rows, core.BLOCK) + _FIXED_BYTES
+        files["trajectory.csv"] = _csvtext.table_bytes("n,x,p", rows, (n, far, _WIDEST_FLOAT))
+    files[f"distribution_n{n}.csv"] = _csvtext.table_bytes("x,p", size, (far, _WIDEST_FLOAT))
+    manifest = _manifest(config, config.coin(), list(files), steps=n, norm=_WIDEST_FLOAT, support=[far, far])
+    files["manifest.json"] = _csvtext.json_bytes(manifest)
+    memory = 8 * 32 * size + _BLOCK_ROW_BYTES * min(rows, core.BLOCK) + _FIXED_BYTES
+    return f"walk of {n} steps", files, memory
 
 
 def cmd_walk(config: RunConfig, out: _Outputs) -> int:
     coin = config.coin()
     psi0 = config.initial_state()
     run = walk.WalkRun(coin, psi0, config.steps)
-    _require_room(f"walk of {config.steps} steps", *_walk_needs(config, coin, psi0), out)
     if config.trajectory:
         final = psi0
 
@@ -493,61 +488,75 @@ def cmd_walk(config: RunConfig, out: _Outputs) -> int:
         final = walk.evolve(run)
     out.table(f"distribution_n{config.steps}.csv", "x,p", [(final.sites, position_distribution(final))])
     support = [final.x_min, final.x_max]
-    out.json("manifest.json", _walk_manifest(config, coin, final.norm(), support, list(out.names)))
+    manifest = _manifest(config, coin, list(out.names), steps=config.steps, norm=final.norm(), support=support)
+    out.json("manifest.json", manifest)
     return 0
+
+
+def _cwalk_needs(config: RunConfig) -> tuple[str, dict[str, int], int]:
+    """A ``cwalk`` request's label, upper bounds on the bytes of each of its files, and on its memory.
+
+    Every snapshot is reconstructed on the ``M`` sites of the one grid, sized
+    for the latest time, around ``psi0``'s window: at most ``M`` rows, none
+    farther out than ``R + M``, ``R`` being ``psi0``'s support radius.  The
+    manifest is written with the widest norms.  The memory is twelve complex
+    arrays of 2·16 bytes a node (one evolution's transform, propagator bank,
+    product and inverse transform with their temporaries, and the snapshot
+    held while the next is made) and a fixed part.  Measured peaks are 288
+    to 303 bytes a node, nine such arrays, for M from 2025 to 155,579.
+    """
+    psi0 = config.initial_state()
+    size = MomentumGrid.for_walk(psi0, math.ceil(max(config.times))).size
+    far = -(psi0.support_radius + size)
+    files = {f"snapshot_t{t:g}.csv": _csvtext.table_bytes("x,p", size, (far, _WIDEST_FLOAT)) for t in config.times}
+    norms = {f"{t:g}": _WIDEST_FLOAT for t in config.times}
+    manifest = _manifest(config, config.coin(), list(files), times=list(config.times), norms=norms)
+    files["manifest.json"] = _csvtext.json_bytes(manifest)
+    return f"cwalk to time {max(config.times):g}", files, 12 * 32 * size + _FIXED_BYTES
 
 
 def cmd_cwalk(config: RunConfig, out: _Outputs) -> int:
     coin = config.coin()
-    psi0 = config.initial_state()
     norms = {}
-    for t, psi in continuous.snapshots(psi0, coin, config.times):
+    for t, psi in continuous.snapshots(config.initial_state(), coin, config.times):
         out.table(f"snapshot_t{t:g}.csv", "x,p", [(psi.sites, position_distribution(psi))])
         norms[f"{t:g}"] = psi.norm()
-    out.json(
-        "manifest.json",
-        {
-            "mode": "cwalk",
-            "coin": _coin_as_rows(coin),
-            "times": list(config.times),
-            "norms": norms,
-            "files": list(out.names),
-            "config": serialize_config(config),
-        },
-    )
+    out.json("manifest.json", _manifest(config, coin, list(out.names), times=list(config.times), norms=norms))
     return 0
 
 
 _ROUTING = "degenerate coin: point-mass law emitted instead of a density"
 
 
-def _density_needs(config: RunConfig, psi0: WaveFunction) -> tuple[int, int]:
-    """Upper bounds on the bytes of a ``density`` request's files and on its memory.
+def _density_needs(config: RunConfig) -> tuple[str, dict[str, int], int]:
+    """A ``density`` request's label, upper bounds on the bytes of each of its files, and on its memory.
 
-    A table row holds two floats of at most 24 characters, each with its
-    separator.  ``law.json`` is written with the widest values, for a density
-    and for two atoms, whichever is longer.  The memory counts each of the
-    ``y_points`` points and each node of the law's quadrature: 16 bytes a
-    site of ``psi0``'s window for the phases of its momentum transform, and
-    512 bytes of working arrays; then a fixed part.  Measured peaks are 369
-    bytes a point at width 1 and 16,397 at width 1001.
+    The table is written unless the coin is degenerate.  ``law.json`` is
+    written with the widest values, for a density and for two atoms,
+    whichever is longer.  The memory counts each of the ``y_points`` points
+    and each node of the law's quadrature: 16 bytes a site of ``psi0``'s
+    window for the phases of its momentum transform, and 512 bytes of
+    working arrays; then a fixed part.  Measured peaks are 369 bytes a point
+    at width 1 and 16,397 at width 1001.
     """
     rows = config.y_points
-    disk = len("y,rho\n") + rows * 2 * (len(repr(_WIDEST_FLOAT)) + 1)
+    files = {}
+    if config.coin().has_density_limit:
+        files["density.csv"] = _csvtext.table_bytes("y,rho", rows, (_WIDEST_FLOAT,) * 2)
     widest = {"support": [_WIDEST_FLOAT] * 2, "beta": _WIDEST_FLOAT, "mass": _WIDEST_FLOAT, "mean": _WIDEST_FLOAT}
     atoms = {"atoms": [[_WIDEST_FLOAT] * 2] * 2, "routing": _ROUTING}
-    disk += max(
-        len(json.dumps({"kind": "point_mass", "config": serialize_config(config), **fields}, indent=2, sort_keys=True))
+    files["law.json"] = max(
+        _csvtext.json_bytes({"kind": "point_mass", "config": serialize_config(config), **fields})
         for fields in (widest, atoms)
-    ) + 1
+    )
     nodes = limitlaw._BASE_PANELS * len(limitlaw._GL_NODES)
-    return disk, (rows + nodes) * (16 * psi0.width + 512) + _FIXED_BYTES
+    memory = (rows + nodes) * (16 * config.initial_state().width + 512) + _FIXED_BYTES
+    return f"density of {rows} points", files, memory
 
 
 def cmd_density(config: RunConfig, out: _Outputs) -> int:
     coin = config.coin()
     psi0 = config.initial_state()
-    _require_room(f"density of {config.y_points} points", *_density_needs(config, psi0), out)
     law = limitlaw.weak_limit_law(coin, psi0)
     mass = law.mass()
     if not abs(mass - 1.0) <= limitlaw.MASS_TOL:
@@ -555,32 +564,15 @@ def cmd_density(config: RunConfig, out: _Outputs) -> int:
             f"limit law mass defect |mass - 1| = {abs(mass - 1.0):.3e} exceeds "
             f"{limitlaw.MASS_TOL:g}; the quadrature cannot resolve this coin"
         )
-    kind = "density" if isinstance(law, limitlaw.LimitLaw) else "point_mass"
-    meta: dict = {"kind": kind, "config": serialize_config(config)}
-    if kind == "density":
+    if isinstance(law, limitlaw.LimitLaw):
         lo, hi = law.support()
         ys = np.linspace(lo, hi, config.y_points + 2)[1:-1]
-        rho = law.pdf(ys)
-        out.table("density.csv", "y,rho", [(ys, rho)])
-        meta.update(
-            {
-                "support": [lo, hi],
-                "beta": law.beta,
-                "mass": mass,
-                "mean": law.mean(),
-            }
-        )
+        out.table("density.csv", "y,rho", [(ys, law.pdf(ys))])
+        fields = {"kind": "density", "support": [lo, hi], "beta": law.beta, "mass": mass, "mean": law.mean()}
     else:
-        meta.update(
-            {
-                "atoms": [
-                    [float(a), float(w)]
-                    for a, w in zip(law.atoms, law.weights)
-                ],
-                "routing": _ROUTING,
-            }
-        )
-    out.json("law.json", meta)
+        atoms = [[float(a), float(w)] for a, w in zip(law.atoms, law.weights)]
+        fields = {"kind": "point_mass", "atoms": atoms, "routing": _ROUTING}
+    out.json("law.json", {"config": serialize_config(config), **fields})
     return 0
 
 
@@ -588,56 +580,42 @@ _FLOW_HEADER = "k,gamma,h1,h2,h3,angle"
 
 
 def _semigroup_payload(config: RunConfig, grid: MomentumGrid, positivity: dict, residual: float) -> dict:
-    return {
-        "mode": "semigroup",
-        "time": config.time,
-        "grid": grid.size,
-        "seed": config.seed,
-        "positivity": positivity,
-        "flow_vs_conjugation_max_residual": residual,
-        "config": serialize_config(config),
-    }
+    return {"mode": "semigroup", "time": config.time, "grid": grid.size, "seed": config.seed, "positivity": positivity,
+            "flow_vs_conjugation_max_residual": residual, "config": serialize_config(config)}
 
 
-def _semigroup_needs(config: RunConfig, grid: MomentumGrid) -> tuple[int, int, int]:
-    """Upper bounds on the flow table's bytes, the report's bytes and the request's memory.
+def _semigroup_needs(config: RunConfig) -> tuple[str, dict[str, int], int]:
+    """A ``semigroup`` request's label, upper bounds on the bytes of each of its files, and on its memory.
 
-    A table row holds six floats of at most 24 characters, each with its
-    separator.  The report is written with one and with two of the widest
-    items in each array; every further item adds at most their difference.
-    The memory is the report's three grid-wide arrays, 8 bytes an item, the
+    The report is written with one and with two of the widest items in
+    each array; every further item adds at most their difference.  The
+    memory is the report's three grid-wide arrays, 8 bytes an item, the
     working arrays of one block in each of the two processes (the parent's
     positivity check and the child's flow table) and a fixed part.
     """
+    grid = config.grid()
     size = grid.size
-    flow = len(_FLOW_HEADER) + 1 + size * 6 * (len(repr(_WIDEST_FLOAT)) + 1)
 
     def report(items: int) -> int:
         widest = [_WIDEST_FLOAT] * items
-        positivity = {
-            "nodes": [size - 1] * items,
-            "time": _WIDEST_FLOAT,
-            "min_eigenvalue_before": widest,
-            "min_eigenvalue_after": widest,
-            "worst_before": _WIDEST_FLOAT,
-            "worst_after": _WIDEST_FLOAT,
-            "input_psd": False,
-            "passed": False,
-        }
-        payload = _semigroup_payload(config, grid, positivity, _WIDEST_FLOAT)
-        return len(json.dumps(payload, indent=2, sort_keys=True)) + 1
+        positivity = {"nodes": [size - 1] * items, "min_eigenvalue_before": widest, "min_eigenvalue_after": widest,
+                      "time": _WIDEST_FLOAT, "worst_before": _WIDEST_FLOAT, "worst_after": _WIDEST_FLOAT,
+                      "input_psd": False, "passed": False}
+        return _csvtext.json_bytes(_semigroup_payload(config, grid, positivity, _WIDEST_FLOAT))
 
     one = report(1)
+    files = {
+        f"flow_t{config.time:g}.csv": _csvtext.table_bytes(_FLOW_HEADER, size, (_WIDEST_FLOAT,) * 6),
+        "semigroup_report.json": one + (size - 1) * (report(2) - one),
+    }
     memory = 24 * size + 2 * _BLOCK_ROW_BYTES * min(size, core.BLOCK) + _FIXED_BYTES
-    return flow, one + (size - 1) * (report(2) - one), memory
+    return f"semigroup grid {size}", files, memory
 
 
 def cmd_semigroup(config: RunConfig, out: _Outputs) -> int:
     coin = config.coin()
-    grid = MomentumGrid(config.grid_size or 256)
+    grid = config.grid()
     t = config.time
-    flow_bytes, report_bytes, memory = _semigroup_needs(config, grid)
-    _require_room(f"semigroup grid {grid.size}", flow_bytes + report_bytes, memory, out)
 
     def flow_blocks():
         # the dispersion is elementwise: each block has the bits of one whole-grid call
@@ -673,21 +651,15 @@ def cmd_verify(config: RunConfig, out: _Outputs) -> int:
 def _write_verify_report(out: _Outputs, seed: int, quick: bool, results: list) -> bool:
     """Write ``verify_report.json`` for the check results; returns the verdict."""
     passed = all(r.passed for r in results)
-    out.json(
-        "verify_report.json",
-        {
-            "mode": "verify",
-            "seed": seed,
-            "quick": quick,
-            "passed": passed,
-            "checks": [r.to_dict() for r in results],
-        },
-    )
+    checks = [r.to_dict() for r in results]
+    out.json("verify_report.json", {"mode": "verify", "seed": seed, "quick": quick, "passed": passed, "checks": checks})
     return passed
 
 
 _COMMANDS = {"walk": cmd_walk, "cwalk": cmd_cwalk, "density": cmd_density,
              "semigroup": cmd_semigroup, "verify": cmd_verify}
+# each file-writing mode's size model: its label, the most bytes of each file it writes, its memory
+_NEEDS = {"walk": _walk_needs, "cwalk": _cwalk_needs, "density": _density_needs, "semigroup": _semigroup_needs}
 
 
 # --------------------------------------------------------------------------
@@ -763,6 +735,8 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         with tempfile.TemporaryDirectory(prefix=".coinwalk-", dir=out_dir) as staging:
             out = _Outputs(Path(staging))
+            if args.mode in _NEEDS:  # refuse a run that cannot fit before it starts
+                _require_room(*_NEEDS[args.mode](config), out)
             code = _COMMANDS[args.mode](config, out)
             paths = out.commit(out_dir)
         for path in paths:

@@ -16,13 +16,12 @@ that equation through a centred finite difference.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import spectral
 from .core import (
-    GRID_MARGIN,
     Coin,
     MomentumGrid,
     ValidationError,
@@ -60,31 +59,29 @@ def evolve_continuous(
     psi_hat = fourier_transform(psi0, grid)
     bank = spectral.propagator_bank(grid.nodes, t, coin)
     evolved = np.einsum("mij,mj->mi", bank, psi_hat)
-    # Reconstruct the complete ring (exactly grid.size sites centred on the
-    # support): the continuous-time tails are not compactly supported, and
-    # keeping all resolvable sites makes composing evolutions exact up to the
-    # trim threshold.  The ring is exact only if the state vanishes beyond
-    # GRID_MARGIN sites past the light cone, as at integer t; at fractional t
-    # the tails wrap around (Hadamard coin from qubit (1, 0), default grid vs
-    # a 4001-node grid: 1.5e-5 at t=0.5, 1.4e-8 at t=10.5).
-    reach += GRID_MARGIN
-    lo, hi = psi0.x_min - reach, psi0.x_max + reach
-    deficit = grid.size - (hi - lo + 1)
-    lo -= (deficit + 1) // 2
-    hi += deficit // 2
-    return inverse_fourier(evolved, grid, (lo, hi))
+    # Reconstruct the complete ring, grid.size sites centred on the support:
+    # the continuous-time tails are not compactly supported, and keeping all
+    # resolvable sites makes composing evolutions exact up to the trim
+    # threshold.  The ring is exact only if the state vanishes beyond the margin
+    # MomentumGrid.for_walk leaves past the light cone, as at integer t; at
+    # fractional t the tails wrap around (Hadamard coin from qubit (1, 0),
+    # default grid vs a 4001-node grid: 1.5e-5 at t=0.5, 1.4e-8 at t=10.5).
+    lo = psi0.x_min - (grid.size - psi0.width + 1) // 2
+    return inverse_fourier(evolved, grid, (lo, lo + grid.size - 1))
 
 
 def snapshots(
     psi0: WaveFunction, coin: Coin, times: Sequence[float]
-) -> list[tuple[float, WaveFunction]]:
-    """Evolve ``psi0`` to every time in ``times``, each one independently.
+) -> Iterator[tuple[float, WaveFunction]]:
+    """Evolve ``psi0`` to every time in ``times``, each one independently, yielding ``(t, state)`` in turn.
 
     All times share the one grid sized for the latest, so the snapshots are
-    samples of a single evolution.
+    samples of a single evolution.  Each state is made as it is asked for,
+    so a caller that keeps none holds one at a time.
     """
     grid = MomentumGrid.for_walk(psi0, int(math.ceil(max(times))))
-    return [(t, evolve_continuous(psi0, t, coin, grid)) for t in times]
+    for t in times:
+        yield t, evolve_continuous(psi0, t, coin, grid)
 
 
 def schrodinger_residual(

@@ -314,7 +314,14 @@ json_value = st.recursive(
 @settings(max_examples=100, deadline=None)
 @given(json_value)
 def test_json_text_equals_stdlib_indent_2(value):
-    assert written_json(value) == json.dumps(value, indent=2, sort_keys=True)
+    # NaN and the infinities are no JSON: both sides refuse them
+    try:
+        want = json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        with pytest.raises(CoinWalkError, match="NaN or an infinity"):
+            written_json(value)
+    else:
+        assert written_json(value) == want
 
 
 # the array writers refuse NaN and infinities (test_writers_refuse_non_finite_values)
@@ -427,8 +434,9 @@ def test_writers_refuse_non_finite_values(tmp_path, bad):
         _csvtext.write_table(tmp_path / "t.csv", "i,f", [(np.arange(3), floats)])
     with pytest.raises(CoinWalkError, match="NaN or an infinity"):
         _csvtext.write_json(tmp_path / "t.json", {"ok": 1.5, "values": floats})
-    # a scalar still goes through json.dumps, which writes NaN and Infinity
-    assert written_json({"residual": bad}) == json.dumps({"residual": bad}, indent=2)
+    # a scalar goes through json.dumps, which would write NaN and Infinity
+    with pytest.raises(CoinWalkError, match="an output value is NaN or an infinity"):
+        _csvtext.write_json(tmp_path / "t.json", {"ok": 1.5, "residual": bad})
 
 
 @pytest.mark.parametrize(
@@ -761,6 +769,19 @@ def test_a_parent_error_kills_the_flow_table_writer(tmp_path, monkeypatch, capsy
     assert_no_child_left()
 
 
+def test_a_ctrl_c_in_the_flow_table_child_reaches_main(tmp_path, monkeypatch):
+    # only the child renders, so the ^C lands there; it reaches main as a
+    # KeyboardInterrupt only if the child unmasked SIGINT after the fork
+    def interrupted(columns):
+        os.kill(os.getpid(), signal.SIGINT)
+
+    monkeypatch.setattr(_csvtext, "render", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["semigroup", "--grid", "4096", "--out", str(tmp_path)])
+    assert contents(tmp_path) == {}
+    assert_no_child_left()
+
+
 def test_the_flow_table_child_runs_beside_blas_threads(tmp_path):
     # a two-thread OpenBLAS runs a worker thread until the parent forks (its
     # fork handler stops it); the child calls no BLAS, so it finishes and
@@ -776,14 +797,21 @@ def test_the_flow_table_child_runs_beside_blas_threads(tmp_path):
     assert contents(tmp_path / "1") == contents(tmp_path / "2")
 
 
-@pytest.mark.parametrize("grid", [1, 2047, 65536])
-def test_semigroup_predictions_bound_the_request(tmp_path, monkeypatch, capsys, grid):
-    # the memory counts both processes: the parent's peak and the child's own
-    config = parse_config({"mode": "semigroup", "grid": grid, "seed": 3})
-    flow, report, memory = cli._semigroup_needs(config, MomentumGrid(grid))
+def a_roomy_disk(path):
+    """What ``os.statvfs`` reads for a disk with 2**124 bytes free."""
+    return type("Disk", (), {"f_bavail": 2**62, "f_frsize": 2**62})
+
+
+def assert_predictions_bound_the_request(tmp_path, monkeypatch, data):
+    """The second of two runs of ``data``: each file within its bound, and memory (both processes') within the model's."""
+    config = parse_config(data)
+    _, files, memory = cli._NEEDS[config.mode](config)
     log = tmp_path / "child_peaks"
-    traced_table_writes(monkeypatch, log)
-    argv = ["semigroup", "--grid", str(grid), "--seed", "3", "--out", str(tmp_path / "o")]
+    if config.mode == "semigroup":
+        traced_table_writes(monkeypatch, log)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    argv = [config.mode, "--config", str(cfg), "--out", str(tmp_path / "o")]
     assert main(argv) == 0  # the first request of a process also fills caches
     tracemalloc.start()
     try:
@@ -791,34 +819,54 @@ def test_semigroup_predictions_bound_the_request(tmp_path, monkeypatch, capsys, 
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    child = int(log.read_text().split()[-1])
-    assert flow >= (tmp_path / "o" / "flow_t1.csv").stat().st_size
-    assert report >= (tmp_path / "o" / "semigroup_report.json").stat().st_size
-    assert 0 < child and memory >= peak + child
+    if config.mode == "semigroup":
+        [*_, child] = map(int, log.read_text().split())
+        assert child > 0
+        peak += child
+    written = {name: len(text) for name, text in contents(tmp_path / "o").items()}
+    assert written.keys() == files.keys()
+    assert all(written[name] <= files[name] for name in files), (written, files)
+    assert memory >= peak
 
 
-def a_roomy_disk(path):
-    """What ``os.statvfs`` reads for a disk with 2**62 bytes free."""
-    return type("Disk", (), {"f_bavail": 2**62, "f_frsize": 1})
+# each mode's request of a size of 10**12, as steps, points, grid nodes or time
+HUGE = {
+    "walk": {"initial": PRESETS["fig3.1"]["initial"], "steps": 10**12, "trajectory": True},
+    "cwalk": {"initial": PRESETS["fig3.5"]["initial"], "times": [1e12]},
+    "density": {"initial": PRESETS["fig3.2"]["initial"], "y_points": 10**12},
+    "semigroup": {"grid": 10**12},
+}
 
 
-@pytest.mark.parametrize("room", ["disk", "memory"])
-def test_semigroup_refuses_outputs_it_cannot_hold(tmp_path, monkeypatch, capsys, room):
-    # a grid of 10**12 would write ~1.5e14 bytes and hold 2.4e13 in its arrays
+def assert_refused(tmp_path, monkeypatch, capsys, room, mode, label):
+    """The ``HUGE`` request of ``mode`` exits 1 for want of ``room``, having written nothing and held < 1 MB."""
     if room == "memory":
         monkeypatch.setattr(cli.os, "statvfs", a_roomy_disk)
     out = tmp_path / "o"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": mode, **HUGE[mode]}))
     tracemalloc.start()
     try:
-        assert main(["semigroup", "--grid", str(10**12), "--out", str(out)]) == 1
+        assert main([mode, "--config", str(cfg), "--out", str(out)]) == 1
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     err = capsys.readouterr().err
-    assert re.match(r"error: semigroup grid 1000000000000: .* needs \d+ bytes", err), err
+    assert re.match(rf"error: {re.escape(label)}: .* needs \d+ bytes", err), err
     assert ("physical memory" in err) == (room == "memory")
-    assert list(out.iterdir()) == []
+    assert contents(out) == {}
     assert peak < 1e6, peak
+
+
+@pytest.mark.parametrize("grid", [1, 2047, 65536])
+def test_semigroup_predictions_bound_the_request(tmp_path, monkeypatch, capsys, grid):
+    assert_predictions_bound_the_request(tmp_path, monkeypatch, {"mode": "semigroup", "grid": grid, "seed": 3})
+
+
+@pytest.mark.parametrize("room", ["disk", "memory"])
+def test_semigroup_refuses_outputs_it_cannot_hold(tmp_path, monkeypatch, capsys, room):
+    # ~1.5e14 bytes of files and 2.4e13 in its arrays
+    assert_refused(tmp_path, monkeypatch, capsys, room, "semigroup", "semigroup grid 1000000000000")
 
 
 WALK_INITIAL = {
@@ -837,43 +885,15 @@ WALK_INITIAL = {
         *itertools.product(("wide",), (3,), (False, True)),
     ],
 )
-def test_walk_predictions_bound_the_request(tmp_path, capsys, initial, steps, trajectory):
+def test_walk_predictions_bound_the_request(tmp_path, monkeypatch, capsys, initial, steps, trajectory):
     data = {"mode": "walk", "initial": WALK_INITIAL[initial], "steps": steps, "trajectory": trajectory}
-    config = parse_config(data)
-    disk, memory = cli._walk_needs(config, config.coin(), config.initial_state())
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(data))
-    argv = ["walk", "--config", str(cfg), "--out", str(tmp_path / "o")]
-    assert main(argv) == 0  # the first request of a process also fills caches
-    tracemalloc.start()
-    try:
-        assert main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert disk >= sum(map(len, contents(tmp_path / "o").values()))
-    assert memory >= peak
+    assert_predictions_bound_the_request(tmp_path, monkeypatch, data)
 
 
 @pytest.mark.parametrize("room", ["disk", "memory"])
 def test_walk_refuses_outputs_it_cannot_hold(tmp_path, monkeypatch, capsys, room):
-    # 10**12 steps: the trajectory would write ~5e25 bytes, and either request
-    # would hold ~5e14 in its arrays
-    flags = ["--trajectory"] if room == "disk" else []
-    if room == "memory":
-        monkeypatch.setattr(cli.os, "statvfs", a_roomy_disk)
-    out = tmp_path / "o"
-    tracemalloc.start()
-    try:
-        assert main(["walk", "--preset", "fig3.1", "--steps", str(10**12), *flags, "--out", str(out)]) == 1
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    err = capsys.readouterr().err
-    assert re.match(r"error: walk of 1000000000000 steps: .* needs \d+ bytes", err), err
-    assert ("physical memory" in err) == (room == "memory")
-    assert contents(out) == {}
-    assert peak < 1e6, peak
+    # the trajectory would write ~5e25 bytes, and the walk hold ~5e14 in its arrays
+    assert_refused(tmp_path, monkeypatch, capsys, room, "walk", "walk of 1000000000000 steps")
 
 
 DENSITY_INITIAL = {
@@ -892,44 +912,35 @@ DIAGONAL_COIN = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
         ("fig3.3", 201, DIAGONAL_COIN),  # point masses: law.json alone
     ],
 )
-def test_density_predictions_bound_the_request(tmp_path, capsys, initial, y_points, coin):
+def test_density_predictions_bound_the_request(tmp_path, monkeypatch, capsys, initial, y_points, coin):
     data = {"mode": "density", "initial": DENSITY_INITIAL[initial], "y_points": y_points, "coin": coin}
-    config = parse_config(data)
-    disk, memory = cli._density_needs(config, config.initial_state())
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(data))
-    argv = ["density", "--config", str(cfg), "--out", str(tmp_path / "o")]
-    assert main(argv) == 0  # the first request of a process also fills caches
-    tracemalloc.start()
-    try:
-        assert main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert disk >= sum(map(len, contents(tmp_path / "o").values()))
-    assert memory >= peak
+    assert_predictions_bound_the_request(tmp_path, monkeypatch, data)
 
 
 @pytest.mark.parametrize("room", ["disk", "memory"])
 def test_density_refuses_outputs_it_cannot_hold(tmp_path, monkeypatch, capsys, room):
-    # 10**12 points: the table would write 5e13 bytes and the law's
-    # evaluation would hold ~5e14 bytes; both are refused before the law is built
-    if room == "memory":
-        monkeypatch.setattr(cli.os, "statvfs", a_roomy_disk)
-    out = tmp_path / "o"
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"mode": "density", "initial": PRESETS["fig3.2"]["initial"], "y_points": 10**12}))
-    tracemalloc.start()
-    try:
-        assert main(["density", "--config", str(cfg), "--out", str(out)]) == 1
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    err = capsys.readouterr().err
-    assert re.match(r"error: density of 1000000000000 points: .* needs \d+ bytes", err), err
-    assert ("physical memory" in err) == (room == "memory")
-    assert contents(out) == {}
-    assert peak < 1e6, peak
+    # the table would write 5e13 bytes and the law's evaluation hold ~5e14;
+    # both are refused before the law is built
+    assert_refused(tmp_path, monkeypatch, capsys, room, "density", "density of 1000000000000 points")
+
+
+@pytest.mark.parametrize(
+    "initial, times",
+    [
+        (PRESETS["fig3.5"]["initial"], PRESETS["fig3.5"]["times"]),
+        (DENSITY_INITIAL["wide"], [0.25 * i for i in range(1, 41)]),  # 101 sites, 40 snapshots
+        (PRESETS["fig3.5"]["initial"], [0.0, 19999.5, 20000.0]),  # 40,039 nodes: the arrays set the peak
+    ],
+    ids=["fig3.5", "wide", "far"],
+)
+def test_cwalk_predictions_bound_the_request(tmp_path, monkeypatch, capsys, initial, times):
+    assert_predictions_bound_the_request(tmp_path, monkeypatch, {"mode": "cwalk", "initial": initial, "times": times})
+
+
+@pytest.mark.parametrize("room", ["disk", "memory"])
+def test_cwalk_refuses_outputs_it_cannot_hold(tmp_path, monkeypatch, capsys, room):
+    # a grid of ~2e12 nodes: ~8e13 bytes a snapshot, and ~8e14 in its arrays
+    assert_refused(tmp_path, monkeypatch, capsys, room, "cwalk", "cwalk to time 1e+12")
 
 
 def test_verify_failure_exit_code(tmp_path, monkeypatch):
@@ -938,6 +949,26 @@ def test_verify_failure_exit_code(tmp_path, monkeypatch):
     doom = verify.CheckResult("doom", False, 1.0, 0.0)
     monkeypatch.setattr(verify, "run_verification", lambda seed, quick: [doom])
     assert main(["verify", "--out", str(tmp_path / "o")]) == 2
+
+
+def test_verify_writes_no_report_with_a_nan_residual(tmp_path, monkeypatch, capsys):
+    # "residual": NaN would not be JSON; the check's line is still printed
+    from coinwalk import verify
+
+    doom = verify.CheckResult("doom", False, math.nan, 1e-9)
+    monkeypatch.setattr(verify, "run_verification", lambda seed, quick: [doom])
+    assert main(["verify", "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("FAIL doom ") and "residual=nan" in captured.out
+    assert captured.err.startswith("error: an output value is NaN or an infinity")
+    assert contents(tmp_path / "o") == {}
+
+
+def test_every_file_writing_command_has_a_size_model():
+    # a new writer cannot skip the room check in main, nor restate _csvtext's JSON layout
+    assert set(cli._NEEDS) == set(cli._COMMANDS) - {"verify"} == set(HUGE)
+    src = Path(cli.__file__).parent
+    assert [p.name for p in sorted(src.glob("*.py")) if "indent=2" in p.read_text()] == ["_csvtext.py"]
 
 
 def test_invalid_config_exit_code(tmp_path, capsys):

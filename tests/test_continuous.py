@@ -1,6 +1,7 @@
 """Real-time evolution: integer-time agreement, group law, evolution equation."""
 
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -17,9 +18,10 @@ from coinwalk import (
     normalize_phase,
     schrodinger_residual,
 )
+from coinwalk import continuous
 from coinwalk.cli import PRESETS, parse_config
 from coinwalk.continuous import snapshots
-from coinwalk.core import fourier_transform, inverse_fourier
+from coinwalk.core import GRID_MARGIN, fourier_transform, inverse_fourier
 from coinwalk.spectral import propagator_bank
 from coinwalk.walk import fourier_evolve, sup_norm_difference
 
@@ -57,12 +59,27 @@ def test_norm_preserved(hadamard):
 
 def test_snapshot_series(hadamard):
     psi0 = INTERFERENCE
-    series = snapshots(psi0, hadamard, (99.25, 99.5, 99.75, 100.0))
+    series = list(snapshots(psi0, hadamard, (99.25, 99.5, 99.75, 100.0)))
     assert [t for t, _ in series] == [99.25, 99.5, 99.75, 100.0]
     for _, psi in series:
         assert abs(psi.norm() - 1.0) < 1e-9
     final = series[-1][1]
     assert sup_norm_difference(final, evolve(WalkRun(hadamard, psi0, 100))) < 1e-9
+
+
+def test_the_ring_is_centred_as_the_margin_arithmetic_had_it(monkeypatch, hadamard):
+    # the window once grew by ceil|t| + GRID_MARGIN each way and then by the
+    # grid's deficit; the two cancel, for grids narrower than that reach too
+    seen = []
+    monkeypatch.setattr(continuous, "inverse_fourier", lambda psi_hat, grid, support: seen.append(support))
+    for x_min, width, t in itertools.product((-7, 0, 4), (1, 2, 5), (0.0, 0.5, -2.5, 12.25)):
+        psi0 = WaveFunction(x_min, np.full((width, 2), (2 * width) ** -0.5, complex))
+        reach = math.ceil(abs(t)) + GRID_MARGIN
+        for size in range(width, width + 2 * reach + 4):
+            evolve_continuous(psi0, t, hadamard, MomentumGrid(size))
+            lo, hi = x_min - reach, x_min + width - 1 + reach
+            deficit = size - (hi - lo + 1)
+            assert seen.pop() == (lo - (deficit + 1) // 2, hi + deficit // 2), (x_min, width, t, size)
 
 
 def test_momentum_form_of_reference_initial_state():

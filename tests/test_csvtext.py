@@ -159,3 +159,13 @@ def test_json_float_bit_patterns_match_stdlib(patterns):
     else:
         with pytest.raises(CoinWalkError):
             "".join(_csvtext._json_chunks(xs))
+
+
+def test_sizes_are_the_bytes_the_writers_write(tmp_path):
+    # json_bytes is exact; table_bytes is exact for rows all as wide as the widest
+    payload = {"text": "é\n", "n": -(2**63), "values": np.array([_csvtext.WIDEST_FLOAT, 0.5]), "nested": {"x": [1e300]}}
+    _csvtext.write_json(tmp_path / "t.json", payload)
+    assert _csvtext.json_bytes(payload) == (tmp_path / "t.json").stat().st_size
+    widest = (12, -(10**9), _csvtext.WIDEST_FLOAT)
+    _csvtext.write_table(tmp_path / "t.csv", "n,x,p", [[np.full(5, v) for v in widest]])
+    assert _csvtext.table_bytes("n,x,p", 5, widest) == (tmp_path / "t.csv").stat().st_size
